@@ -25,7 +25,8 @@ from .geometry import boundary_weights, sdm_target
 from .inference import evaluate, sliding_window_infer
 from .network import net_from_checkpoint
 from .tensor import Tensor, no_grad
-from .training import TrainConfig, config_from_dict, config_to_dict, train_loop
+from .training import TrainConfig, check_config_keys, config_from_dict, \
+    config_to_dict, train_loop
 
 ABLATE_SCHEMA = "ablate_v1"
 SWEEP_SCHEMA = "sweep_v1"
@@ -68,7 +69,12 @@ def _deep_merge(base, override):
 def _resolve_train_config(args):
     doc = config_to_dict(TrainConfig())
     if args.config:
-        _deep_merge(doc, json.loads(Path(args.config).read_text()))
+        try:
+            override = json.loads(Path(args.config).read_text())
+        except ValueError as e:
+            raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
+        check_config_keys(override)
+        _deep_merge(doc, override)
     if args.seed is not None:
         doc["seed"] = args.seed
         doc["network"]["seed"] = args.seed
@@ -83,8 +89,6 @@ def _resolve_train_config(args):
             doc[key] = value
     if args.crop is not None:
         doc["crop"] = list(_parse_extents(args.crop))
-    if args.deterministic is not None:
-        doc["deterministic"] = args.deterministic
     loss_over = {"rho": args.rho, "k": args.k, "beta": args.beta,
                  "lambda_max": args.lambda_max, "ramp_power": args.ramp_power,
                  "sign_mode": args.sign_mode}
@@ -336,8 +340,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                        default=None)
     common.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
 

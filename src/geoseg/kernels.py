@@ -1,338 +1,62 @@
-"""Hot numeric inner loops with two interchangeable backends.
+"""Hot numeric kernels: N-D cross-correlation and the exact distance scan.
 
-The loop kernels (cross-correlation forward/backward and the exact
-distance-transform scan) are compiled with numba ``@njit`` by default.  A
-pure-numpy path (BLAS-backed for the convolutions, brute-force minimization
-for the distance scan) is selected with::
-
-    GEOSEG_BACKEND=numpy   # force the numpy fallback
-    GEOSEG_BACKEND=numba   # require numba (error if not installed)
-    GEOSEG_BACKEND=auto    # default: numba when importable
-
-Both backends compute identical values; ``benchmarks/bench_kernels.py``
-compares their speed.  All kernels operate on contiguous float64 arrays and
-expect padding to be applied by the caller.
+One numpy backend serves both spatial ranks.  Arrays are contiguous float64
+in NC+spatial layout: inputs ``[N, Ci, S...]``, kernels ``[Co, Ci, K...]``,
+outputs ``[N, Co, O...]``, with ``stride`` a per-spatial-axis tuple.  The
+forward pass is one BLAS contraction over a strided sliding-window view;
+the two backward passes loop over kernel taps and do one contraction per
+tap against the strided window that tap touches.  The caller applies any
+zero padding.  ``benchmarks/README.md`` describes how these kernels are
+timed.
 """
-
-import os
 
 import numpy as np
 
-from .errors import ConfigError
+BACKEND = "numpy"
 
 # squared-distance sentinel for "no seed in this row"; large enough to lose
 # every min() against a real squared distance, small enough to stay finite
 # through the envelope arithmetic
 INF_SQ = 1e30
 
-_env = os.environ.get("GEOSEG_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise ConfigError(f"GEOSEG_BACKEND must be auto|numba|numpy, got {_env!r}")
 
-if _env == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _env == "numba":
-            raise ConfigError("GEOSEG_BACKEND=numba but numba is not installed")
-        _numba = None
-
-BACKEND = "numba" if _numba is not None else "numpy"
+def _window(tap, stride, out_spatial):
+    # the input positions kernel tap `tap` meets, one per output position
+    return (slice(None), slice(None)) + tuple(
+        slice(t, t + s * o, s) for t, s, o in zip(tap, stride, out_spatial))
 
 
-# ---------------------------------------------------------------------------
-# loop kernels (numba path; plain python if jitted versions are unused)
-# ---------------------------------------------------------------------------
-
-# The stride-1 inner branches index with a literal unit stride so LLVM can
-# vectorize them; the reduction kernels carry four accumulators because
-# strict FP ordering otherwise forces a scalar chain.
-
-def _conv2d_fwd_loops(xp, k, sh, sw):
-    n, ci, hp, wp = xp.shape
-    co, _, kh, kw = k.shape
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    out = np.zeros((n, co, ho, wo), dtype=xp.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        kv = k[o, c, i, j]
-                        if sw == 1:
-                            for p in range(ho):
-                                xrow = xp[b, c, sh * p + i]
-                                orow = out[b, o, p]
-                                for q in range(wo):
-                                    orow[q] += kv * xrow[q + j]
-                        else:
-                            for p in range(ho):
-                                xrow = xp[b, c, sh * p + i]
-                                orow = out[b, o, p]
-                                for q in range(wo):
-                                    orow[q] += kv * xrow[sw * q + j]
-    return out
+def conv_fwd(xp, k, stride):
+    rank = xp.ndim - 2
+    spatial = tuple(range(2, 2 + rank))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=spatial)
+    win = win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
+    taps = tuple(range(2 + rank, 2 + 2 * rank))
+    out = np.tensordot(win, k, axes=((1,) + taps, (1,) + spatial))  # N,O...,Co
+    return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
 
-def _conv2d_bwd_input_loops(gy, k, sh, sw, hp, wp):
-    n, co, ho, wo = gy.shape
-    _, ci, kh, kw = k.shape
-    gx = np.zeros((n, ci, hp, wp), dtype=gy.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        kv = k[o, c, i, j]
-                        if sw == 1:
-                            for p in range(ho):
-                                grow = gy[b, o, p]
-                                xrow = gx[b, c, sh * p + i]
-                                for q in range(wo):
-                                    xrow[q + j] += kv * grow[q]
-                        else:
-                            for p in range(ho):
-                                grow = gy[b, o, p]
-                                xrow = gx[b, c, sh * p + i]
-                                for q in range(wo):
-                                    xrow[sw * q + j] += kv * grow[q]
+def conv_bwd_input(gy, k, stride, padded_spatial):
+    n, out_spatial = gy.shape[0], gy.shape[2:]
+    gx = np.zeros((n, k.shape[1]) + tuple(padded_spatial), dtype=gy.dtype)
+    for tap in np.ndindex(*k.shape[2:]):
+        contrib = np.tensordot(gy, k[(slice(None), slice(None)) + tap], axes=([1], [0]))
+        gx[_window(tap, stride, out_spatial)] += np.moveaxis(contrib, -1, 1)
     return gx
 
 
-def _conv2d_bwd_kernel_loops(xp, gy, sh, sw, kh, kw):
-    n, ci, hp, wp = xp.shape
-    _, co, ho, wo = gy.shape
-    gk = np.zeros((co, ci, kh, kw), dtype=xp.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        a0 = 0.0
-                        a1 = 0.0
-                        a2 = 0.0
-                        a3 = 0.0
-                        if sw == 1:
-                            for p in range(ho):
-                                grow = gy[b, o, p]
-                                xrow = xp[b, c, sh * p + i]
-                                q = 0
-                                while q + 4 <= wo:
-                                    a0 += grow[q] * xrow[q + j]
-                                    a1 += grow[q + 1] * xrow[q + 1 + j]
-                                    a2 += grow[q + 2] * xrow[q + 2 + j]
-                                    a3 += grow[q + 3] * xrow[q + 3 + j]
-                                    q += 4
-                                while q < wo:
-                                    a0 += grow[q] * xrow[q + j]
-                                    q += 1
-                        else:
-                            for p in range(ho):
-                                grow = gy[b, o, p]
-                                xrow = xp[b, c, sh * p + i]
-                                for q in range(wo):
-                                    a0 += grow[q] * xrow[sw * q + j]
-                        gk[o, c, i, j] += a0 + a1 + a2 + a3
+def conv_bwd_kernel(xp, gy, stride, kernel_spatial):
+    out_spatial = gy.shape[2:]
+    gk = np.empty((gy.shape[1], xp.shape[1]) + tuple(kernel_spatial), dtype=xp.dtype)
+    reduce_axes = [0] + list(range(2, gy.ndim))
+    for tap in np.ndindex(*kernel_spatial):
+        xs = xp[_window(tap, stride, out_spatial)]
+        gk[(slice(None), slice(None)) + tap] = np.tensordot(
+            gy, xs, axes=(reduce_axes, reduce_axes))
     return gk
 
 
-def _conv3d_fwd_loops(xp, k, sd, sh, sw):
-    n, ci, dp, hp, wp = xp.shape
-    co, _, kd, kh, kw = k.shape
-    do = (dp - kd) // sd + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    out = np.zeros((n, co, do, ho, wo), dtype=xp.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for l in range(kd):
-                    for i in range(kh):
-                        for j in range(kw):
-                            kv = k[o, c, l, i, j]
-                            for u in range(do):
-                                for p in range(ho):
-                                    xrow = xp[b, c, sd * u + l, sh * p + i]
-                                    orow = out[b, o, u, p]
-                                    if sw == 1:
-                                        for q in range(wo):
-                                            orow[q] += kv * xrow[q + j]
-                                    else:
-                                        for q in range(wo):
-                                            orow[q] += kv * xrow[sw * q + j]
-    return out
-
-
-def _conv3d_bwd_input_loops(gy, k, sd, sh, sw, dp, hp, wp):
-    n, co, do, ho, wo = gy.shape
-    _, ci, kd, kh, kw = k.shape
-    gx = np.zeros((n, ci, dp, hp, wp), dtype=gy.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for l in range(kd):
-                    for i in range(kh):
-                        for j in range(kw):
-                            kv = k[o, c, l, i, j]
-                            for u in range(do):
-                                for p in range(ho):
-                                    grow = gy[b, o, u, p]
-                                    xrow = gx[b, c, sd * u + l, sh * p + i]
-                                    if sw == 1:
-                                        for q in range(wo):
-                                            xrow[q + j] += kv * grow[q]
-                                    else:
-                                        for q in range(wo):
-                                            xrow[sw * q + j] += kv * grow[q]
-    return gx
-
-
-def _conv3d_bwd_kernel_loops(xp, gy, sd, sh, sw, kd, kh, kw):
-    n, ci, dp, hp, wp = xp.shape
-    _, co, do, ho, wo = gy.shape
-    gk = np.zeros((co, ci, kd, kh, kw), dtype=xp.dtype)
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for l in range(kd):
-                    for i in range(kh):
-                        for j in range(kw):
-                            a0 = 0.0
-                            a1 = 0.0
-                            a2 = 0.0
-                            a3 = 0.0
-                            for u in range(do):
-                                for p in range(ho):
-                                    grow = gy[b, o, u, p]
-                                    xrow = xp[b, c, sd * u + l, sh * p + i]
-                                    if sw == 1:
-                                        q = 0
-                                        while q + 4 <= wo:
-                                            a0 += grow[q] * xrow[q + j]
-                                            a1 += grow[q + 1] * xrow[q + 1 + j]
-                                            a2 += grow[q + 2] * xrow[q + 2 + j]
-                                            a3 += grow[q + 3] * xrow[q + 3 + j]
-                                            q += 4
-                                        while q < wo:
-                                            a0 += grow[q] * xrow[q + j]
-                                            q += 1
-                                    else:
-                                        for q in range(wo):
-                                            a0 += grow[q] * xrow[sw * q + j]
-                            gk[o, c, l, i, j] += a0 + a1 + a2 + a3
-    return gk
-
-
-def _edt_pass_loops(f):
-    # Felzenszwalb–Huttenlocher lower-envelope scan, one pass per row.
-    # f holds squared distances (exact integers in float64, or INF_SQ);
-    # returns min_q (p - q)^2 + f[q] per row, which stays exactly integral
-    # for every finite winner.
-    rows, n = f.shape
-    out = np.empty_like(f)
-    v = np.empty(n, dtype=np.int64)
-    z = np.empty(n + 1, dtype=np.float64)
-    for r in range(rows):
-        row = f[r]
-        k = 0
-        v[0] = 0
-        z[0] = -1e308
-        z[1] = 1e308
-        for q in range(1, n):
-            fq = row[q] + q * q
-            while True:
-                vk = v[k]
-                s = (fq - (row[vk] + vk * vk)) / (2.0 * (q - vk))
-                if s <= z[k]:
-                    k -= 1
-                else:
-                    break
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = 1e308
-        k = 0
-        for p in range(n):
-            while z[k + 1] < p:
-                k += 1
-            vk = v[k]
-            out[r, p] = (p - vk) * (p - vk) + row[vk]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-# ---------------------------------------------------------------------------
-
-def _conv2d_fwd_np(xp, k, sh, sw):
-    kh, kw = k.shape[2], k.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]
-    out = np.tensordot(win, k, axes=([1, 4, 5], [1, 2, 3]))  # N,Ho,Wo,Co
-    return np.ascontiguousarray(np.moveaxis(out, 3, 1))
-
-
-def _conv2d_bwd_input_np(gy, k, sh, sw, hp, wp):
-    n, co, ho, wo = gy.shape
-    ci = k.shape[1]
-    kh, kw = k.shape[2], k.shape[3]
-    gx = np.zeros((n, ci, hp, wp), dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            contrib = np.tensordot(gy, k[:, :, i, j], axes=([1], [0]))
-            gx[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.moveaxis(contrib, 3, 1)
-    return gx
-
-
-def _conv2d_bwd_kernel_np(xp, gy, sh, sw, kh, kw):
-    n, co, ho, wo = gy.shape
-    ci = xp.shape[1]
-    gk = np.empty((co, ci, kh, kw), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-            gk[:, :, i, j] = np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
-    return gk
-
-
-def _conv3d_fwd_np(xp, k, sd, sh, sw):
-    kd, kh, kw = k.shape[2], k.shape[3], k.shape[4]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::sd, ::sh, ::sw]
-    out = np.tensordot(win, k, axes=([1, 5, 6, 7], [1, 2, 3, 4]))  # N,Do,Ho,Wo,Co
-    return np.ascontiguousarray(np.moveaxis(out, 4, 1))
-
-
-def _conv3d_bwd_input_np(gy, k, sd, sh, sw, dp, hp, wp):
-    n, co, do, ho, wo = gy.shape
-    ci = k.shape[1]
-    kd, kh, kw = k.shape[2], k.shape[3], k.shape[4]
-    gx = np.zeros((n, ci, dp, hp, wp), dtype=gy.dtype)
-    for l in range(kd):
-        for i in range(kh):
-            for j in range(kw):
-                contrib = np.tensordot(gy, k[:, :, l, i, j], axes=([1], [0]))
-                gx[:, :, l:l + sd * do:sd, i:i + sh * ho:sh, j:j + sw * wo:sw] += (
-                    np.moveaxis(contrib, 4, 1))
-    return gx
-
-
-def _conv3d_bwd_kernel_np(xp, gy, sd, sh, sw, kd, kh, kw):
-    n, co, do, ho, wo = gy.shape
-    ci = xp.shape[1]
-    gk = np.empty((co, ci, kd, kh, kw), dtype=xp.dtype)
-    for l in range(kd):
-        for i in range(kh):
-            for j in range(kw):
-                xs = xp[:, :, l:l + sd * do:sd, i:i + sh * ho:sh, j:j + sw * wo:sw]
-                gk[:, :, l, i, j] = np.tensordot(gy, xs, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    return gk
-
-
-def _edt_pass_np(f):
+def edt_pass(f):
     # brute-force 1D transform: out[r, p] = min_q (p - q)^2 + f[r, q]
     rows, n = f.shape
     idx = np.arange(n, dtype=np.float64)
@@ -343,69 +67,3 @@ def _edt_pass_np(f):
         block = f[r0:r0 + chunk]
         out[r0:r0 + chunk] = (block[:, :, None] + cost[None, :, :]).min(axis=1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_LOOP_KERNELS = {
-    "conv2d_fwd": _conv2d_fwd_loops,
-    "conv2d_bwd_input": _conv2d_bwd_input_loops,
-    "conv2d_bwd_kernel": _conv2d_bwd_kernel_loops,
-    "conv3d_fwd": _conv3d_fwd_loops,
-    "conv3d_bwd_input": _conv3d_bwd_input_loops,
-    "conv3d_bwd_kernel": _conv3d_bwd_kernel_loops,
-    "edt_pass": _edt_pass_loops,
-}
-
-_NUMPY_KERNELS = {
-    "conv2d_fwd": _conv2d_fwd_np,
-    "conv2d_bwd_input": _conv2d_bwd_input_np,
-    "conv2d_bwd_kernel": _conv2d_bwd_kernel_np,
-    "conv3d_fwd": _conv3d_fwd_np,
-    "conv3d_bwd_input": _conv3d_bwd_input_np,
-    "conv3d_bwd_kernel": _conv3d_bwd_kernel_np,
-    "edt_pass": _edt_pass_np,
-}
-
-
-def jit_kernels():
-    """Compile (lazily) and return the numba kernel table, or None."""
-    if _numba is None:
-        return None
-    return {name: _numba.njit(cache=True)(fn) for name, fn in _LOOP_KERNELS.items()}
-
-
-if BACKEND == "numba":
-    _ACTIVE = jit_kernels()
-else:
-    _ACTIVE = _NUMPY_KERNELS
-
-conv2d_fwd = _ACTIVE["conv2d_fwd"]
-conv2d_bwd_input = _ACTIVE["conv2d_bwd_input"]
-conv2d_bwd_kernel = _ACTIVE["conv2d_bwd_kernel"]
-conv3d_fwd = _ACTIVE["conv3d_fwd"]
-conv3d_bwd_input = _ACTIVE["conv3d_bwd_input"]
-conv3d_bwd_kernel = _ACTIVE["conv3d_bwd_kernel"]
-edt_pass = _ACTIVE["edt_pass"]
-
-
-# rank-dispatching wrappers; `stride` is a per-spatial-axis tuple
-
-def conv_fwd(xp, k, stride):
-    if xp.ndim == 4:
-        return conv2d_fwd(xp, k, stride[0], stride[1])
-    return conv3d_fwd(xp, k, stride[0], stride[1], stride[2])
-
-
-def conv_bwd_input(gy, k, stride, padded_spatial):
-    if gy.ndim == 4:
-        return conv2d_bwd_input(gy, k, stride[0], stride[1], *padded_spatial)
-    return conv3d_bwd_input(gy, k, stride[0], stride[1], stride[2], *padded_spatial)
-
-
-def conv_bwd_kernel(xp, gy, stride, kernel_spatial):
-    if xp.ndim == 4:
-        return conv2d_bwd_kernel(xp, gy, stride[0], stride[1], *kernel_spatial)
-    return conv3d_bwd_kernel(xp, gy, stride[0], stride[1], stride[2], *kernel_spatial)

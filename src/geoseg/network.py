@@ -114,9 +114,6 @@ class DualDecoderNet:
     def parameters(self):
         return list(self.params.values())
 
-    def parameter_group(self, prefix):
-        return [p for name, p in self.params.items() if name.startswith(prefix)]
-
     def _norm(self, t):
         return instance_norm(t) if self.config.normalization == "instance" else t
 

@@ -245,19 +245,6 @@ class Tensor:
         return Tensor._make(np.ascontiguousarray(self.data[index]), (self,), backward)
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def activation(kind, t):
-    """Elementwise nonlinearity selected by name: relu | tanh | sigmoid."""
-    try:
-        return {"relu": Tensor.relu, "tanh": Tensor.tanh,
-                "sigmoid": Tensor.sigmoid}[kind](t)
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}") from None
-
-
 def concat(tensors, axis):
     """Concatenate along ``axis``; gradient splits back to the operands."""
     datas = [t.data for t in tensors]
@@ -359,6 +346,8 @@ def conv_nd(x, kernel, bias=None, stride=1, padding=0):
         if ext + 2 * p < k:
             raise ShapeError(f"conv_nd: kernel {kernel.shape} does not fit padded "
                              f"input {x.shape} (padding {padding})")
+    if bias is not None and bias.shape != (kernel.shape[0],):
+        raise ShapeError(f"conv_nd: bias {bias.shape} must be ({kernel.shape[0]},)")
 
     pads = [(0, 0), (0, 0)] + [(p, p) for p in padding]
     xp = np.pad(x.data, pads) if any(padding) else x.data
@@ -368,25 +357,17 @@ def conv_nd(x, kernel, bias=None, stride=1, padding=0):
     inner = tuple([slice(None), slice(None)]
                   + [slice(p, sp - p) for p, sp in zip(padding, padded_spatial)])
     sum_axes = (0,) + tuple(range(2, x.ndim))
-
     if bias is not None:
-        if bias.shape != (kernel.shape[0],):
-            raise ShapeError(f"conv_nd: bias {bias.shape} must be ({kernel.shape[0]},)")
         y = y + bias.data.reshape((1, -1) + (1,) * rank)
 
-        def backward(g):
-            gx = kernels.conv_bwd_input(g, kd, stride, padded_spatial)[inner]
-            gk = kernels.conv_bwd_kernel(xp, g, stride, kspatial)
-            return (np.ascontiguousarray(gx), gk, g.sum(axis=sum_axes))
-
-        return Tensor._make(y, (x, kernel, bias), backward)
-
     def backward(g):
-        gx = kernels.conv_bwd_input(g, kd, stride, padded_spatial)[inner]
+        gx = np.ascontiguousarray(
+            kernels.conv_bwd_input(g, kd, stride, padded_spatial)[inner])
         gk = kernels.conv_bwd_kernel(xp, g, stride, kspatial)
-        return (np.ascontiguousarray(gx), gk)
+        return (gx, gk) if bias is None else (gx, gk, g.sum(axis=sum_axes))
 
-    return Tensor._make(y, (x, kernel), backward)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor._make(y, parents, backward)
 
 
 def conv_transpose_nd(x, kernel, bias=None, stride=1):
@@ -411,30 +392,23 @@ def conv_transpose_nd(x, kernel, bias=None, stride=1):
     kspatial = kernel.shape[2:]
     out_spatial = tuple((ext - 1) * s + k
                         for ext, s, k in zip(x.shape[2:], stride, kspatial))
+    if bias is not None and bias.shape != (kernel.shape[1],):
+        raise ShapeError(f"conv_transpose_nd: bias {bias.shape} must be "
+                         f"({kernel.shape[1]},)")
     xd = x.data
     kd = kernel.data
     y = kernels.conv_bwd_input(xd, kd, stride, out_spatial)
     sum_axes = (0,) + tuple(range(2, x.ndim))
-
     if bias is not None:
-        if bias.shape != (kernel.shape[1],):
-            raise ShapeError(f"conv_transpose_nd: bias {bias.shape} must be "
-                             f"({kernel.shape[1]},)")
         y = y + bias.data.reshape((1, -1) + (1,) * rank)
-
-        def backward(g):
-            gx = kernels.conv_fwd(g, kd, stride)
-            gk = kernels.conv_bwd_kernel(g, xd, stride, kspatial)
-            return (gx, gk, g.sum(axis=sum_axes))
-
-        return Tensor._make(y, (x, kernel, bias), backward)
 
     def backward(g):
         gx = kernels.conv_fwd(g, kd, stride)
         gk = kernels.conv_bwd_kernel(g, xd, stride, kspatial)
-        return (gx, gk)
+        return (gx, gk) if bias is None else (gx, gk, g.sum(axis=sum_axes))
 
-    return Tensor._make(y, (x, kernel), backward)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor._make(y, parents, backward)
 
 
 def _upsample_plan(n):

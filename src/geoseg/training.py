@@ -1,10 +1,9 @@
 """End-to-end training: batch assembly, augmentation, optimization, logging.
 
 One training run is a single logical writer: step t's parameter update is
-applied before step t+1's forward pass.  In deterministic mode (the
-default and only mode implemented) the tuple (seed, config, data) fully
-determines the loss trace; the batch RNG state is checkpointed so a resumed
-run continues bit-for-bit like an unbroken one.
+applied before step t+1's forward pass.  The tuple (seed, config, data)
+fully determines the loss trace; the batch RNG state is checkpointed so a
+resumed run continues bit-for-bit like an unbroken one.
 
 Run directory layout:
     config.json      resolved config snapshot, written before any compute
@@ -17,7 +16,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ class TrainConfig:
     augment: bool = True
     augment_unlabeled: bool = True
     keep_degenerate_crops: bool = True
-    deterministic: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
@@ -85,12 +83,33 @@ def config_to_dict(cfg):
     return asdict(cfg)
 
 
+def _check_keys(doc, cls, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got "
+                          f"{type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def check_config_keys(doc):
+    """Reject a config document that is not an object or has unknown keys."""
+    _check_keys(doc, TrainConfig, "config")
+    for name, cls in (("loss", LossConfig), ("network", NetworkConfig)):
+        if name in doc:
+            _check_keys(doc[name], cls, f"config.{name}")
+
+
 def config_from_dict(doc):
+    check_config_keys(doc)
     doc = dict(doc)
-    doc["crop"] = tuple(doc["crop"])
-    doc["loss"] = LossConfig(**doc["loss"])
-    doc["network"] = NetworkConfig(**doc["network"])
-    return TrainConfig(**doc)
+    try:
+        doc["crop"] = tuple(doc["crop"])
+        doc["loss"] = LossConfig(**doc["loss"])
+        doc["network"] = NetworkConfig(**doc["network"])
+        return TrainConfig(**doc)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid config value: {e}") from None
 
 
 def config_hash(cfg):

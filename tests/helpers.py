@@ -1,4 +1,4 @@
-"""Shared test oracles: finite differences, brute-force distance searches.
+"""Shared test oracles: finite differences, nested loops, brute-force searches.
 
 Everything here is deliberately independent of the library's own
 implementations (nested python loops, all-pairs searches, scipy morphology)
@@ -58,6 +58,42 @@ def conv_oracle(x, k, stride, pad):
                         acc += xp[(b, c) + src] * k[(o, c) + tap]
                 out[(b, o) + site] = acc
     return out
+
+
+def _conv_grid(stride, out_sp, kext):
+    """Yield (output site, kernel tap, input index) for every contribution."""
+    rank = len(out_sp)
+    stride = (stride,) * rank if isinstance(stride, int) else tuple(stride)
+    for site in np.ndindex(*out_sp):
+        for tap in np.ndindex(*kext):
+            yield site, tap, tuple(stride[a] * site[a] + tap[a]
+                                   for a in range(rank))
+
+
+def conv_bwd_input_oracle(gy, k, stride, padded_spatial):
+    """Nested-loop gradient of the unpadded cross-correlation w.r.t. its input."""
+    n, co = gy.shape[:2]
+    ci = k.shape[1]
+    gx = np.zeros((n, ci) + tuple(padded_spatial))
+    for b in range(n):
+        for o in range(co):
+            for c in range(ci):
+                for site, tap, src in _conv_grid(stride, gy.shape[2:], k.shape[2:]):
+                    gx[(b, c) + src] += gy[(b, o) + site] * k[(o, c) + tap]
+    return gx
+
+
+def conv_bwd_kernel_oracle(xp, gy, stride, kernel_spatial):
+    """Nested-loop gradient of the unpadded cross-correlation w.r.t. its kernel."""
+    n, co = gy.shape[:2]
+    ci = xp.shape[1]
+    gk = np.zeros((co, ci) + tuple(kernel_spatial))
+    for b in range(n):
+        for o in range(co):
+            for c in range(ci):
+                for site, tap, src in _conv_grid(stride, gy.shape[2:], kernel_spatial):
+                    gk[(o, c) + tap] += gy[(b, o) + site] * xp[(b, c) + src]
+    return gk
 
 
 def brute_force_edt_sq(mask):

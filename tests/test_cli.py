@@ -130,6 +130,53 @@ def test_sweep_rho_single_value(dataset, tmp_path):
     assert (out / "runs" / "rho2_s5").is_dir()
 
 
+BAD_CONFIGS = [
+    ("truncated-json", '{"t_max": 3', "not valid JSON"),
+    ("not-json", "t_max = 3", "not valid JSON"),
+    ("array-document", "[1, 2]", "must be a JSON object"),
+    ("unknown-top-level-key", '{"bogus": 1}', "unknown config key(s): bogus"),
+    ("unknown-loss-key", '{"loss": {"bogus": 1}}',
+     "unknown config.loss key(s): bogus"),
+    ("unknown-network-key", '{"network": {"width": 4, "bogus": 1}}',
+     "unknown config.network key(s): bogus"),
+    ("loss-not-object", '{"loss": 5}', "config.loss must be a JSON object"),
+    ("removed-deterministic-key", '{"deterministic": true}',
+     "unknown config key(s): deterministic"),
+    ("mistyped-crop", '{"crop": 5}', "invalid config value"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-rho"])
+@pytest.mark.parametrize("text, message",
+                         [case[1:] for case in BAD_CONFIGS],
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text,
+                                            message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code = run([command, "--manifest", str(tmp_path / "absent"),
+                "--out", str(tmp_path / "out"), "--config", str(config),
+                "--rho", "2.0", "--width", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=config message=")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_sections_merge_with_flags(dataset, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"loss": {"rho": 1.5}, "network": {"width": 3}}')
+    out = tmp_path / "run"
+    code = run(["train", "--manifest", str(dataset), "--out", str(out),
+                "--config", str(config)] + TINY[:2] + TINY[4:])
+    assert code == 0
+    snapshot = json.loads((out / "config.json").read_text())
+    assert snapshot["loss"]["rho"] == 1.5 and snapshot["loss"]["k"] == 20
+    assert snapshot["network"]["width"] == 3
+    assert "deterministic" not in snapshot
+
+
 def _parse_pgm(path):
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n")

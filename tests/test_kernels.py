@@ -1,83 +1,63 @@
-"""Kernel-level checks: loop/numpy backend agreement and conv oracles."""
+"""Kernel-level checks against nested-loop and brute-force oracles."""
 
 import numpy as np
 import pytest
 
 from geoseg import kernels
-from helpers import conv_oracle
+from helpers import conv_bwd_input_oracle, conv_bwd_kernel_oracle, conv_oracle
 
 rng = np.random.default_rng(42)
 
 
 def test_backend_selected():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_fwd_matches_nested_loop_oracle(stride):
+def test_conv_fwd_2d_matches_nested_loop_oracle(stride):
     x = rng.standard_normal((2, 3, 7, 6))
     k = rng.standard_normal((4, 3, 3, 3))
-    got = kernels.conv2d_fwd(x, k, stride, stride)
+    got = kernels.conv_fwd(x, k, (stride, stride))
     want = conv_oracle(x, k, stride, 0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_conv3d_fwd_matches_nested_loop_oracle():
+def test_conv_fwd_3d_matches_nested_loop_oracle():
     x = rng.standard_normal((1, 2, 6, 5, 4))
     k = rng.standard_normal((3, 2, 2, 2, 2))
-    got = kernels.conv3d_fwd(x, k, 1, 1, 1)
+    got = kernels.conv_fwd(x, k, (1, 1, 1))
     want = conv_oracle(x, k, 1, 0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def _both_backends():
-    jitted = kernels.jit_kernels()
-    if jitted is None:
-        pytest.skip("numba unavailable; single-backend install")
-    return jitted, kernels._NUMPY_KERNELS
-
-
-@pytest.mark.parametrize("stride", [1, 2])
-def test_backends_agree_conv2d(stride):
-    jitted, plain = _both_backends()
-    x = rng.standard_normal((2, 3, 9, 8))
-    k = rng.standard_normal((4, 3, 3, 3))
-    a = jitted["conv2d_fwd"](x, k, stride, stride)
-    b = plain["conv2d_fwd"](x, k, stride, stride)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-    gy = rng.standard_normal(a.shape)
+@pytest.mark.parametrize("x_shape, k_shape, stride", [
+    ((2, 3, 9, 8), (4, 3, 3, 3), (1, 1)),
+    ((2, 3, 9, 8), (4, 3, 3, 3), (2, 2)),
+    ((2, 2, 6, 6, 4), (3, 2, 2, 2, 2), (2, 2, 2)),
+], ids=["2d-stride1", "2d-stride2", "3d-stride2"])
+def test_conv_kernels_match_nested_loop_oracles(x_shape, k_shape, stride):
+    x = rng.standard_normal(x_shape)
+    k = rng.standard_normal(k_shape)
+    y = kernels.conv_fwd(x, k, stride)
+    np.testing.assert_allclose(y, conv_oracle(x, k, stride, 0),
+                               rtol=1e-12, atol=1e-12)
+    gy = rng.standard_normal(y.shape)
     np.testing.assert_allclose(
-        jitted["conv2d_bwd_input"](gy, k, stride, stride, 9, 8),
-        plain["conv2d_bwd_input"](gy, k, stride, stride, 9, 8),
-        rtol=1e-12, atol=1e-14)
+        kernels.conv_bwd_input(gy, k, stride, x_shape[2:]),
+        conv_bwd_input_oracle(gy, k, stride, x_shape[2:]),
+        rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        jitted["conv2d_bwd_kernel"](x, gy, stride, stride, 3, 3),
-        plain["conv2d_bwd_kernel"](x, gy, stride, stride, 3, 3),
-        rtol=1e-12, atol=1e-14)
+        kernels.conv_bwd_kernel(x, gy, stride, k_shape[2:]),
+        conv_bwd_kernel_oracle(x, gy, stride, k_shape[2:]),
+        rtol=1e-12, atol=1e-12)
 
 
-def test_backends_agree_conv3d():
-    jitted, plain = _both_backends()
-    x = rng.standard_normal((2, 2, 6, 6, 4))
-    k = rng.standard_normal((3, 2, 2, 2, 2))
-    a = jitted["conv3d_fwd"](x, k, 2, 2, 2)
-    b = plain["conv3d_fwd"](x, k, 2, 2, 2)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-    gy = rng.standard_normal(a.shape)
-    np.testing.assert_allclose(
-        jitted["conv3d_bwd_input"](gy, k, 2, 2, 2, 6, 6, 4),
-        plain["conv3d_bwd_input"](gy, k, 2, 2, 2, 6, 6, 4),
-        rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(
-        jitted["conv3d_bwd_kernel"](x, gy, 2, 2, 2, 2, 2, 2),
-        plain["conv3d_bwd_kernel"](x, gy, 2, 2, 2, 2, 2, 2),
-        rtol=1e-12, atol=1e-14)
-
-
-def test_backends_agree_edt_pass():
-    jitted, plain = _both_backends()
+def test_edt_pass_matches_per_row_brute_force():
     f = np.where(rng.random((40, 17)) < 0.3, 0.0, kernels.INF_SQ)
-    np.testing.assert_array_equal(jitted["edt_pass"](f), plain["edt_pass"](f))
+    rows, n = f.shape
+    want = np.array([[min((p - q) ** 2 + f[r, q] for q in range(n))
+                      for p in range(n)] for r in range(rows)])
+    np.testing.assert_array_equal(kernels.edt_pass(f), want)
 
 
 def test_edt_pass_single_row_values():

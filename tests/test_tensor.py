@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from geoseg.errors import ConfigError, ShapeError, TrainingAbort
-from geoseg.tensor import (SGD, Parameter, Tensor, activation, concat,
-                           conv_nd, conv_transpose_nd, instance_norm,
-                           interp_upsample, logsumexp_channel, mse, no_grad,
-                           softmax_channel)
+from geoseg.tensor import (SGD, Parameter, Tensor, concat, conv_nd,
+                           conv_transpose_nd, instance_norm, interp_upsample,
+                           logsumexp_channel, mse, no_grad, softmax_channel)
 from helpers import assert_grads_match, fd_gradient
 
 rng = np.random.default_rng(7)
@@ -36,8 +35,7 @@ def test_elementwise_values():
     assert Tensor(0.0).exp().item() == 1.0
     assert Tensor(0.0).tanh().item() == 0.0
     assert Tensor(0.0).sigmoid().item() == 0.5
-    np.testing.assert_array_equal(activation("relu", Tensor([-1.0, 2.0])).data,
-                                  [0.0, 2.0])
+    np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
 
 
 def test_shape_mismatch_rejected():
