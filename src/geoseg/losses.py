@@ -126,31 +126,17 @@ def sdf_supervised_loss(outputs, sdm_target):
     return (mse(outputs.sdm1, t) + mse(outputs.sdm2, t)) * 0.5
 
 
-def geometry_consistency_loss(outputs, k=1500.0, sign_mode="inside-negative"):
-    """Unweighted cross-decoder, cross-task consistency.
+def geometry_consistency_loss(outputs, k=1500.0, sign_mode="inside-negative",
+                              weights=(1.0, 1.0)):
+    """Cross-decoder, cross-task consistency.
 
-    Mean over voxels of (seg1 - inv(sdm2))^2 + (seg2 - inv(sdm1))^2, with
-    gradients flowing through both operands of each term.
+    Mean over voxels of w1 * (seg1 - inv(sdm2))^2 + w2 * (seg2 - inv(sdm1))^2,
+    with gradients flowing through both operands of each term.  The default
+    python-scalar unit weights give the unweighted (gc) loss exactly; the
+    boundary-weighted (wgc) loss passes each decoder's ``boundary_weights``
+    of its own predicted distance map, which are constants in the gradient.
     """
-    t1 = (outputs.seg1 - approx_inverse(outputs.sdm2, k, sign_mode)).square()
-    t2 = (outputs.seg2 - approx_inverse(outputs.sdm1, k, sign_mode)).square()
-    return (t1 + t2).mean()
-
-
-def weighted_geometry_consistency_loss(outputs, rho=2.0, k=1500.0,
-                                       sign_mode="inside-negative", weights=None):
-    """Boundary-weighted consistency: each decoder's term is scaled by the
-    exponential weight of its own predicted distance map.
-
-    ``weights`` can carry precomputed (w1, w2) arrays; otherwise they are
-    derived from the current distance predictions.  Either way the weights
-    are constants in the gradient.
-    """
-    if weights is None:
-        w1 = boundary_weights(outputs.sdm1, rho)
-        w2 = boundary_weights(outputs.sdm2, rho)
-    else:
-        w1, w2 = (Tensor(np.asarray(w)) for w in weights)
+    w1, w2 = weights
     t1 = (outputs.seg1 - approx_inverse(outputs.sdm2, k, sign_mode)).square()
     t2 = (outputs.seg2 - approx_inverse(outputs.sdm1, k, sign_mode)).square()
     return (t1 * w1 + t2 * w2).mean()
@@ -188,8 +174,9 @@ def consistency_loss(outputs, config):
         return mutual_consistency_loss(outputs)
     if config.consistency == "gc":
         return geometry_consistency_loss(outputs, config.k, config.sign_mode)
-    return weighted_geometry_consistency_loss(outputs, config.rho, config.k,
-                                              config.sign_mode)
+    weights = (boundary_weights(outputs.sdm1, config.rho),
+               boundary_weights(outputs.sdm2, config.rho))
+    return geometry_consistency_loss(outputs, config.k, config.sign_mode, weights)
 
 
 def total_loss(outputs, batch, t, t_max, config):

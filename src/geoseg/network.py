@@ -13,7 +13,7 @@ shape/dtype/offset), then the concatenated little-endian raw payload.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -212,6 +212,46 @@ def save_checkpoint(path, net, extra_tensors=None, meta=None):
         f.write(bytes(payload))
 
 
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _check_header(path, header, payload_len):
+    """Raise FileFormatError unless every header field loading reads is
+    present and of the type it is read as, and each tensor entry spans
+    exactly its shape's bytes inside a payload of ``payload_len`` bytes."""
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: header is not a JSON object")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise FileFormatError(f"{path}: bad format tag "
+                              f"{header.get('format')!r}")
+    tensors = header.get("tensors")
+    if not isinstance(tensors, dict):
+        raise FileFormatError(f"{path}: header 'tensors' is not an object")
+    for name, entry in tensors.items():
+        if not (isinstance(entry, dict) and _is_count(entry.get("offset"))
+                and _is_count(entry.get("nbytes"))
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(n) for n in entry["shape"])):
+            raise FileFormatError(f"{path}: tensor {name!r} needs integer "
+                                  "offset and nbytes and a list shape")
+        dtype = entry.get("dtype")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
+        expect = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(dtype).itemsize
+        if entry["nbytes"] != expect or \
+                entry["offset"] + entry["nbytes"] > payload_len:
+            raise FileFormatError(f"{path}: payload size mismatch for {name}")
+    network = header.get("network")
+    keys = {f.name: type(f.default) for f in fields(NetworkConfig)}
+    if not isinstance(network, dict) or set(network) != set(keys) or any(
+            type(network[k]) is not t for k, t in keys.items()):
+        raise FileFormatError(f"{path}: header 'network' must have exactly "
+                              f"the keys {sorted(keys)}, typed as NetworkConfig's")
+    if not isinstance(header.get("meta", {}), dict):
+        raise FileFormatError(f"{path}: header 'meta' is not an object")
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (NetworkConfig, tensors, meta)."""
     with open(path, "rb") as f:
@@ -225,23 +265,19 @@ def load_checkpoint(path):
         header = json.loads(blob[8:8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{path}: unreadable header ({e})") from None
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise FileFormatError(f"{path}: bad format tag "
-                              f"{header.get('format')!r}")
     payload = blob[8 + hlen:]
+    _check_header(path, header, len(payload))
     tensors = {}
     for name, entry in header["tensors"].items():
         dtype = entry["dtype"]
-        if dtype not in _DTYPES:
-            raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
         end = entry["offset"] + entry["nbytes"]
-        expect = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(dtype).itemsize
-        if entry["nbytes"] != expect or end > len(payload):
-            raise FileFormatError(f"{path}: payload size mismatch for {name}")
         arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[dtype])
         # astype copies, so loaded tensors are writable and natively ordered
         tensors[name] = arr.reshape(entry["shape"]).astype(dtype)
-    config = NetworkConfig(**header["network"])
+    try:
+        config = NetworkConfig(**header["network"])
+    except ConfigError as e:
+        raise FileFormatError(f"{path}: invalid network config ({e})") from None
     return config, tensors, header.get("meta", {})
 
 

@@ -15,6 +15,7 @@ Run directory layout:
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, TrainingAbort
+from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
 from .losses import LossConfig, total_loss
 from .network import DualDecoderNet, NetworkConfig, save_checkpoint
@@ -274,11 +275,40 @@ def resume_state(path, cfg):
     return net, meta
 
 
+def _continue_loss_csv(path, t_start):
+    """Open a run's loss.csv for appending from step ``t_start``.
+
+    The header and the rows of steps 0..t_start-1 stay byte for byte; rows
+    of later steps, logged after the checkpoint being resumed, are cut off.
+    """
+    try:
+        lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    except FileNotFoundError:
+        raise FileFormatError(f"cannot resume at step {t_start}: "
+                              f"{path} is missing") from None
+    except UnicodeDecodeError:
+        raise FileFormatError(f"cannot resume: {path} is not a loss CSV") from None
+    if not lines or lines[0].rstrip("\r\n") != ",".join(LOSS_CSV_HEADER):
+        raise FileFormatError(f"cannot resume: {path} does not start with "
+                              f"the {LOSS_SCHEMA} header")
+    kept = lines[1:1 + t_start]
+    steps = [line.split(",", 1)[0] for line in kept]
+    if steps != [str(t) for t in range(t_start)] or \
+            not all(line.endswith("\n") for line in kept):
+        raise FileFormatError(f"cannot resume at step {t_start}: {path} does "
+                              f"not log steps 0..{t_start - 1} in order")
+    csv_file = open(path, "a", newline="")
+    csv_file.truncate(sum(len(line) for line in lines[:1 + t_start]))
+    return csv_file
+
+
 def train_loop(split, cfg, out_dir=None, resume_from=None):
     """Run cfg.t_max optimization steps; returns the trained network.
 
     With ``out_dir`` set, writes the config snapshot first, then the
-    per-step loss CSV, cadenced checkpoints, and a final summary.
+    per-step loss CSV, cadenced checkpoints, and a final summary.  With
+    ``resume_from`` too, ``out_dir`` must be the run's own directory: its
+    loss CSV keeps the rows before the checkpoint's step and continues.
     """
     if not split.labeled:
         raise DataError("training split has no labeled records")
@@ -303,9 +333,12 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
             json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
         ckpt_dir = out_dir / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
-        csv_file = open(out_dir / "loss.csv", "w", newline="")
+        if resume_from is None:
+            csv_file = open(out_dir / "loss.csv", "w", newline="")
+            csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
+        else:
+            csv_file = _continue_loss_csv(out_dir / "loss.csv", t_start)
         writer = csv.writer(csv_file)
-        writer.writerow(LOSS_CSV_HEADER)
 
     rows = []
     started = time.perf_counter()
@@ -317,6 +350,9 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
             if writer is not None:
                 writer.writerow(_format_row(t, breakdown))
             if ckpt_dir is not None and (t + 1) % cfg.checkpoint_every == 0:
+                # a resume from this checkpoint needs every earlier row on disk
+                csv_file.flush()
+                os.fsync(csv_file.fileno())
                 _save_training_checkpoint(ckpt_dir / f"step_{t + 1:06d}.ckpt",
                                           net, opt, rng, t + 1, cfg_hash)
     finally:

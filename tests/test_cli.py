@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -98,6 +99,112 @@ def test_eval_emits_metric_files(dataset, tmp_path):
     doc = json.loads((out / "metrics.json").read_text())
     assert set(doc["aggregate"]) == {"dice", "jaccard", "asd", "hd95"}
     assert doc["n_cases"] == 1
+
+
+def _train_four_steps(dataset, out, *extra):
+    return run(["train", "--manifest", str(dataset), "--out", str(out),
+                "--t-max", "4", "--checkpoint-every", "2"] + TINY[2:]
+               + list(extra))
+
+
+@pytest.fixture(scope="module")
+def four_step_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_run") / "run"
+    assert _train_four_steps(dataset, out) == 0
+    return out
+
+
+def _resume_at_step_two(dataset, out):
+    return _train_four_steps(dataset, out, "--force", "--resume-from",
+                             str(out / "checkpoints" / "step_000002.ckpt"))
+
+
+def test_resumed_run_logs_the_loss_csv_of_an_unbroken_run(dataset, four_step_run,
+                                                          tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(four_step_run, out)
+    unbroken = (out / "loss.csv").read_bytes()
+    assert _resume_at_step_two(dataset, out) == 0
+    assert (out / "loss.csv").read_bytes() == unbroken
+    # a crash right after the step-2 checkpoint leaves exactly steps 0 and 1
+    (out / "loss.csv").write_bytes(unbroken[:unbroken.index(b"\n2,") + 1])
+    assert _resume_at_step_two(dataset, out) == 0
+    assert (out / "loss.csv").read_bytes() == unbroken
+    # a crash in step 3 leaves a partial row after the step-2 checkpoint
+    (out / "loss.csv").write_bytes(unbroken[:unbroken.index(b"\n3,") + 3])
+    assert _resume_at_step_two(dataset, out) == 0
+    assert (out / "loss.csv").read_bytes() == unbroken
+
+
+BAD_RESUME_LOGS = [
+    ("missing", None, "loss.csv is missing"),
+    ("other-header", lambda b: b.replace(b"loss_seg", b"loss_dice", 1),
+     "does not start with the loss_v1 header"),
+    ("no-row-before-resume", lambda b: b[:b.index(b"\n1,") + 1],
+     "does not log steps 0..1 in order"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in BAD_RESUME_LOGS],
+                         ids=[case[0] for case in BAD_RESUME_LOGS])
+def test_resume_without_the_earlier_loss_rows_is_an_io_error(
+        dataset, four_step_run, tmp_path, capsys, edit, message):
+    out = tmp_path / "run"
+    shutil.copytree(four_step_run, out)
+    log = out / "loss.csv"
+    if edit is None:
+        log.unlink()
+    else:
+        log.write_bytes(edit(log.read_bytes()))
+    capsys.readouterr()
+    assert _resume_at_step_two(dataset, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert message in err
+
+
+def _edit_entries(header, edit):
+    return {**header, "tensors": {name: edit(entry)
+                                  for name, entry in header["tensors"].items()}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+BAD_CHECKPOINT_HEADERS = [
+    ("header-not-object", lambda h: [h]),
+    ("no-tensors", lambda h: _without(h, "tensors")),
+    ("tensors-not-object", lambda h: {**h, "tensors": list(h["tensors"])}),
+    ("entry-not-object", lambda h: _edit_entries(h, lambda e: 0)),
+    ("offset-not-int", lambda h: _edit_entries(h, lambda e: {**e, "offset": "0"})),
+    ("no-nbytes", lambda h: _edit_entries(h, lambda e: _without(e, "nbytes"))),
+    ("shape-not-list", lambda h: _edit_entries(h, lambda e: {**e, "shape": 4})),
+    ("no-dtype", lambda h: _edit_entries(h, lambda e: _without(e, "dtype"))),
+    ("nbytes-not-shape", lambda h: _edit_entries(h, lambda e: {**e, "nbytes": e["nbytes"] + 8})),
+    ("entry-past-payload", lambda h: _edit_entries(h, lambda e: {**e, "offset": 1 << 30})),
+    ("extra-network-key", lambda h: {**h, "network": {**h["network"], "bogus": 1}}),
+    ("missing-network-key", lambda h: {**h, "network": _without(h["network"], "width")}),
+    ("mistyped-network-value", lambda h: {**h, "network": {**h["network"], "width": "2"}}),
+    ("invalid-network-value", lambda h: {**h, "network": {**h["network"], "rank": 4}}),
+    ("meta-not-object", lambda h: {**h, "meta": []}),
+]
+
+
+@pytest.mark.parametrize("edit", [case[1] for case in BAD_CHECKPOINT_HEADERS],
+                         ids=[case[0] for case in BAD_CHECKPOINT_HEADERS])
+def test_malformed_checkpoint_header_is_an_io_error(dataset, four_step_run,
+                                                    tmp_path, capsys, edit):
+    blob = (four_step_run / "checkpoints" / "final.ckpt").read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(len(header).to_bytes(8, "little") + header + blob[8 + hlen:])
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error category=io message=")
 
 
 def test_ablate_schema(dataset, tmp_path):

@@ -30,26 +30,45 @@ def test_conv_fwd_3d_matches_nested_loop_oracle():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _nc_result(got, shape):
+    # every kernel hands back a C-contiguous float64 NC+spatial array
+    assert got.shape == shape
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    return got
+
+
 @pytest.mark.parametrize("x_shape, k_shape, stride", [
     ((2, 3, 9, 8), (4, 3, 3, 3), (1, 1)),
     ((2, 3, 9, 8), (4, 3, 3, 3), (2, 2)),
     ((2, 2, 6, 6, 4), (3, 2, 2, 2, 2), (2, 2, 2)),
-], ids=["2d-stride1", "2d-stride2", "3d-stride2"])
+    ((2, 1, 9, 8), (4, 1, 3, 3), (1, 1)),
+    ((2, 3, 7, 6), (1, 3, 1, 1), (1, 1)),
+    ((1, 2, 5, 6, 5), (3, 2, 3, 3, 3), (1, 1, 1)),
+    ((1, 2, 7, 6, 5), (3, 2, 2, 2, 2), (2, 2, 2)),
+], ids=["2d-stride1", "2d-stride2", "3d-stride2", "2d-one-input-channel",
+        "2d-1x1-one-output-channel", "3d-3x3x3-stride1",
+        "3d-stride2-odd-extent"])
 def test_conv_kernels_match_nested_loop_oracles(x_shape, k_shape, stride):
     x = rng.standard_normal(x_shape)
     k = rng.standard_normal(k_shape)
-    y = kernels.conv_fwd(x, k, stride)
+    out_spatial = tuple((n - kk) // s + 1
+                        for n, kk, s in zip(x_shape[2:], k_shape[2:], stride))
+    gy = rng.standard_normal((x_shape[0], k_shape[0]) + out_spatial)
+    inputs = [a.copy() for a in (x, k, gy)]
+
+    y = _nc_result(kernels.conv_fwd(x, k, stride), gy.shape)
     np.testing.assert_allclose(y, conv_oracle(x, k, stride, 0),
                                rtol=1e-12, atol=1e-12)
-    gy = rng.standard_normal(y.shape)
     np.testing.assert_allclose(
-        kernels.conv_bwd_input(gy, k, stride, x_shape[2:]),
+        _nc_result(kernels.conv_bwd_input(gy, k, stride, x_shape[2:]), x_shape),
         conv_bwd_input_oracle(gy, k, stride, x_shape[2:]),
         rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        kernels.conv_bwd_kernel(x, gy, stride, k_shape[2:]),
+        _nc_result(kernels.conv_bwd_kernel(x, gy, stride, k_shape[2:]), k_shape),
         conv_bwd_kernel_oracle(x, gy, stride, k_shape[2:]),
         rtol=1e-12, atol=1e-12)
+    for before, after in zip(inputs, (x, k, gy)):
+        np.testing.assert_array_equal(after, before)
 
 
 def test_edt_pass_matches_per_row_brute_force():

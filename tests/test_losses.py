@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from geoseg.errors import ConfigError
+from geoseg.geometry import boundary_weights
 from geoseg.losses import (LossConfig, cross_entropy_loss, dice_loss,
                            geometry_consistency_loss, mutual_consistency_loss,
                            ramp_up, sdf_supervised_loss, seg_supervised_loss,
-                           supervised_loss, total_loss,
-                           weighted_geometry_consistency_loss)
+                           supervised_loss, total_loss)
 from geoseg.network import DualDecoderOutputs
 from geoseg.tensor import Parameter, Tensor, softmax_channel
 from geoseg.training import Batch
@@ -158,6 +158,12 @@ def test_sdf_supervised_random_hand_value():
 # -- consistency -----------------------------------------------------------------
 
 
+def _wgc(out, rho, k):
+    # the boundary-weighted loss, weighted as the wgc mode weights it
+    weights = (boundary_weights(out.sdm1, rho), boundary_weights(out.sdm2, rho))
+    return geometry_consistency_loss(out, k=k, weights=weights)
+
+
 def test_gc_zero_at_exact_agreement():
     shape = (1, 1, 6, 6)
     sdm1 = rng.uniform(-0.5, 0.5, shape)
@@ -187,7 +193,7 @@ def test_wgc_equals_gc_when_distances_are_zero():
     out = make_outputs(rng.uniform(0, 1, shape), rng.uniform(0, 1, shape),
                        np.zeros(shape), np.zeros(shape))
     gc = geometry_consistency_loss(out, k=9.0).item()
-    wgc = weighted_geometry_consistency_loss(out, rho=2.0, k=9.0).item()
+    wgc = _wgc(out, 2.0, 9.0).item()
     assert wgc == gc
 
 
@@ -196,7 +202,7 @@ def test_wgc_vanishes_for_large_rho():
     sdm = np.full(shape, 0.5)
     out = make_outputs(rng.uniform(0, 1, shape), rng.uniform(0, 1, shape),
                        sdm, sdm)
-    assert weighted_geometry_consistency_loss(out, rho=1e3, k=9.0).item() < 1e-200
+    assert _wgc(out, 1e3, 9.0).item() < 1e-200
 
 
 def test_wgc_random_hand_value():
@@ -206,7 +212,7 @@ def test_wgc_random_hand_value():
     w2 = np.exp(-rho * np.abs(out.sdm2.data))
     want = np.mean(w1 * (out.seg1.data - _sigmoid(-k * out.sdm2.data)) ** 2
                    + w2 * (out.seg2.data - _sigmoid(-k * out.sdm1.data)) ** 2)
-    got = weighted_geometry_consistency_loss(out, rho=rho, k=k).item()
+    got = _wgc(out, rho, k).item()
     assert abs(got - want) < 1e-12
 
 
@@ -214,14 +220,14 @@ def test_wgc_never_exceeds_gc():
     for _ in range(10):
         out = random_outputs()
         gc = geometry_consistency_loss(out, k=9.0).item()
-        wgc = weighted_geometry_consistency_loss(out, rho=2.0, k=9.0).item()
+        wgc = _wgc(out, 2.0, 9.0).item()
         assert wgc <= gc + 1e-15
 
 
 def test_wgc_converges_to_gc_as_rho_vanishes():
     out = random_outputs()
     gc = geometry_consistency_loss(out, k=9.0).item()
-    wgc = weighted_geometry_consistency_loss(out, rho=1e-6, k=9.0).item()
+    wgc = _wgc(out, 1e-6, 9.0).item()
     assert abs(wgc - gc) / gc < 1e-4
 
 
@@ -304,7 +310,7 @@ def test_total_loss_at_t_max_uses_point_one():
     out = random_outputs(n=4, spatial=(8, 8))
     cfg = LossConfig(k=9.0)
     bd = total_loss(out, batch, 100, 100, cfg)
-    wgc = weighted_geometry_consistency_loss(out, cfg.rho, cfg.k).item()
+    wgc = _wgc(out, cfg.rho, cfg.k).item()
     assert abs(bd.lam - 0.1) < 1e-12
     assert abs(bd.loss_total - (bd.loss_sup + 0.1 * wgc)) < 1e-9
 
@@ -378,5 +384,5 @@ def test_grad_every_loss_term():
     frozen = build()
     w1 = np.exp(-2.0 * np.abs(frozen.sdm1.data))
     w2 = np.exp(-2.0 * np.abs(frozen.sdm2.data))
-    _fd_check(lambda: weighted_geometry_consistency_loss(
-        build(), rho=2.0, k=k, weights=(w1, w2)), params)
+    _fd_check(lambda: geometry_consistency_loss(
+        build(), k=k, weights=(Tensor(w1), Tensor(w2))), params)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geoseg import training
 from geoseg.data import PhantomParams, build_dataset, load_split
 from geoseg.errors import DataError
 from geoseg.losses import LossConfig, ramp_up, total_loss
@@ -199,6 +200,21 @@ def test_resume_matches_unbroken_run(split, tmp_path):
     ckpt = tmp_path / "full" / "checkpoints" / "step_000004.ckpt"
     resumed = train_loop(split, cfg, resume_from=ckpt)
     assert resumed.rows == full.rows[4:]
+
+
+def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
+                                                              monkeypatch):
+    # a crash after any checkpoint must leave the rows a resume from it needs
+    on_disk = {}
+
+    def save(path, net, extra_tensors=None, meta=None):
+        lines = (tmp_path / "run" / "loss.csv").read_text().splitlines()
+        on_disk[meta["step"]] = [line.split(",", 1)[0] for line in lines[1:]]
+
+    monkeypatch.setattr(training, "save_checkpoint", save)
+    train_loop(split, tiny_config(t_max=4, checkpoint_every=2),
+               out_dir=tmp_path / "run")
+    assert on_disk == {step: [str(t) for t in range(step)] for step in (2, 4)}
 
 
 def test_supervised_overfit_sanity(split):
