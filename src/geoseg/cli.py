@@ -24,14 +24,18 @@ from .errors import ConfigError, DataError, GeoSegError
 from .geometry import boundary_weights, sdm_target
 from .inference import evaluate, sliding_window_infer
 from .network import net_from_checkpoint
-from .tensor import Tensor, no_grad
 from .training import TrainConfig, check_config_keys, config_from_dict, \
     config_to_dict, train_loop
 
 ABLATE_SCHEMA = "ablate_v1"
 SWEEP_SCHEMA = "sweep_v1"
 ABLATE_CONFIGS = ("seg", "seg+sdf", "mc", "gc", "wgc")
+# loss overrides of the supervised-only ablation members; the others set
+# only the consistency term named after them
+_ABLATE_LOSS = {"seg": {"consistency": "none", "beta": 0.0},
+                "seg+sdf": {"consistency": "none"}}
 _MODES = {"supervised-only": "none", "mc": "mc", "gc": "gc", "wgc": "wgc"}
+_METRICS = ("dice", "jaccard", "asd", "hd95")
 
 
 def _parse_extents(text):
@@ -105,32 +109,69 @@ def _resolve_train_config(args):
     return config_from_dict(doc)
 
 
-def _default_window(manifest, depth):
+def _default_window(shape, depth):
     multiple = 1 << depth
-    return tuple(-(-n // multiple) * multiple for n in manifest.shape)
+    return tuple(-(-n // multiple) * multiple for n in shape)
 
 
 def _eval_window(args, manifest, net):
     window = (_parse_extents(args.window) if args.window
-              else _default_window(manifest, net.config.depth))
+              else _default_window(manifest.shape, net.config.depth))
     stride = _parse_extents(args.stride) if args.stride else window
     return window, stride
 
 
-def _train_and_eval(split, cfg, run_dir, manifest, window=None, stride=None):
-    result = train_loop(split, cfg, out_dir=run_dir)
-    net = result.net
-    window = window or _default_window(manifest, net.config.depth)
-    stride = stride or window
-    report = evaluate(net, split.test, window, stride, out_dir=run_dir)
-    return report
+def _train_and_eval(split, cfg, run_dir, shape):
+    # the trained net goes out of scope on return, before the next run trains
+    net = train_loop(split, cfg, out_dir=run_dir).net
+    window = _default_window(shape, net.config.depth)
+    return evaluate(net, split.test, window, window, out_dir=run_dir).aggregate
 
 
-def _metric_cells(report):
-    agg = report.aggregate
-    return [format(agg["dice"], ".17g"), format(agg["jaccard"], ".17g"),
-            "" if agg["asd"] is None else format(agg["asd"], ".17g"),
-            "" if agg["hd95"] is None else format(agg["hd95"], ".17g")]
+def _metric_cells(agg):
+    return ["" if agg[key] is None else format(agg[key], ".17g")
+            for key in _METRICS]
+
+
+def _mean_aggregate(aggs):
+    """Per-metric mean over the runs where the metric is defined."""
+    defined = {key: [a[key] for a in aggs if a[key] is not None]
+               for key in _METRICS}
+    return {key: float(np.mean(v)) if v else None for key, v in defined.items()}
+
+
+def _run_grid(args, column, schema, csv_name, members, mean_rows):
+    """Train and evaluate one run per (member, seed); write ``csv_name``.
+
+    ``members`` lists (label, run-dir stem, loss overrides) triples; each
+    run goes to ``runs/<stem>_s<seed>``.  The CSV has one row per run, then
+    one mean row per member when ``mean_rows(len(seeds))`` holds.
+    """
+    base = _resolve_train_config(args)
+    out = _prepare_out(args.out, args.force)
+    manifest = load_manifest(args.manifest)
+    split = load_split(manifest)
+    seeds = _parse_list(args.seeds, int)
+    results = []
+    for label, stem, loss in members:
+        aggs = []
+        for seed in seeds:
+            cfg = replace(base, seed=seed, loss=replace(base.loss, **loss),
+                          network=replace(base.network, seed=seed))
+            aggs.append(_train_and_eval(split, cfg, out / "runs" / f"{stem}_s{seed}",
+                                        manifest.shape))
+        results.append((label, aggs))
+    with open(out / csv_name, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow((column, "seed") + _METRICS + ("schema",))
+        for label, aggs in results:
+            writer.writerows([label, str(seed)] + _metric_cells(agg) + [schema]
+                             for seed, agg in zip(seeds, aggs))
+        if mean_rows(len(seeds)):
+            for label, aggs in results:
+                writer.writerow([label, "mean"]
+                                + _metric_cells(_mean_aggregate(aggs)) + [schema])
+    return out / csv_name, seeds
 
 
 # -- commands -------------------------------------------------------------
@@ -181,84 +222,23 @@ def cmd_eval(args):
     return 0
 
 
-def _member_config(base, name, seed):
-    loss = base.loss
-    if name == "seg":
-        loss = replace(loss, consistency="none", beta=0.0)
-    elif name == "seg+sdf":
-        loss = replace(loss, consistency="none")
-    else:
-        loss = replace(loss, consistency=name)
-    return replace(base, seed=seed, loss=loss,
-                   network=replace(base.network, seed=seed))
-
-
 def cmd_ablate(args):
-    base = _resolve_train_config(args)
-    out = _prepare_out(args.out, args.force)
-    manifest = load_manifest(args.manifest)
-    split = load_split(manifest)
-    seeds = _parse_list(args.seeds, int)
-    rows = []
-    per_config = {name: [] for name in ABLATE_CONFIGS}
-    for name in ABLATE_CONFIGS:
-        for seed in seeds:
-            cfg = _member_config(base, name, seed)
-            run_dir = out / "runs" / f"{name.replace('+', '_')}_s{seed}"
-            report = _train_and_eval(split, cfg, run_dir, manifest)
-            rows.append([name, str(seed)] + _metric_cells(report)
-                        + [ABLATE_SCHEMA])
-            per_config[name].append(report.aggregate)
-    with open(out / "ablation.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("config", "seed", "dice", "jaccard", "asd", "hd95",
-                         "schema"))
-        writer.writerows(rows)
-        for name in ABLATE_CONFIGS:
-            aggs = per_config[name]
-            cells = []
-            for key in ("dice", "jaccard", "asd", "hd95"):
-                vals = [a[key] for a in aggs if a[key] is not None]
-                cells.append(format(float(np.mean(vals)), ".17g") if vals else "")
-            writer.writerow([name, "mean"] + cells + [ABLATE_SCHEMA])
-    print(f"ablation over {len(seeds)} seed(s) -> {out / 'ablation.csv'}")
+    members = [(name, name.replace("+", "_"),
+                _ABLATE_LOSS.get(name, {"consistency": name}))
+               for name in ABLATE_CONFIGS]
+    path, seeds = _run_grid(args, "config", ABLATE_SCHEMA, "ablation.csv",
+                            members, lambda n_seeds: True)
+    print(f"ablation over {len(seeds)} seed(s) -> {path}")
     return 0
 
 
 def cmd_sweep_rho(args):
-    base = _resolve_train_config(args)
-    out = _prepare_out(args.out, args.force)
-    manifest = load_manifest(args.manifest)
-    split = load_split(manifest)
-    seeds = _parse_list(args.seeds, int)
     values = _parse_list(args.values, float)
-    rows = []
-    per_value = {v: [] for v in values}
-    for value in values:
-        for seed in seeds:
-            cfg = _member_config(base, "wgc", seed)
-            cfg = replace(cfg, loss=replace(cfg.loss, rho=value))
-            run_dir = out / "runs" / f"rho{value:g}_s{seed}"
-            report = _train_and_eval(split, cfg, run_dir, manifest)
-            rows.append([format(value, "g"), str(seed)]
-                        + _metric_cells(report) + [SWEEP_SCHEMA])
-            per_value[value].append(report.aggregate)
-    with open(out / "sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("rho", "seed", "dice", "jaccard", "asd", "hd95",
-                         "schema"))
-        writer.writerows(rows)
-        if len(seeds) > 1:
-            for value in values:
-                aggs = per_value[value]
-                cells = []
-                for key in ("dice", "jaccard", "asd", "hd95"):
-                    vals = [a[key] for a in aggs if a[key] is not None]
-                    cells.append(format(float(np.mean(vals)), ".17g")
-                                 if vals else "")
-                writer.writerow([format(value, "g"), "mean"] + cells
-                                + [SWEEP_SCHEMA])
-    print(f"rho sweep over {values} -> {out / 'sweep.csv'}")
+    members = [(format(v, "g"), f"rho{v:g}", {"consistency": "wgc", "rho": v})
+               for v in values]
+    path, _ = _run_grid(args, "rho", SWEEP_SCHEMA, "sweep.csv", members,
+                        lambda n_seeds: n_seeds > 1)
+    print(f"rho sweep over {values} -> {path}")
     return 0
 
 
@@ -287,15 +267,12 @@ def weights_to_pixels(weights, rho):
 
 
 def _predicted_sdm(checkpoint, image_path):
+    """Decoder 1's SDM of the whole image, run as a single window."""
     net, _, _ = net_from_checkpoint(checkpoint)
     image, spacing = read_array(image_path)
-    volume = np.asarray(image, dtype=np.float64)
-    multiple = 1 << net.config.depth
-    pad = [(-n) % multiple for n in volume.shape]
-    padded = np.pad(volume, [(0, p) for p in pad]) if any(pad) else volume
-    with no_grad():
-        out = net.forward(Tensor(padded[None, None]))
-    sdm = out.sdm1.data[0, 0][tuple(slice(0, n) for n in volume.shape)]
+    window = _default_window(image.shape, net.config.depth)
+    sdm = sliding_window_infer(net, image, window, window,
+                               head=lambda out: out.sdm1)
     return sdm, spacing
 
 

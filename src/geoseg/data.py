@@ -49,19 +49,39 @@ def write_array(base, arr, spacing):
     return {json_path.name: _sha256(json_path), raw_path.name: _sha256(raw_path)}
 
 
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _check_volume_header(path, header):
+    """Raise FileFormatError unless the header has every field read_array
+    reads, of the type it is read as."""
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: header is not a JSON object")
+    if header.get("format") != VOLUME_FORMAT:
+        raise FileFormatError(f"{path}: bad format tag {header.get('format')!r}")
+    dtype = header.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise FileFormatError(f"{path}: unknown dtype {dtype!r}")
+    shape, spacing = header.get("shape"), header.get("spacing")
+    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+        raise FileFormatError(f"{path}: header 'shape' must be a list of "
+                              f"non-negative ints, got {shape!r}")
+    if not (isinstance(spacing, list) and len(spacing) == len(shape)
+            and all(type(v) in (int, float) for v in spacing)):
+        raise FileFormatError(f"{path}: header 'spacing' must be a list of "
+                              f"{len(shape)} numbers, got {spacing!r}")
+
+
 def read_array(json_path):
     """Read a volume pair back; returns (array, spacing)."""
     json_path = Path(json_path)
     try:
         header = json.loads(json_path.read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{json_path}: unreadable header ({e})") from None
-    if header.get("format") != VOLUME_FORMAT:
-        raise FileFormatError(f"{json_path}: bad format tag "
-                              f"{header.get('format')!r}")
-    dtype = header.get("dtype")
-    if dtype not in _DTYPES:
-        raise FileFormatError(f"{json_path}: unknown dtype {dtype!r}")
+    _check_volume_header(json_path, header)
+    dtype = header["dtype"]
     raw_path = json_path.with_suffix(".raw")
     raw = raw_path.read_bytes()
     shape = tuple(header["shape"])
@@ -251,16 +271,48 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     return load_manifest(out_dir / "manifest.json")
 
 
+# JSON types of a manifest record's fields (RecordEntry's, spacing a list)
+_RECORD_TYPES = {"case_id": str, "split": str, "image": str,
+                 "mask": (str, type(None)), "spacing": list}
+
+
+def _check_manifest(path, doc):
+    """Raise FileFormatError unless the manifest has every field
+    load_manifest reads, of the type it is read as."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: manifest is not a JSON object")
+    if doc.get("format") != MANIFEST_FORMAT:
+        raise FileFormatError(f"{path}: bad format tag {doc.get('format')!r}")
+    shape = doc.get("shape")
+    if not (type(doc.get("seed")) is int and isinstance(shape, list)
+            and all(_is_count(n) for n in shape)
+            and isinstance(doc.get("counts"), dict)
+            and isinstance(doc.get("digests"), dict)):
+        raise FileFormatError(f"{path}: manifest needs an int 'seed', a list "
+                              "'shape' of non-negative ints and 'counts' and "
+                              "'digests' objects")
+    records = doc.get("records")
+    if not isinstance(records, list):
+        raise FileFormatError(f"{path}: manifest 'records' is not a list")
+    for i, record in enumerate(records):
+        if not (isinstance(record, dict) and all(
+                key in record and isinstance(record[key], kind)
+                for key, kind in _RECORD_TYPES.items())):
+            raise FileFormatError(
+                f"{path}: record {i} needs the keys {list(_RECORD_TYPES)} "
+                "with string case_id/split/image, string-or-null mask and "
+                "list spacing")
+
+
 def load_manifest(path, verify=True):
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{path}: unreadable manifest ({e})") from None
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise FileFormatError(f"{path}: bad format tag {doc.get('format')!r}")
+    _check_manifest(path, doc)
     root = path.parent
     records = [RecordEntry(case_id=r["case_id"], split=r["split"],
                            image=r["image"], mask=r["mask"],

@@ -3,8 +3,9 @@
 Windows tile the volume with the given stride, the final window per axis
 clamped to the boundary; overlapping predictions are averaged uniformly by
 visit count.  Volumes smaller than the window are zero-padded (trailing
-edge) and un-padded after.  The exported map is always decoder 1's
-foreground probability; thresholding at exactly 0.5 assigns background.
+edge) and un-padded after.  The exported map is decoder 1's foreground
+probability unless the caller passes ``head``; thresholding at exactly 0.5
+assigns background.
 """
 
 import csv
@@ -39,8 +40,8 @@ def _tile_starts(size, window, stride):
     return starts
 
 
-def sliding_window_infer(net, volume, window, stride):
-    """Foreground-probability volume from overlapping window predictions."""
+def sliding_window_infer(net, volume, window, stride, head=select_final):
+    """Volume of ``head``'s map, averaged over overlapping window predictions."""
     volume = np.asarray(volume, dtype=np.float64)
     rank = volume.ndim
     window = tuple(int(w) for w in (window if not isinstance(window, int)
@@ -71,7 +72,7 @@ def sliding_window_infer(net, volume, window, stride):
         for corner in itertools.product(*axes_starts):
             sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
             tile = Tensor(volume[sl][None, None])
-            out = select_final(net.forward(tile)).data[0, 0]
+            out = head(net.forward(tile)).data[0, 0]
             prob[sl] += out
             count[sl] += 1.0
     prob /= count

@@ -324,50 +324,61 @@ def _spatial_tuple(value, rank, name):
     return value
 
 
+def _conv_args(op, x, kernel, bias, stride, ci_axis):
+    """Check conv operands (input channels on kernel axis ``ci_axis``);
+    returns the per-axis stride.  Messages name the op and both shapes."""
+    shapes = f"{op}: input {x.shape}, kernel {kernel.shape}"
+    if x.ndim not in (4, 5) or kernel.ndim != x.ndim:
+        raise ShapeError(f"{shapes}: both need the same spatial rank, 2 or 3")
+    if kernel.shape[ci_axis] != x.shape[1]:
+        raise ShapeError(f"{shapes}: input channels differ from kernel axis "
+                         f"{ci_axis}")
+    stride = _spatial_tuple(stride, x.ndim - 2, "stride")
+    if any(s < 1 for s in stride):
+        raise ConfigError(f"{shapes}: stride must be >= 1 per axis, got {stride}")
+    co = kernel.shape[1 - ci_axis]
+    if bias is not None and bias.shape != (co,):
+        raise ShapeError(f"{shapes}: bias {bias.shape} must be ({co},)")
+    return stride
+
+
+def _conv_node(y, x, kernel, bias, grads):
+    """Node for conv output ``y`` plus ``bias`` per output channel;
+    ``grads(g)`` returns the (input, kernel) gradients."""
+    if bias is None:
+        return Tensor._make(y, (x, kernel), grads)
+    sum_axes = (0,) + tuple(range(2, y.ndim))
+    y = y + bias.data.reshape((1, -1) + (1,) * (y.ndim - 2))
+    return Tensor._make(y, (x, kernel, bias),
+                        lambda g: grads(g) + (g.sum(axis=sum_axes),))
+
+
 def conv_nd(x, kernel, bias=None, stride=1, padding=0):
     """N-D cross-correlation of [N,Ci,S...] with [Co,Ci,K...] plus bias.
 
     Output extent per axis: (in + 2*pad - k) // stride + 1.
     """
-    if x.ndim not in (4, 5):
-        raise ShapeError(f"conv_nd supports spatial rank 2 or 3, input is {x.shape}")
-    if kernel.ndim != x.ndim:
-        raise ShapeError(f"conv_nd: input {x.shape} vs kernel {kernel.shape} rank mismatch")
-    if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(f"conv_nd: input {x.shape} has {x.shape[1]} channels but "
-                         f"kernel {kernel.shape} expects {kernel.shape[1]}")
-    rank = x.ndim - 2
-    stride = _spatial_tuple(stride, rank, "stride")
-    padding = _spatial_tuple(padding, rank, "padding")
-    if any(s < 1 for s in stride):
-        raise ConfigError(f"stride must be >= 1 per axis, got {stride}")
+    stride = _conv_args("conv_nd", x, kernel, bias, stride, ci_axis=1)
+    padding = _spatial_tuple(padding, x.ndim - 2, "padding")
     kspatial = kernel.shape[2:]
     for ext, p, k in zip(x.shape[2:], padding, kspatial):
         if ext + 2 * p < k:
             raise ShapeError(f"conv_nd: kernel {kernel.shape} does not fit padded "
                              f"input {x.shape} (padding {padding})")
-    if bias is not None and bias.shape != (kernel.shape[0],):
-        raise ShapeError(f"conv_nd: bias {bias.shape} must be ({kernel.shape[0]},)")
 
     pads = [(0, 0), (0, 0)] + [(p, p) for p in padding]
     xp = np.pad(x.data, pads) if any(padding) else x.data
-    y = kernels.conv_fwd(xp, kernel.data, stride)
     kd = kernel.data
     padded_spatial = xp.shape[2:]
     inner = tuple([slice(None), slice(None)]
                   + [slice(p, sp - p) for p, sp in zip(padding, padded_spatial)])
-    sum_axes = (0,) + tuple(range(2, x.ndim))
-    if bias is not None:
-        y = y + bias.data.reshape((1, -1) + (1,) * rank)
 
-    def backward(g):
+    def grads(g):
         gx = np.ascontiguousarray(
             kernels.conv_bwd_input(g, kd, stride, padded_spatial)[inner])
-        gk = kernels.conv_bwd_kernel(xp, g, stride, kspatial)
-        return (gx, gk) if bias is None else (gx, gk, g.sum(axis=sum_axes))
+        return gx, kernels.conv_bwd_kernel(xp, g, stride, kspatial)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return Tensor._make(y, parents, backward)
+    return _conv_node(kernels.conv_fwd(xp, kd, stride), x, kernel, bias, grads)
 
 
 def conv_transpose_nd(x, kernel, bias=None, stride=1):
@@ -377,38 +388,19 @@ def conv_transpose_nd(x, kernel, bias=None, stride=1):
     stride this is the exact numerical adjoint of the zero-padding-free
     conv_nd (inner-product identity).
     """
-    if x.ndim not in (4, 5):
-        raise ShapeError(f"conv_transpose_nd supports rank 2 or 3, input is {x.shape}")
-    if kernel.ndim != x.ndim:
-        raise ShapeError(f"conv_transpose_nd: input {x.shape} vs kernel "
-                         f"{kernel.shape} rank mismatch")
-    if kernel.shape[0] != x.shape[1]:
-        raise ShapeError(f"conv_transpose_nd: input {x.shape} has {x.shape[1]} channels "
-                         f"but kernel {kernel.shape} expects {kernel.shape[0]}")
-    rank = x.ndim - 2
-    stride = _spatial_tuple(stride, rank, "stride")
-    if any(s < 1 for s in stride):
-        raise ConfigError(f"stride must be >= 1 per axis, got {stride}")
+    stride = _conv_args("conv_transpose_nd", x, kernel, bias, stride, ci_axis=0)
     kspatial = kernel.shape[2:]
     out_spatial = tuple((ext - 1) * s + k
                         for ext, s, k in zip(x.shape[2:], stride, kspatial))
-    if bias is not None and bias.shape != (kernel.shape[1],):
-        raise ShapeError(f"conv_transpose_nd: bias {bias.shape} must be "
-                         f"({kernel.shape[1]},)")
     xd = x.data
     kd = kernel.data
+
+    def grads(g):
+        return (kernels.conv_fwd(g, kd, stride),
+                kernels.conv_bwd_kernel(g, xd, stride, kspatial))
+
     y = kernels.conv_bwd_input(xd, kd, stride, out_spatial)
-    sum_axes = (0,) + tuple(range(2, x.ndim))
-    if bias is not None:
-        y = y + bias.data.reshape((1, -1) + (1,) * rank)
-
-    def backward(g):
-        gx = kernels.conv_fwd(g, kd, stride)
-        gk = kernels.conv_bwd_kernel(g, xd, stride, kspatial)
-        return (gx, gk) if bias is None else (gx, gk, g.sum(axis=sum_axes))
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return Tensor._make(y, parents, backward)
+    return _conv_node(y, x, kernel, bias, grads)
 
 
 def _upsample_plan(n):

@@ -26,7 +26,8 @@ from . import kernels
 from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
 from .losses import LossConfig, total_loss
-from .network import DualDecoderNet, NetworkConfig, save_checkpoint
+from .network import DualDecoderNet, NetworkConfig, net_from_checkpoint, \
+    save_checkpoint
 from .tensor import SGD, Tensor
 
 LOSS_SCHEMA = "loss_v1"
@@ -259,20 +260,34 @@ def _save_training_checkpoint(path, net, opt, rng, next_step, cfg_hash):
     save_checkpoint(path, net, extra_tensors=extras, meta=meta)
 
 
-def resume_state(path, cfg):
-    """Load a checkpoint for resumption; enforces matching config."""
-    from .network import load_checkpoint
-    config, tensors, meta = load_checkpoint(path)
+def resume_state(path, cfg, rng):
+    """Load a checkpoint to resume from; returns (net, next step) and sets
+    ``rng`` to the checkpointed batch RNG state.  Enforces matching config
+    and checks the step and RNG state before anything is written."""
+    net, tensors, meta = net_from_checkpoint(path)
     if meta.get("config_hash") != config_hash(cfg):
         raise ConfigError("checkpoint was produced by a different config; "
                           "refusing to resume")
-    net = DualDecoderNet(config)
-    net.load_state(tensors)
+    step = meta.get("step")
+    if type(step) is not int or not 0 <= step <= cfg.t_max:
+        raise FileFormatError(f"{path}: meta 'step' must be an int in "
+                              f"[0, {cfg.t_max}], got {step!r}")
+    try:
+        rng.bit_generator.state = meta.get("rng_state")
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
+        raise FileFormatError(f"{path}: meta 'rng_state' is not a batch RNG "
+                              f"state ({e})") from None
+    if step == cfg.t_max:
+        raise ConfigError(f"{path}: run already finished at step {step} "
+                          f"(t_max {cfg.t_max}); nothing to resume")
     for p in net.parameters():
         mom = tensors.get(f"momentum/{p.name}")
         if mom is not None:
+            if mom.shape != p.data.shape:
+                raise FileFormatError(f"{path}: momentum/{p.name} has shape "
+                                      f"{mom.shape}, expected {p.data.shape}")
             p.momentum = np.ascontiguousarray(mom, dtype=np.float64)
-    return net, meta
+    return net, step
 
 
 def _continue_loss_csv(path, t_start):
@@ -315,9 +330,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     cfg_hash = config_hash(cfg)
     rng = np.random.default_rng([cfg.seed, _BATCH_STREAM])
     if resume_from is not None:
-        net, meta = resume_state(resume_from, cfg)
-        rng.bit_generator.state = meta["rng_state"]
-        t_start = int(meta["step"])
+        net, t_start = resume_state(resume_from, cfg, rng)
     else:
         net = DualDecoderNet(cfg.network)
         t_start = 0

@@ -9,6 +9,8 @@ import pytest
 
 from geoseg.cli import main, weights_to_pixels
 from geoseg.data import read_array, write_array
+from geoseg.network import net_from_checkpoint
+from geoseg.tensor import Tensor, no_grad
 from helpers import random_blob_mask
 
 rng = np.random.default_rng(71)
@@ -191,20 +193,153 @@ BAD_CHECKPOINT_HEADERS = [
 ]
 
 
+def _rewrite_header(src, dst, edit):
+    blob = src.read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
+    dst.write_bytes(len(header).to_bytes(8, "little") + header + blob[8 + hlen:])
+    return dst
+
+
 @pytest.mark.parametrize("edit", [case[1] for case in BAD_CHECKPOINT_HEADERS],
                          ids=[case[0] for case in BAD_CHECKPOINT_HEADERS])
 def test_malformed_checkpoint_header_is_an_io_error(dataset, four_step_run,
                                                     tmp_path, capsys, edit):
-    blob = (four_step_run / "checkpoints" / "final.ckpt").read_bytes()
-    hlen = int.from_bytes(blob[:8], "little")
-    header = json.dumps(edit(json.loads(blob[8:8 + hlen]))).encode()
-    ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(len(header).to_bytes(8, "little") + header + blob[8 + hlen:])
+    ckpt = _rewrite_header(four_step_run / "checkpoints" / "final.ckpt",
+                           tmp_path / "bad.ckpt", edit)
     capsys.readouterr()
     code = run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                 "--out", str(tmp_path / "eval")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error category=io message=")
+
+
+def _edit_meta(edit):
+    return lambda header: {**header, "meta": edit(dict(header["meta"]))}
+
+
+def _edit_rng_state(edit):
+    return _edit_meta(lambda m: {**m, "rng_state": edit(dict(m["rng_state"]))})
+
+
+def _flatten_entry(header, name):
+    entry = header["tensors"][name]
+    flat = {**entry, "shape": [entry["nbytes"] // 8]}   # float64
+    return {**header, "tensors": {**header["tensors"], name: flat}}
+
+
+# (id, checkpoint, header edit, error category); the 4-step run's step-2
+# checkpoint is valid as it stands, and final.ckpt is at t_max
+BAD_RESUME_POINTS = [
+    ("no-rng-state", "step_000002", _edit_meta(lambda m: _without(m, "rng_state")),
+     "io"),
+    ("rng-state-not-object", "step_000002",
+     _edit_meta(lambda m: {**m, "rng_state": "seed"}), "io"),
+    ("rng-state-other-generator", "step_000002",
+     _edit_rng_state(lambda r: {**r, "bit_generator": "MT19937"}), "io"),
+    ("rng-state-without-state", "step_000002",
+     _edit_rng_state(lambda r: _without(r, "state")), "io"),
+    ("rng-state-negative", "step_000002",
+     _edit_rng_state(lambda r: {**r, "state": {**r["state"], "state": -1}}), "io"),
+    ("no-step", "step_000002", _edit_meta(lambda m: _without(m, "step")), "io"),
+    ("step-not-int", "step_000002", _edit_meta(lambda m: {**m, "step": "2"}), "io"),
+    ("step-bool", "step_000002", _edit_meta(lambda m: {**m, "step": True}), "io"),
+    ("step-negative", "step_000002", _edit_meta(lambda m: {**m, "step": -1}), "io"),
+    ("step-past-t-max", "step_000002", _edit_meta(lambda m: {**m, "step": 5}), "io"),
+    ("momentum-flattened", "step_000002",
+     lambda h: _flatten_entry(h, "momentum/enc.stem.kernel"), "io"),
+    ("run-already-finished", "final", lambda h: h, "config"),
+]
+
+
+@pytest.mark.parametrize("name, edit, category",
+                         [case[1:] for case in BAD_RESUME_POINTS],
+                         ids=[case[0] for case in BAD_RESUME_POINTS])
+def test_unusable_resume_point_is_a_one_line_error(dataset, four_step_run,
+                                                   tmp_path, capsys, name,
+                                                   edit, category):
+    out = tmp_path / "run"
+    shutil.copytree(four_step_run, out)
+    ckpt = _rewrite_header(out / "checkpoints" / f"{name}.ckpt",
+                           tmp_path / "resume.ckpt", edit)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert _train_four_steps(dataset, out, "--force", "--resume-from",
+                             str(ckpt)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error category={category} message=")
+    assert err.count("\n") == 1
+    # nothing in the run dir was written
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+BAD_VOLUME_HEADERS = [
+    ("header-not-object", lambda h: [h]),
+    ("no-dtype", lambda h: _without(h, "dtype")),
+    ("dtype-not-string", lambda h: {**h, "dtype": ["uint8"]}),
+    ("no-shape", lambda h: _without(h, "shape")),
+    ("shape-not-list", lambda h: {**h, "shape": 576}),
+    ("shape-negative", lambda h: {**h, "shape": [-24, -24]}),
+    ("shape-float", lambda h: {**h, "shape": [24.0, 24]}),
+    ("no-spacing", lambda h: _without(h, "spacing")),
+    ("spacing-not-list", lambda h: {**h, "spacing": 1.0}),
+    ("spacing-short", lambda h: {**h, "spacing": [1.0]}),
+    ("spacing-not-number", lambda h: {**h, "spacing": ["1", 1.0]}),
+]
+
+
+@pytest.mark.parametrize("edit", [case[1] for case in BAD_VOLUME_HEADERS],
+                         ids=[case[0] for case in BAD_VOLUME_HEADERS])
+def test_malformed_volume_header_is_an_io_error(tmp_path, capsys, edit):
+    write_array(tmp_path / "mask", np.zeros((24, 24), np.uint8), (1.0, 1.0))
+    header = tmp_path / "mask.json"
+    header.write_text(json.dumps(edit(json.loads(header.read_text()))))
+    capsys.readouterr()
+    code = run(["export-maps", "--mask", str(header), "--out",
+                str(tmp_path / "maps")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert err.count("\n") == 1
+
+
+def _edit_records(edit):
+    return lambda doc: {**doc, "records": [edit(r) for r in doc["records"]]}
+
+
+BAD_MANIFESTS = [
+    ("manifest-not-object", lambda d: [d]),
+    ("no-seed", lambda d: _without(d, "seed")),
+    ("shape-not-list", lambda d: {**d, "shape": "16x16"}),
+    ("counts-not-object", lambda d: {**d, "counts": [2, 2, 1]}),
+    ("digests-not-object", lambda d: {**d, "digests": None}),
+    ("no-records", lambda d: _without(d, "records")),
+    ("records-not-list", lambda d: {**d, "records": {}}),
+    ("record-not-object", _edit_records(lambda r: r["case_id"])),
+] + [(f"record-without-{key}", _edit_records(lambda r, key=key: _without(r, key)))
+     for key in ("case_id", "split", "image", "mask", "spacing")] + [
+    ("case-id-not-string", _edit_records(lambda r: {**r, "case_id": 7})),
+    ("split-not-string", _edit_records(lambda r: {**r, "split": None})),
+    ("image-not-string", _edit_records(lambda r: {**r, "image": [r["image"]]})),
+    ("mask-not-string", _edit_records(lambda r: {**r, "mask": 1})),
+    ("spacing-not-list", _edit_records(lambda r: {**r, "spacing": 1.0})),
+]
+
+
+@pytest.mark.parametrize("edit", [case[1] for case in BAD_MANIFESTS],
+                         ids=[case[0] for case in BAD_MANIFESTS])
+def test_malformed_manifest_is_an_io_error(dataset, tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    code = run(["train", "--manifest", str(data), "--out", str(tmp_path / "run")]
+               + TINY)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert err.count("\n") == 1
 
 
 def test_ablate_schema(dataset, tmp_path):
@@ -235,6 +370,43 @@ def test_sweep_rho_single_value(dataset, tmp_path):
     assert len(rows) == 2  # single train+eval, no mean rows
     assert rows[1][0] == "2" and rows[1][1] == "5"
     assert (out / "runs" / "rho2_s5").is_dir()
+
+
+def _check_mean_rows(path, labels, seeds):
+    """Each label's mean row holds, per metric, the mean of its per-seed
+    cells over the seeds where the metric is defined ("" if none is)."""
+    with open(path) as f:
+        body = list(csv.reader(f))[1:]
+    runs = body[:len(labels) * len(seeds)]
+    assert [(r[0], r[1]) for r in runs] == [(label, str(seed)) for label in labels
+                                            for seed in seeds]
+    means = body[len(runs):]
+    assert [(r[0], r[1]) for r in means] == [(label, "mean") for label in labels]
+    for mean in means:
+        cells = [r[2:6] for r in runs if r[0] == mean[0]]
+        for col, got in enumerate(mean[2:6]):
+            vals = [float(c[col]) for c in cells if c[col] != ""]
+            if vals:
+                assert float(got) == np.mean(vals)
+            else:
+                assert got == ""
+
+
+def test_ablate_mean_rows_average_the_seeds(dataset, tmp_path):
+    out = tmp_path / "abl"
+    assert run(["ablate", "--manifest", str(dataset), "--out", str(out),
+                "--seeds", "0,1"] + TINY) == 0
+    _check_mean_rows(out / "ablation.csv",
+                     ["seg", "seg+sdf", "mc", "gc", "wgc"], [0, 1])
+
+
+def test_sweep_rho_mean_rows_average_the_seeds(dataset, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep-rho", "--manifest", str(dataset), "--out", str(out),
+                "--values", "1.5,2.5", "--seeds", "0,1"] + TINY) == 0
+    _check_mean_rows(out / "sweep.csv", ["1.5", "2.5"], [0, 1])
+    assert sorted(p.name for p in (out / "runs").iterdir()) == [
+        "rho1.5_s0", "rho1.5_s1", "rho2.5_s0", "rho2.5_s1"]
 
 
 BAD_CONFIGS = [
@@ -336,3 +508,23 @@ def test_export_maps_from_checkpoint(dataset, tmp_path):
     assert code == 0
     assert (out / "weights_rho2.raw").exists()
     assert (out / "sdm_slice.pgm").exists()
+
+
+def test_export_maps_from_checkpoint_is_decoder_one_sdm(dataset, tmp_path):
+    run_dir = tmp_path / "run"
+    assert run(["train", "--manifest", str(dataset), "--out", str(run_dir)]
+               + TINY) == 0
+    # 18x21 pads to 20x24 at depth 2
+    image = rng.standard_normal((18, 21)).astype(np.float32)
+    write_array(tmp_path / "image", image, (1.0, 1.0))
+    ckpt = run_dir / "checkpoints" / "final.ckpt"
+    out = tmp_path / "maps"
+    assert run(["export-maps", "--checkpoint", str(ckpt), "--image",
+                str(tmp_path / "image.json"), "--rho", "2", "--out",
+                str(out)]) == 0
+    net, _, _ = net_from_checkpoint(ckpt)
+    padded = np.zeros((1, 1, 20, 24))
+    padded[0, 0, :18, :21] = image
+    with no_grad():
+        sdm1 = net.forward(Tensor(padded)).sdm1.data[0, 0, :18, :21]
+    assert (out / "sdm.raw").read_bytes() == sdm1.astype("<f4").tobytes()

@@ -200,6 +200,41 @@ def test_conv_channel_mismatch_names_both_shapes():
         conv_nd(x, k)
 
 
+# (id, op, input shape, kernel shape, bias shape, stride, error).  The bad
+# channel and bias cases would pass a check made on the other kernel axis.
+BAD_CONV_OPERANDS = [
+    ("conv-spatial-rank-1", conv_nd, (1, 2, 5), (3, 2, 3), None, 1, ShapeError),
+    ("conv-kernel-rank", conv_nd, (1, 2, 5, 5), (3, 2, 3), None, 1, ShapeError),
+    ("conv-channels", conv_nd, (1, 2, 5, 5), (2, 4, 3, 3), None, 1, ShapeError),
+    ("conv-bias", conv_nd, (1, 2, 5, 5), (3, 2, 3, 3), (2,), 1, ShapeError),
+    ("conv-stride-0", conv_nd, (1, 2, 5, 5), (3, 2, 3, 3), None, 0, ConfigError),
+    ("transpose-spatial-rank-4", conv_transpose_nd, (1, 2, 3, 3, 3, 3),
+     (2, 3, 2, 2, 2, 2), None, 1, ShapeError),
+    ("transpose-kernel-rank", conv_transpose_nd, (1, 2, 4, 4), (2, 3, 2, 2, 2),
+     None, 1, ShapeError),
+    ("transpose-channels", conv_transpose_nd, (1, 2, 4, 4), (3, 2, 2, 2), None,
+     1, ShapeError),
+    ("transpose-bias", conv_transpose_nd, (1, 2, 4, 4), (2, 3, 2, 2), (2,), 2,
+     ShapeError),
+    ("transpose-stride-negative", conv_transpose_nd, (1, 2, 4, 4), (2, 3, 2, 2),
+     None, (2, -1), ConfigError),
+]
+
+
+@pytest.mark.parametrize("op, x_shape, k_shape, b_shape, stride, error",
+                         [case[1:] for case in BAD_CONV_OPERANDS],
+                         ids=[case[0] for case in BAD_CONV_OPERANDS])
+def test_malformed_conv_operand_names_op_and_shapes(op, x_shape, k_shape,
+                                                    b_shape, stride, error):
+    x, k = Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape))
+    b = None if b_shape is None else Tensor(np.zeros(b_shape))
+    with pytest.raises(error) as info:
+        op(x, k, b, stride=stride)
+    message = str(info.value)
+    assert op.__name__ in message
+    assert str(x_shape) in message and str(k_shape) in message
+
+
 def test_conv_kernel_too_large_rejected():
     x = Tensor(rng.standard_normal((1, 1, 4, 4)))
     k = Tensor(rng.standard_normal((1, 1, 6, 6)))
