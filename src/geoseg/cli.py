@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .geometry import boundary_weights, sdm_target
 from .inference import evaluate, sliding_window_infer
 from .network import net_from_checkpoint
 from .training import TrainConfig, check_config_keys, config_from_dict, \
-    config_to_dict, train_loop
+    train_loop
 
 ABLATE_SCHEMA = "ablate_v1"
 SWEEP_SCHEMA = "sweep_v1"
@@ -71,7 +71,7 @@ def _deep_merge(base, override):
 
 
 def _resolve_train_config(args):
-    doc = config_to_dict(TrainConfig())
+    doc = asdict(TrainConfig())
     if args.config:
         try:
             override = json.loads(Path(args.config).read_text())
@@ -145,22 +145,31 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
 
     ``members`` lists (label, run-dir stem, loss overrides) triples; each
     run goes to ``runs/<stem>_s<seed>``.  The CSV has one row per run, then
-    one mean row per member when ``mean_rows(len(seeds))`` holds.
+    one mean row per member when ``mean_rows(len(seeds))`` holds.  Every
+    run's config is built, and so checked, before ``--out`` is prepared.
     """
     base = _resolve_train_config(args)
+    seeds = _parse_list(args.seeds, int)
+    grid = [(label, [(f"{stem}_s{seed}",
+                      replace(base, seed=seed, loss=replace(base.loss, **loss),
+                              network=replace(base.network, seed=seed)))
+                     for seed in seeds])
+            for label, stem, loss in members]
+    runs = [run for _, member_runs in grid for run, _ in member_runs]
+    if not runs:
+        raise ConfigError(f"empty experiment grid: {len(members)} member(s), "
+                          f"seeds {args.seeds!r}")
+    repeated = sorted({run for run in runs if runs.count(run) > 1})
+    if repeated:
+        raise ConfigError(f"experiment grid repeats run dir(s) {repeated}: "
+                          "seeds and members must be distinct")
     out = _prepare_out(args.out, args.force)
     manifest = load_manifest(args.manifest)
     split = load_split(manifest)
-    seeds = _parse_list(args.seeds, int)
-    results = []
-    for label, stem, loss in members:
-        aggs = []
-        for seed in seeds:
-            cfg = replace(base, seed=seed, loss=replace(base.loss, **loss),
-                          network=replace(base.network, seed=seed))
-            aggs.append(_train_and_eval(split, cfg, out / "runs" / f"{stem}_s{seed}",
-                                        manifest.shape))
-        results.append((label, aggs))
+    results = [(label, [_train_and_eval(split, cfg, out / "runs" / run,
+                                        manifest.shape)
+                        for run, cfg in member_runs])
+               for label, member_runs in grid]
     with open(out / csv_name, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow((column, "seed") + _METRICS + ("schema",))
@@ -178,7 +187,6 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
 
 
 def cmd_build_data(args):
-    out = _prepare_out(args.out, args.force)
     shape = _parse_extents(args.shape)
     params = PhantomParams()
     over = {}
@@ -190,6 +198,7 @@ def cmd_build_data(args):
         over["contrast"] = args.contrast
     if over:
         params = replace(params, **over)
+    out = _prepare_out(args.out, args.force)
     seed = args.seed if args.seed is not None else 0
     manifest = build_dataset(out, args.labeled, args.unlabeled, args.test,
                              shape, seed, params)
@@ -280,7 +289,6 @@ def cmd_export_maps(args):
     if bool(args.mask) == bool(args.checkpoint):
         raise ConfigError("export-maps needs exactly one of --mask or "
                           "--checkpoint (with --image)")
-    out = _prepare_out(args.out, args.force)
     rhos = _parse_list(args.rho, float)
     if args.mask:
         mask, spacing = read_array(args.mask)
@@ -291,15 +299,17 @@ def cmd_export_maps(args):
         sdm, spacing = _predicted_sdm(args.checkpoint, args.image)
 
     # slice pixels are derived from the float32 volumes as written, so the
-    # image recomputes exactly from the exported data
+    # image recomputes exactly from the exported data; every map is computed,
+    # and every rho checked, before --out is prepared
     sdm32 = sdm.astype(np.float32)
+    maps = [(rho, boundary_weights(sdm32.astype(np.float64), rho)
+             .astype(np.float32)) for rho in rhos]
+    out = _prepare_out(args.out, args.force)
     write_array(out / "sdm", sdm32, spacing)
     sdm_px = np.rint((_mid_slice(sdm32).astype(np.float64) + 1.0)
                      / 2.0 * 255.0).astype(np.uint8)
     write_pgm(out / "sdm_slice.pgm", sdm_px)
-    for rho in rhos:
-        weights = boundary_weights(sdm32.astype(np.float64), rho)
-        weights32 = weights.astype(np.float32)
+    for rho, weights32 in maps:
         tag = f"rho{rho:g}"
         write_array(out / f"weights_{tag}", weights32, spacing)
         write_pgm(out / f"weights_{tag}_slice.pgm",

@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError, FileFormatError
 
 VOLUME_FORMAT = "geoseg-volume"
 MANIFEST_FORMAT = "geoseg-manifest"
-SPLITS = ("labeled-train", "unlabeled-train", "test")
 _DTYPES = {"float32": "<f4", "uint8": "|u1"}
 
 
@@ -173,6 +172,15 @@ class PhantomParams:
     fg_frac: tuple = (0.05, 0.40)
     max_retries: int = 50
 
+    def __post_init__(self):
+        # written so that NaN fails each check
+        for name in ("blur_sigma", "noise_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, "
+                                  f"got {getattr(self, name)}")
+        if not -np.inf < self.contrast < np.inf:
+            raise ConfigError(f"contrast must be finite, got {self.contrast}")
+
 
 def _ellipsoid_field(shape, rng, params):
     ndim = len(shape)
@@ -304,7 +312,7 @@ def _check_manifest(path, doc):
                 "list spacing")
 
 
-def load_manifest(path, verify=True):
+def load_manifest(path):
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -321,8 +329,7 @@ def load_manifest(path, verify=True):
     manifest = Manifest(root=root, seed=doc["seed"], shape=tuple(doc["shape"]),
                         counts=doc["counts"], records=records,
                         digests=doc["digests"])
-    if verify:
-        verify_manifest(manifest)
+    verify_manifest(manifest)
     return manifest
 
 

@@ -120,18 +120,15 @@ def approx_inverse(z, k, sign_mode="inside-negative"):
     keeps sigmoid(k*z), which maps inside voxels toward 0 and exists for
     strict reproduction of the printed inverse transform.
 
-    Accepts a Tensor (gradients flow through) or a plain array.
+    Takes and returns a Tensor; gradients flow through.
     """
-    if k <= 0:
-        raise ConfigError(f"approx_inverse sharpness k must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise ConfigError(f"approx_inverse sharpness k must be positive and "
+                          f"finite, got {k}")
     if sign_mode not in _SIGN_MODES:
         raise ConfigError(f"sign_mode must be one of {_SIGN_MODES}, got {sign_mode!r}")
     scale = -float(k) if sign_mode == "inside-negative" else float(k)
-    if isinstance(z, Tensor):
-        return (z * scale).sigmoid()
-    a = np.asarray(z, dtype=np.float64) * scale
-    return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                    np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+    return (z * scale).sigmoid()
 
 
 def boundary_weights(sdm_pred, rho):
@@ -141,8 +138,9 @@ def boundary_weights(sdm_pred, rho):
     optimizer cannot shrink a weighted loss by inflating the predicted
     distances instead of improving agreement.
     """
-    if rho <= 0:
-        raise ConfigError(f"boundary weight rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ConfigError(f"boundary weight rho must be positive and finite, "
+                          f"got {rho}")
     arr = sdm_pred.data if isinstance(sdm_pred, Tensor) else np.asarray(sdm_pred)
     w = np.exp(-float(rho) * np.abs(arr))
     return Tensor(w) if isinstance(sdm_pred, Tensor) else w

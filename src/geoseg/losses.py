@@ -34,21 +34,19 @@ class LossConfig:
     sign_mode: str = "inside-negative"
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
-        if self.k <= 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta}")
-        if self.lambda_max <= 0:
-            raise ConfigError(f"lambda_max must be positive, got {self.lambda_max}")
+        # written so that NaN fails each check
+        for name in ("rho", "k", "lambda_max", "dice_eps"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got "
+                                  f"{getattr(self, name)}")
+        if not 0 <= self.beta < np.inf:
+            raise ConfigError(f"beta must be non-negative and finite, got "
+                              f"{self.beta}")
         if self.ramp_power not in (1, 2):
             raise ConfigError(f"ramp_power must be 1 or 2, got {self.ramp_power}")
         if self.consistency not in CONSISTENCY_MODES:
             raise ConfigError(f"consistency must be one of {CONSISTENCY_MODES}, "
                               f"got {self.consistency!r}")
-        if self.dice_eps <= 0:
-            raise ConfigError(f"dice_eps must be positive, got {self.dice_eps}")
 
 
 @dataclass
@@ -60,9 +58,6 @@ class LossBreakdown:
     lam: float
     loss_total: float
     total: Tensor = field(repr=False)
-
-    CSV_FIELDS = ("loss_seg", "loss_sdf", "loss_sup", "loss_cons", "lambda",
-                  "loss_total")
 
     def csv_values(self):
         return (self.loss_seg, self.loss_sdf, self.loss_sup, self.loss_cons,
@@ -99,8 +94,6 @@ def cross_entropy_loss(seg_logits, target_fg):
     if seg_logits.ndim < 3 or seg_logits.shape[1] != 2:
         raise ShapeError(f"expected [N,2,spatial...] logits, got {seg_logits.shape}")
     y = np.asarray(target_fg, dtype=np.float64)
-    if y.ndim == seg_logits.ndim:
-        y = y[:, 0]
     if y.shape != seg_logits.shape[:1] + seg_logits.shape[2:]:
         raise ShapeError(f"target shape {y.shape} does not match logits "
                          f"shape {seg_logits.shape}")
@@ -158,12 +151,6 @@ def ramp_up(t, t_max, lambda_max=0.1, power=1):
         raise ConfigError(f"step index must be non-negative, got {t}")
     frac = min(float(t), float(t_max)) / float(t_max)
     return float(lambda_max * np.exp(-5.0 * (1.0 - frac) ** power))
-
-
-def supervised_loss(outputs, y, sdm_target, beta=0.3, eps=1e-5):
-    """Combined supervised loss: segmentation + beta * distance regression."""
-    return (seg_supervised_loss(outputs, y, eps)
-            + sdf_supervised_loss(outputs, sdm_target) * beta)
 
 
 def consistency_loss(outputs, config):

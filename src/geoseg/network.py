@@ -127,8 +127,6 @@ class DualDecoderNet:
 
     def forward(self, x):
         """Run the network on a [N,C,spatial...] batch tensor."""
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
         if x.ndim != self.config.rank + 2:
             raise ShapeError(f"expected [N,C,{self.config.rank} spatial dims], "
                              f"got shape {x.shape}")

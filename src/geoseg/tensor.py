@@ -74,9 +74,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -151,9 +148,6 @@ class Tensor:
     def __rsub__(self, other):
         return Tensor._make(other - self.data, (self,), lambda g: (-g,))
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
-
     def __mul__(self, other):
         if _scalar(other):
             return Tensor._make(self.data * other, (self,), lambda g: (g * other,))
@@ -171,26 +165,9 @@ class Tensor:
         return Tensor._make(a / b, (self, other),
                             lambda g: (g / b, -g * a / (b * b)))
 
-    def __rtruediv__(self, other):
-        a = self.data
-        return Tensor._make(other / a, (self,), lambda g: (-g * other / (a * a),))
-
     def square(self):
         a = self.data
         return Tensor._make(a * a, (self,), lambda g: (2.0 * a * g,))
-
-    def abs(self):
-        # subgradient at 0 is 0: np.sign(0) == 0
-        a = self.data
-        return Tensor._make(np.abs(a), (self,), lambda g: (np.sign(a) * g,))
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._make(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        a = self.data
-        return Tensor._make(np.log(a), (self,), lambda g: (g / a,))
 
     # -- activations -----------------------------------------------------------
 
@@ -431,10 +408,8 @@ def _upsample_axis_backward(g, axis):
     return np.moveaxis(gx, 0, axis)
 
 
-def interp_upsample(x, factor=2):
+def interp_upsample(x):
     """Linear (bi/tri-linear) x2 up-sampling of the spatial axes."""
-    if factor != 2:
-        raise ConfigError(f"interp_upsample supports factor 2 only, got {factor}")
     if x.ndim not in (4, 5):
         raise ShapeError(f"interp_upsample supports rank 2 or 3, input is {x.shape}")
     axes = tuple(range(2, x.ndim))
@@ -478,8 +453,9 @@ class SGD:
     """SGD with classical momentum: buf <- mu*buf + g; w <- w - lr*buf."""
 
     def __init__(self, params, lr, momentum=0.9):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, "
+                              f"got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
         self.params = list(params)

@@ -49,8 +49,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 100
     augment: bool = True
-    augment_unlabeled: bool = True
-    keep_degenerate_crops: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
@@ -66,11 +64,12 @@ class TrainConfig:
             raise ConfigError(f"crop {self.crop} does not match network rank "
                               f"{self.network.rank}")
         multiple = 1 << self.network.depth
-        if any(c % multiple for c in self.crop):
-            raise ConfigError(f"crop extents {self.crop} must be divisible by "
-                              f"{multiple} (2^depth)")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if any(c < 1 or c % multiple for c in self.crop):
+            raise ConfigError(f"crop extents {self.crop} must be positive "
+                              f"multiples of {multiple} (2^depth)")
+        if not 0 < self.base_lr < np.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got "
+                              f"{self.base_lr}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.lr_decay_every < 1:
@@ -81,8 +80,9 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must be >= 1")
 
 
-def config_to_dict(cfg):
-    return asdict(cfg)
+# JSON types a numeric config field accepts, by the type of its default: an
+# int field takes no float (NaN and Infinity are floats), a float field an int
+_NUMERIC = {int: ((int,), "an int"), float: ((int, float), "a number")}
 
 
 def _check_keys(doc, cls, where):
@@ -92,10 +92,16 @@ def _check_keys(doc, cls, where):
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for f in fields(cls):
+        allowed, kind = _NUMERIC.get(type(f.default), (None, None))
+        if allowed and f.name in doc and type(doc[f.name]) not in allowed:
+            raise ConfigError(f"{where}.{f.name} must be {kind}, got "
+                              f"{doc[f.name]!r}")
 
 
 def check_config_keys(doc):
-    """Reject a config document that is not an object or has unknown keys."""
+    """Reject a config document that is not an object, has unknown keys or
+    has a numeric value of the wrong JSON type."""
     _check_keys(doc, TrainConfig, "config")
     for name, cls in (("loss", LossConfig), ("network", NetworkConfig)):
         if name in doc:
@@ -115,7 +121,7 @@ def config_from_dict(doc):
 
 
 def config_hash(cfg):
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True)
+    canon = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -132,12 +138,11 @@ class Batch:
     images: np.ndarray            # [N, 1, spatial...], float64
     masks: np.ndarray             # [n_labeled, spatial...], float64 in {0,1}
     sdm_targets: np.ndarray       # [n_labeled, spatial...], float64 in [-1,1]
-    labeled_flags: list
-    degenerate_flags: list        # per labeled item
 
     @property
     def n_labeled(self):
-        return int(sum(self.labeled_flags))
+        # labeled items are the batch's first items
+        return len(self.masks)
 
 
 def random_crop(volume, mask, crop, rng):
@@ -185,16 +190,11 @@ def augment(image, mask, rng):
 
 
 def _labeled_item(split, cfg, rng):
-    attempts = 20 if not cfg.keep_degenerate_crops else 1
-    for attempt in range(attempts):
-        record = split.labeled[int(rng.integers(len(split.labeled)))]
-        img, msk = random_crop(record.image, record.mask, cfg.crop, rng)
-        if cfg.augment:
-            img, msk = augment(img, msk, rng)
-        target = sdm_target(msk)
-        if not target.degenerate or cfg.keep_degenerate_crops:
-            return img, msk, target
-    return img, msk, target  # accept the last attempt rather than fail
+    record = split.labeled[int(rng.integers(len(split.labeled)))]
+    img, msk = random_crop(record.image, record.mask, cfg.crop, rng)
+    if cfg.augment:
+        img, msk = augment(img, msk, rng)
+    return img, msk, sdm_target(msk).values
 
 
 def sample_batch(split, cfg, rng):
@@ -204,24 +204,21 @@ def sample_batch(split, cfg, rng):
     if cfg.unlabeled_per_batch > 0 and not split.unlabeled:
         raise DataError("unlabeled pool is empty but the batch needs "
                         "unlabeled items")
-    images, masks, targets, degenerate = [], [], [], []
+    images, masks, targets = [], [], []
     for _ in range(cfg.labeled_per_batch):
         img, msk, target = _labeled_item(split, cfg, rng)
         images.append(img)
         masks.append(msk)
-        targets.append(target.values)
-        degenerate.append(target.degenerate)
+        targets.append(target)
     for _ in range(cfg.unlabeled_per_batch):
         record = split.unlabeled[int(rng.integers(len(split.unlabeled)))]
         img, _ = random_crop(record.image, None, cfg.crop, rng)
-        if cfg.augment and cfg.augment_unlabeled:
+        if cfg.augment:
             img, _ = augment(img, None, rng)
         images.append(img)
-    flags = [True] * cfg.labeled_per_batch + [False] * cfg.unlabeled_per_batch
     return Batch(images=np.stack(images).astype(np.float64)[:, None],
                  masks=np.stack(masks).astype(np.float64),
-                 sdm_targets=np.stack(targets).astype(np.float64),
-                 labeled_flags=flags, degenerate_flags=degenerate)
+                 sdm_targets=np.stack(targets).astype(np.float64))
 
 
 # -- the optimization loop ---------------------------------------------------------
@@ -343,7 +340,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.json").write_text(
-            json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
+            json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n")
         ckpt_dir = out_dir / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
         if resume_from is None:

@@ -421,6 +421,16 @@ BAD_CONFIGS = [
     ("loss-not-object", '{"loss": 5}', "config.loss must be a JSON object"),
     ("removed-deterministic-key", '{"deterministic": true}',
      "unknown config key(s): deterministic"),
+    ("removed-keep-degenerate-crops-key", '{"keep_degenerate_crops": true}',
+     "unknown config key(s): keep_degenerate_crops"),
+    ("removed-augment-unlabeled-key", '{"augment_unlabeled": false}',
+     "unknown config key(s): augment_unlabeled"),
+    ("int-field-nan", '{"checkpoint_every": NaN}',
+     "config.checkpoint_every must be an int"),
+    ("int-field-float", '{"network": {"width": 4.0}}',
+     "config.network.width must be an int"),
+    ("float-field-bool", '{"loss": {"rho": true}}',
+     "config.loss.rho must be a number"),
     ("mistyped-crop", '{"crop": 5}', "invalid config value"),
 ]
 
@@ -441,6 +451,76 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text,
     assert err.startswith("error category=config message=")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def _assert_config_error_before_out(capsys, code, out):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=config message=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("crop", ["0x0", "-8x-8", "0x64"])
+def test_nonpositive_crop_is_a_config_error(tmp_path, capsys, crop):
+    out = tmp_path / "out"
+    code = run(["train", "--manifest", str(tmp_path / "absent"), "--out",
+                str(out), f"--crop={crop}"])
+    _assert_config_error_before_out(capsys, code, out)
+
+
+# every float field of TrainConfig and LossConfig, with its flag if it has one
+FLOAT_FIELDS = [("base_lr", "--lr"), ("lr_decay", None),
+                ("momentum", "--momentum"), ("loss.rho", "--rho"),
+                ("loss.k", "--k"), ("loss.beta", "--beta"),
+                ("loss.lambda_max", "--lambda-max"), ("loss.dice_eps", None)]
+NON_FINITE = [(f"{field}-{value}-{via}", field, flag, value, via)
+              for field, flag in FLOAT_FIELDS for value in ("nan", "inf")
+              for via in ("config", "flag") if via == "config" or flag]
+
+
+@pytest.mark.parametrize("field, flag, value, via",
+                         [case[1:] for case in NON_FINITE],
+                         ids=[case[0] for case in NON_FINITE])
+def test_non_finite_float_field_is_a_config_error(tmp_path, capsys, field,
+                                                  flag, value, via):
+    out = tmp_path / "out"
+    argv = ["train", "--manifest", str(tmp_path / "absent"), "--out", str(out)]
+    if via == "flag":
+        argv.append(f"{flag}={value}")
+    else:
+        *section, key = field.split(".")
+        doc = {key: float(value)}   # json writes NaN / Infinity
+        for name in section:
+            doc = {name: doc}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv += ["--config", str(config)]
+    _assert_config_error_before_out(capsys, run(argv), out)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--contrast", "nan"), ("--contrast", "inf"), ("--noise-sigma", "nan"),
+    ("--noise-sigma", "inf"), ("--noise-sigma", "-1"), ("--blur-sigma", "nan"),
+    ("--blur-sigma", "inf"), ("--blur-sigma", "-1")])
+def test_bad_phantom_param_is_a_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    code = run(["build-data", "--labeled", "1", "--unlabeled", "0", "--test",
+                "1", "--shape", "16x16", "--out", str(out), f"{flag}={value}"])
+    _assert_config_error_before_out(capsys, code, out)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ablate", "--seeds", ""), ("ablate", "--seeds", "0,0"),
+    ("sweep-rho", "--seeds", ""), ("sweep-rho", "--seeds", "1,1"),
+    ("sweep-rho", "--values", ""), ("sweep-rho", "--values", "1,1"),
+    ("sweep-rho", "--values", "2,2.0"), ("sweep-rho", "--values", "1,nan")])
+def test_empty_or_duplicate_grid_is_a_config_error(dataset, tmp_path, capsys,
+                                                   command, flag, value):
+    out = tmp_path / "out"
+    code = run([command, "--manifest", str(dataset), "--out", str(out),
+                f"{flag}={value}"] + TINY)
+    _assert_config_error_before_out(capsys, code, out)
 
 
 def test_config_file_sections_merge_with_flags(dataset, tmp_path):
@@ -488,6 +568,16 @@ def test_export_maps_from_mask(tmp_path):
         want = weights_to_pixels(weights.astype(np.float64), float(rho))
         np.testing.assert_array_equal(pixels, want)
     assert means[0] > means[1] > means[2]
+
+
+def test_export_maps_non_finite_rho_is_a_config_error(tmp_path, capsys):
+    write_array(tmp_path / "mask", random_blob_mask(rng, (24, 24)).astype(
+        np.uint8), (1.0, 1.0))
+    for rho in ("1,nan", "inf"):
+        out = tmp_path / "maps"
+        code = run(["export-maps", "--mask", str(tmp_path / "mask.json"),
+                    "--rho", rho, "--out", str(out)])
+        _assert_config_error_before_out(capsys, code, out)
 
 
 def test_export_maps_requires_one_source(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from geoseg.errors import ConfigError, DataError
 from geoseg.geometry import (approx_inverse, boundary_voxels, boundary_weights,
@@ -150,37 +151,46 @@ def test_normalize_rejects_double_normalization():
 # -- smooth inverse ------------------------------------------------------------
 
 
+def _inverse(z, k, sign_mode="inside-negative"):
+    return approx_inverse(Tensor(z), k, sign_mode).data
+
+
 def test_approx_inverse_at_zero_is_half():
     for k in (1.0, 100.0, 1500.0):
         for mode in ("inside-negative", "literal"):
-            assert approx_inverse(np.zeros(3), k, mode)[0] == 0.5
+            assert _inverse(np.zeros(3), k, mode)[0] == 0.5
 
 
 def test_approx_inverse_saturation_default_mode():
-    assert approx_inverse(np.array([-1.0]), 1500.0)[0] > 1.0 - 1e-6
-    assert approx_inverse(np.array([0.01]), 1500.0)[0] < 1e-6
+    assert _inverse(np.array([-1.0]), 1500.0)[0] > 1.0 - 1e-6
+    assert _inverse(np.array([0.01]), 1500.0)[0] < 1e-6
 
 
 def test_approx_inverse_literal_mode_flips_orientation():
-    assert approx_inverse(np.array([-1.0]), 1500.0, "literal")[0] < 1e-6
+    assert _inverse(np.array([-1.0]), 1500.0, "literal")[0] < 1e-6
 
 
 def test_approx_inverse_monotone_and_bounded():
     z = np.linspace(-1.0, 1.0, 201)
-    p = approx_inverse(z, 10.0)
+    p = _inverse(z, 10.0)
     assert (np.diff(p) < 0).all()          # decreasing in z (default mode)
     assert (p > 0).all() and (p < 1).all()
 
 
-def test_approx_inverse_tensor_path_matches_numpy():
-    z = rng.uniform(-1, 1, size=(2, 1, 4, 4))
-    t = approx_inverse(Tensor(z), 25.0)
-    np.testing.assert_allclose(t.data, approx_inverse(z, 25.0), atol=1e-12)
+@pytest.mark.parametrize("k", [1.0, 25.0, 1500.0])
+def test_approx_inverse_matches_expit(k):
+    # an independent logistic; k=1500 drives |k*z| far past exp's overflow
+    z = np.concatenate([rng.uniform(-1, 1, size=64), [-1.0, 0.0, 1.0]])
+    np.testing.assert_allclose(_inverse(z, k), expit(-k * z),
+                               rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(_inverse(z, k, "literal"), expit(k * z),
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_approx_inverse_rejects_bad_k():
-    with pytest.raises(ConfigError):
-        approx_inverse(np.zeros(2), 0.0)
+    for k in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            approx_inverse(Tensor(np.zeros(2)), k)
 
 
 def test_round_trip_mask_recovery():
@@ -188,7 +198,7 @@ def test_round_trip_mask_recovery():
     # which sit at exactly 0.5 and resolve to background
     for _ in range(10):
         mask = random_blob_mask(rng, (16, 16)).astype(bool)
-        prob = approx_inverse(sdm_target(mask).values, 1500.0)
+        prob = _inverse(sdm_target(mask).values, 1500.0)
         recovered = prob > 0.5
         bnd = boundary_voxels(mask)
         np.testing.assert_array_equal(recovered[~bnd], mask[~bnd])
@@ -225,5 +235,6 @@ def test_weights_carry_no_gradient():
 
 
 def test_weights_reject_bad_rho():
-    with pytest.raises(ConfigError):
-        boundary_weights(np.zeros(2), -1.0)
+    for rho in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            boundary_weights(np.zeros(2), rho)

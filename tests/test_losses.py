@@ -8,7 +8,7 @@ from geoseg.geometry import boundary_weights
 from geoseg.losses import (LossConfig, cross_entropy_loss, dice_loss,
                            geometry_consistency_loss, mutual_consistency_loss,
                            ramp_up, sdf_supervised_loss, seg_supervised_loss,
-                           supervised_loss, total_loss)
+                           total_loss)
 from geoseg.network import DualDecoderOutputs
 from geoseg.tensor import Parameter, Tensor, softmax_channel
 from geoseg.training import Batch
@@ -280,21 +280,7 @@ def _toy_batch(n_lab=2, n_unlab=2, spatial=(8, 8)):
     from geoseg.geometry import sdm_target
     targets = np.stack([sdm_target(m).values for m in masks])
     images = rng.standard_normal((n_lab + n_unlab, 1) + spatial)
-    return Batch(images=images, masks=masks, sdm_targets=targets,
-                 labeled_flags=[True] * n_lab + [False] * n_unlab,
-                 degenerate_flags=[False] * n_lab)
-
-
-def test_supervised_composition_identity():
-    batch = _toy_batch()
-    out = random_outputs(n=2, spatial=(8, 8))
-    beta = 0.3
-    combined = supervised_loss(out, batch.masks, batch.sdm_targets, beta).item()
-    parts = (seg_supervised_loss(out, batch.masks).item()
-             + beta * sdf_supervised_loss(out, batch.sdm_targets).item())
-    assert abs(combined - parts) < 1e-12
-    beta0 = supervised_loss(out, batch.masks, batch.sdm_targets, 0.0).item()
-    assert abs(beta0 - seg_supervised_loss(out, batch.masks).item()) < 1e-15
+    return Batch(images=images, masks=masks, sdm_targets=targets)
 
 
 def test_total_loss_supervised_only_mode():
@@ -319,7 +305,9 @@ def test_total_loss_breakdown_identity():
     batch = _toy_batch()
     for mode in ("mc", "gc", "wgc"):
         out = random_outputs(n=4, spatial=(8, 8))
-        bd = total_loss(out, batch, 37, 200, LossConfig(consistency=mode, k=9.0))
+        cfg = LossConfig(consistency=mode, k=9.0)
+        bd = total_loss(out, batch, 37, 200, cfg)
+        assert abs(bd.loss_sup - (bd.loss_seg + cfg.beta * bd.loss_sdf)) < 1e-12
         assert abs(bd.loss_total - (bd.loss_sup + bd.lam * bd.loss_cons)) < 1e-9
         assert bd.loss_total >= 0.0
 
@@ -328,8 +316,7 @@ def test_total_loss_rejects_unlabeled_only_batch():
     spatial = (8, 8)
     batch = Batch(images=rng.standard_normal((2, 1) + spatial),
                   masks=np.zeros((0,) + spatial),
-                  sdm_targets=np.zeros((0,) + spatial),
-                  labeled_flags=[False, False], degenerate_flags=[])
+                  sdm_targets=np.zeros((0,) + spatial))
     out = random_outputs(n=2, spatial=spatial)
     with pytest.raises(ConfigError):
         total_loss(out, batch, 0, 10, LossConfig())
@@ -377,7 +364,6 @@ def test_grad_every_loss_term():
     _fd_check(lambda: sdf_supervised_loss(build(), sdm_t), params)
     _fd_check(lambda: geometry_consistency_loss(build(), k=k), params)
     _fd_check(lambda: mutual_consistency_loss(build()), params)
-    _fd_check(lambda: supervised_loss(build(), y, sdm_t, 0.3), params)
 
     # weighted form: freeze the weights at their recorded values, exactly as
     # the graph treats them

@@ -95,9 +95,7 @@ def test_gradient_step_touches_every_branch():
     masks = (rng.random((2,) + spatial) < 0.4).astype(np.float64)
     targets = np.stack([sdm_target(m).values for m in masks])
     batch = Batch(images=rng.standard_normal((4, 1) + spatial),
-                  masks=masks, sdm_targets=targets,
-                  labeled_flags=[True, True, False, False],
-                  degenerate_flags=[False, False])
+                  masks=masks, sdm_targets=targets)
     before = {name: p.data.copy() for name, p in net.params.items()}
     out = net.forward(Tensor(batch.images))
     bd = total_loss(out, batch, 50, 100, LossConfig(k=9.0))

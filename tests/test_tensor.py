@@ -32,7 +32,6 @@ def test_elementwise_values():
     t = Tensor([1.0, 2.0, 3.0])
     assert t.mean().item() == 2.0
     assert t.sum().item() == 6.0
-    assert Tensor(0.0).exp().item() == 1.0
     assert Tensor(0.0).tanh().item() == 0.0
     assert Tensor(0.0).sigmoid().item() == 0.5
     np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
@@ -46,12 +45,6 @@ def test_shape_mismatch_rejected():
 def test_scalar_broadcast_allowed():
     t = 2.0 * Tensor([1.0, 2.0]) + 1.0
     np.testing.assert_array_equal(t.data, [3.0, 5.0])
-
-
-def test_abs_gradient_at_zero_is_zero():
-    p = Parameter([0.0, -2.0, 3.0])
-    p.abs().sum().backward()
-    np.testing.assert_array_equal(p.grad, [0.0, -1.0, 1.0])
 
 
 def test_softmax_channel_properties():
@@ -111,9 +104,7 @@ def test_grad_arithmetic():
 
 def test_grad_unary():
     a = rng.standard_normal((4, 5)) + 0.1
-    check_op(lambda x: (x.square() + x.abs()).mean(), a)
-    check_op(lambda x: x.exp().sum(), a)
-    check_op(lambda x: (x.square() + 1.0).log().sum(), a)
+    check_op(lambda x: x.square().mean(), a)
     check_op(lambda x: x.tanh().sum(), a)
     check_op(lambda x: x.sigmoid().sum(), a)
     check_op(lambda x: x.relu().sum(), a)
@@ -291,11 +282,6 @@ def test_upsample_ramp_matches_analytic_interpolation():
     want = np.interp(src, [0.0, 1.0], [0.0, 1.0])
     np.testing.assert_allclose(got[0], want)
     np.testing.assert_allclose(got[1], want)
-
-
-def test_upsample_rejects_other_factors():
-    with pytest.raises(ConfigError):
-        interp_upsample(Tensor(np.zeros((1, 1, 4, 4))), factor=3)
 
 
 # -- optimizer ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Batch assembly, augmentation, schedules, and the training loop."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
 from geoseg.tensor import Tensor
 from geoseg.training import (Batch, TrainConfig, apply_augment, augment,
-                             config_from_dict, config_to_dict, lr_schedule,
+                             config_from_dict, lr_schedule,
                              random_crop, sample_batch, train_loop)
 
 rng = np.random.default_rng(53)
@@ -110,7 +112,6 @@ def test_augment_non_square_plane_restricts_rotation():
 def test_batch_canonical_order_and_flags(split):
     cfg = tiny_config()
     batch = sample_batch(split, cfg, np.random.default_rng(1))
-    assert batch.labeled_flags == [True, True, False, False]
     assert batch.images.shape == (4, 1, 32, 32)
     assert batch.masks.shape == (2, 32, 32)
     assert batch.sdm_targets.shape == (2, 32, 32)
@@ -120,8 +121,9 @@ def test_batch_canonical_order_and_flags(split):
 def test_batch_supervised_only_composition(split):
     cfg = tiny_config(labeled_per_batch=1, unlabeled_per_batch=0)
     batch = sample_batch(split, cfg, np.random.default_rng(1))
-    assert batch.images.shape[0] == 1
-    assert batch.labeled_flags == [True]
+    assert batch.images.shape == (1, 1, 32, 32)
+    assert batch.masks.shape == (1, 32, 32)
+    assert batch.n_labeled == 1
 
 
 def test_batch_sequence_deterministic(split):
@@ -143,7 +145,7 @@ def test_degenerate_crop_flagged():
     split.unlabeled = []
     cfg = tiny_config(labeled_per_batch=1, unlabeled_per_batch=0, augment=False)
     batch = sample_batch(split, cfg, np.random.default_rng(0))
-    assert batch.degenerate_flags == [True]
+    # the +grid-diagonal sentinel normalizes to exactly 1
     np.testing.assert_array_equal(batch.sdm_targets, 1.0)
 
 
@@ -166,7 +168,7 @@ def test_lr_schedule_paper_constants():
 
 def test_config_round_trip():
     cfg = tiny_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(asdict(cfg)) == cfg
 
 
 # -- the loop ----------------------------------------------------------------------
@@ -238,9 +240,7 @@ def test_information_barrier_unlabeled_images(split):
     net = DualDecoderNet(cfg.network)
     batch = sample_batch(split, cfg, np.random.default_rng(11))
     zeroed = Batch(images=batch.images.copy(), masks=batch.masks,
-                   sdm_targets=batch.sdm_targets,
-                   labeled_flags=batch.labeled_flags,
-                   degenerate_flags=batch.degenerate_flags)
+                   sdm_targets=batch.sdm_targets)
     zeroed.images[2:] = 0.0
     out_a = net.forward(Tensor(batch.images))
     out_b = net.forward(Tensor(zeroed.images))
