@@ -10,7 +10,6 @@ Exit status is 0 on success; failures print one machine-parsable line
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, replace
@@ -18,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PhantomParams, build_dataset, load_manifest, load_split, \
-    read_array, write_array
+from .data import PhantomParams, _write_atomic, _write_csv, build_dataset, \
+    load_manifest, load_split, read_array, write_array
 from .errors import ConfigError, DataError, GeoSegError
 from .geometry import boundary_weights, sdm_target
-from .inference import evaluate, sliding_window_infer
+from .inference import check_window, evaluate, sliding_window_infer
 from .network import net_from_checkpoint
 from .training import TrainConfig, check_config_keys, config_from_dict, \
     train_loop
@@ -115,10 +114,13 @@ def _default_window(shape, depth):
 
 
 def _eval_window(args, manifest, net):
+    if net.config.rank != len(manifest.shape):
+        raise ConfigError(f"checkpoint is a rank-{net.config.rank} network, "
+                          f"the dataset's volumes are {manifest.shape}")
     window = (_parse_extents(args.window) if args.window
               else _default_window(manifest.shape, net.config.depth))
     stride = _parse_extents(args.stride) if args.stride else window
-    return window, stride
+    return check_window(window, stride, len(manifest.shape), net.config.depth)
 
 
 def _train_and_eval(split, cfg, run_dir, shape):
@@ -163,23 +165,21 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
     if repeated:
         raise ConfigError(f"experiment grid repeats run dir(s) {repeated}: "
                           "seeds and members must be distinct")
-    out = _prepare_out(args.out, args.force)
     manifest = load_manifest(args.manifest)
+    out = _prepare_out(args.out, args.force)
     split = load_split(manifest)
     results = [(label, [_train_and_eval(split, cfg, out / "runs" / run,
                                         manifest.shape)
                         for run, cfg in member_runs])
                for label, member_runs in grid]
-    with open(out / csv_name, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow((column, "seed") + _METRICS + ("schema",))
-        for label, aggs in results:
-            writer.writerows([label, str(seed)] + _metric_cells(agg) + [schema]
-                             for seed, agg in zip(seeds, aggs))
-        if mean_rows(len(seeds)):
-            for label, aggs in results:
-                writer.writerow([label, "mean"]
-                                + _metric_cells(_mean_aggregate(aggs)) + [schema])
+    rows = [(column, "seed") + _METRICS + ("schema",)]
+    for label, aggs in results:
+        rows += [[label, str(seed)] + _metric_cells(agg) + [schema]
+                 for seed, agg in zip(seeds, aggs)]
+    if mean_rows(len(seeds)):
+        rows += [[label, "mean"] + _metric_cells(_mean_aggregate(aggs))
+                 + [schema] for label, aggs in results]
+    _write_csv(out / csv_name, rows)
     return out / csv_name, seeds
 
 
@@ -208,8 +208,8 @@ def cmd_build_data(args):
 
 def cmd_train(args):
     cfg = _resolve_train_config(args)
-    out = _prepare_out(args.out, args.force)
     manifest = load_manifest(args.manifest)
+    out = _prepare_out(args.out, args.force)
     split = load_split(manifest)
     result = train_loop(split, cfg, out_dir=out,
                         resume_from=args.resume_from)
@@ -219,11 +219,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    out = _prepare_out(args.out, args.force)
     manifest = load_manifest(args.manifest)
-    split = load_split(manifest)
     net, _, _ = net_from_checkpoint(args.checkpoint)
     window, stride = _eval_window(args, manifest, net)
+    out = _prepare_out(args.out, args.force)
+    split = load_split(manifest)
     report = evaluate(net, split.test, window, stride, out_dir=out)
     agg = report.aggregate
     print(f"evaluated {report.n_cases} cases: dice={agg['dice']:.4f} "
@@ -257,9 +257,8 @@ def write_pgm(path, image):
     if image.ndim != 2:
         raise ConfigError(f"PGM slices must be 2D, got {image.shape}")
     h, w = image.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(image.tobytes())
+    _write_atomic({path: f"P5\n{w} {h}\n255\n".encode("ascii")
+                   + image.tobytes()})
 
 
 def _mid_slice(volume):
@@ -292,7 +291,7 @@ def cmd_export_maps(args):
     rhos = _parse_list(args.rho, float)
     if args.mask:
         mask, spacing = read_array(args.mask)
-        sdm = sdm_target(mask).values
+        sdm = sdm_target(mask)
     else:
         if not args.image:
             raise ConfigError("--checkpoint requires --image")
@@ -305,13 +304,13 @@ def cmd_export_maps(args):
     maps = [(rho, boundary_weights(sdm32.astype(np.float64), rho)
              .astype(np.float32)) for rho in rhos]
     out = _prepare_out(args.out, args.force)
-    write_array(out / "sdm", sdm32, spacing)
+    write_array(out / "sdm.vol", sdm32, spacing)
     sdm_px = np.rint((_mid_slice(sdm32).astype(np.float64) + 1.0)
                      / 2.0 * 255.0).astype(np.uint8)
     write_pgm(out / "sdm_slice.pgm", sdm_px)
     for rho, weights32 in maps:
         tag = f"rho{rho:g}"
-        write_array(out / f"weights_{tag}", weights32, spacing)
+        write_array(out / f"weights_{tag}.vol", weights32, spacing)
         write_pgm(out / f"weights_{tag}_slice.pgm",
                   weights_to_pixels(_mid_slice(weights32).astype(np.float64),
                                     rho))
@@ -400,9 +399,11 @@ def build_parser():
 
     p = sub.add_parser("export-maps", parents=[common],
                        help="export SDM / weight volumes and slice images")
-    p.add_argument("--mask", default=None, help="volume header json of a mask")
+    p.add_argument("--mask", default=None,
+                   help="volume container (.vol) of a mask")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--image", default=None, help="volume header json")
+    p.add_argument("--image", default=None,
+                   help="volume container (.vol) of an image")
     p.add_argument("--rho", default="1,2,3")
     p.set_defaults(func=cmd_export_maps)
 

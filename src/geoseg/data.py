@@ -1,19 +1,27 @@
-"""Synthetic low-contrast phantoms, the volume file format, and manifests.
+"""Synthetic low-contrast phantoms, the container file format, and manifests.
 
 Phantoms are unions of one to three randomly rotated ellipses/ellipsoids
 with a smoothly perturbed boundary.  The image is a two-level field whose
 boundary band is blurred (low contrast exactly where segmentation is hard)
 plus additive Gaussian noise; the mask keeps the crisp geometry.
 
-Volumes are stored as a JSON sidecar header plus a raw little-endian
-payload, chosen so round-trips are bit-exact and testable with zero imaging
-dependencies.  A dataset is a directory with a manifest: labeled-train and
-test records reference their masks, unlabeled-train masks are written to a
-sealed ``audit/`` sidecar that the manifest never mentions.
+Volumes and checkpoints share one bit-exact container file: an 8-byte
+little-endian header length, a JSON header (format tag, version, the
+format's own fields, then per-tensor shape/dtype/offset/nbytes), then the
+concatenated little-endian payload.  A volume is a container of one tensor
+with its voxel spacing in the header.  Every artifact but a run's
+``loss.csv`` stream is written through ``_write_atomic``, so a crash
+mid-write leaves the previous file in place.
+A dataset is a directory with a manifest: labeled-train and test records
+reference their masks, unlabeled-train masks are written to a sealed
+``audit/`` directory that the manifest never mentions.
 """
 
+import csv
 import hashlib
+import io
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,76 +32,150 @@ from .errors import ConfigError, DataError, FileFormatError
 
 VOLUME_FORMAT = "geoseg-volume"
 MANIFEST_FORMAT = "geoseg-manifest"
-_DTYPES = {"float32": "<f4", "uint8": "|u1"}
+MANIFEST_VERSION = 2
+_DTYPES = {"float64": "<f8", "float32": "<f4", "uint8": "|u1", "int64": "<i8"}
 
 
-# -- volume container ------------------------------------------------------
+def _write_atomic(files):
+    """Replace each path of ``files`` ({path: bytes, or str written as
+    UTF-8}) with its data: write each to a hidden temp file beside it, fsync
+    them all, then rename each over its path, in order.  A reader sees an
+    old file or a new one, never a part, and a crash before the renames
+    leaves every old file.  On an exception the temp files are removed and
+    the exception re-raised."""
+    tmps = {}
+    try:
+        for path, data in files.items():
+            path = Path(path)
+            tmps[path] = tmp = path.with_name(f".{path.name}.tmp")
+            with open(tmp, "wb") as f:
+                f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp in tmps.values():
+            fd = os.open(tmp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_array(base, arr, spacing):
-    """Write ``base``.json + ``base``.raw; returns {relname: sha256}."""
-    base = Path(base)
-    arr = np.asarray(arr)
-    if arr.dtype.name not in _DTYPES:
-        raise FileFormatError(f"unsupported volume dtype {arr.dtype.name}; "
-                              f"use one of {sorted(_DTYPES)}")
-    raw = np.ascontiguousarray(arr).astype(_DTYPES[arr.dtype.name]).tobytes()
-    header = {"format": VOLUME_FORMAT, "version": 1,
-              "shape": list(arr.shape), "dtype": arr.dtype.name,
-              "spacing": list(spacing), "byte_order": "little"}
-    raw_path = base.with_suffix(base.suffix + ".raw")
-    json_path = base.with_suffix(base.suffix + ".json")
-    raw_path.write_bytes(raw)
-    json_path.write_text(json.dumps(header) + "\n")
-    return {json_path.name: _sha256(json_path), raw_path.name: _sha256(raw_path)}
+def _write_csv(path, rows):
+    """Write ``rows`` as one CSV file, with csv's CRLF line ends."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _write_atomic({path: text.getvalue()})
+
+
+# -- container -------------------------------------------------------------
+
+
+def encode_container(tag, tensors, fields):
+    """The bytes of a container file holding ``tensors`` ({name: array}).
+
+    The header's keys are format, version, the keys of ``fields`` in their
+    order, then tensors.
+    """
+    entries = {}
+    payload = bytearray()
+    for name, arr in tensors.items():
+        arr = np.asarray(arr)
+        dtype = arr.dtype.name
+        if dtype not in _DTYPES:
+            raise FileFormatError(f"unsupported dtype {dtype} for tensor "
+                                  f"{name!r}; use one of {sorted(_DTYPES)}")
+        raw = np.ascontiguousarray(arr).astype(_DTYPES[dtype]).tobytes()
+        entries[name] = {"shape": list(arr.shape), "dtype": dtype,
+                         "offset": len(payload), "nbytes": len(raw)}
+        payload.extend(raw)
+    header = {"format": tag, "version": 1, **fields, "tensors": entries}
+    blob = json.dumps(header).encode("utf-8")
+    return len(blob).to_bytes(8, "little") + blob + payload
 
 
 def _is_count(value):
     return type(value) is int and value >= 0
 
 
-def _check_volume_header(path, header):
-    """Raise FileFormatError unless the header has every field read_array
-    reads, of the type it is read as."""
+def _check_header(path, header, tag, payload_len):
+    """Raise FileFormatError unless the header is a ``tag`` container's and
+    each tensor entry spans exactly its shape's bytes inside a payload of
+    ``payload_len`` bytes."""
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: header is not a JSON object")
-    if header.get("format") != VOLUME_FORMAT:
-        raise FileFormatError(f"{path}: bad format tag {header.get('format')!r}")
-    dtype = header.get("dtype")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise FileFormatError(f"{path}: unknown dtype {dtype!r}")
-    shape, spacing = header.get("shape"), header.get("spacing")
-    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
-        raise FileFormatError(f"{path}: header 'shape' must be a list of "
-                              f"non-negative ints, got {shape!r}")
-    if not (isinstance(spacing, list) and len(spacing) == len(shape)
+    if header.get("format") != tag:
+        raise FileFormatError(f"{path}: bad format tag "
+                              f"{header.get('format')!r}, expected {tag!r}")
+    tensors = header.get("tensors")
+    if not isinstance(tensors, dict):
+        raise FileFormatError(f"{path}: header 'tensors' is not an object")
+    for name, entry in tensors.items():
+        if not (isinstance(entry, dict) and _is_count(entry.get("offset"))
+                and _is_count(entry.get("nbytes"))
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(n) for n in entry["shape"])):
+            raise FileFormatError(f"{path}: tensor {name!r} needs integer "
+                                  "offset and nbytes and a list shape")
+        dtype = entry.get("dtype")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
+        expect = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(dtype).itemsize
+        if entry["nbytes"] != expect or \
+                entry["offset"] + entry["nbytes"] > payload_len:
+            raise FileFormatError(f"{path}: payload size mismatch for {name}")
+
+
+def read_container(path, tag):
+    """Read a ``tag`` container; returns (header, {name: array})."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 8:
+        raise FileFormatError(f"{path}: too short to be a {tag} file")
+    hlen = int.from_bytes(blob[:8], "little")
+    if 8 + hlen > len(blob):
+        raise FileFormatError(f"{path}: header length {hlen} exceeds file size")
+    try:
+        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FileFormatError(f"{path}: unreadable header ({e})") from None
+    payload = memoryview(blob)[8 + hlen:]
+    _check_header(path, header, tag, len(payload))
+    tensors = {}
+    for name, entry in header["tensors"].items():
+        dtype = entry["dtype"]
+        end = entry["offset"] + entry["nbytes"]
+        arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[dtype])
+        # astype copies, so loaded tensors are writable and natively ordered
+        tensors[name] = arr.reshape(entry["shape"]).astype(dtype)
+    return header, tensors
+
+
+def encode_volume(arr, spacing):
+    """The bytes of a volume container: ``arr`` and its voxel spacing."""
+    return encode_container(VOLUME_FORMAT, {"volume": arr},
+                            {"spacing": list(spacing)})
+
+
+def write_array(path, arr, spacing):
+    """Write one volume container file."""
+    _write_atomic({path: encode_volume(arr, spacing)})
+
+
+def read_array(path):
+    """Read a volume container back; returns (array, spacing)."""
+    header, tensors = read_container(path, VOLUME_FORMAT)
+    if list(tensors) != ["volume"]:
+        raise FileFormatError(f"{path}: a volume holds one tensor named "
+                              f"'volume', got {list(tensors)}")
+    arr, spacing = tensors["volume"], header.get("spacing")
+    if not (isinstance(spacing, list) and len(spacing) == arr.ndim
             and all(type(v) in (int, float) for v in spacing)):
         raise FileFormatError(f"{path}: header 'spacing' must be a list of "
-                              f"{len(shape)} numbers, got {spacing!r}")
-
-
-def read_array(json_path):
-    """Read a volume pair back; returns (array, spacing)."""
-    json_path = Path(json_path)
-    try:
-        header = json.loads(json_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"{json_path}: unreadable header ({e})") from None
-    _check_volume_header(json_path, header)
-    dtype = header["dtype"]
-    raw_path = json_path.with_suffix(".raw")
-    raw = raw_path.read_bytes()
-    shape = tuple(header["shape"])
-    expect = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-    if len(raw) != expect:
-        raise FileFormatError(f"{raw_path}: payload is {len(raw)} bytes, header "
-                              f"shape {shape} ({dtype}) needs {expect}")
-    arr = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape)
-    return arr.astype(dtype, copy=False), tuple(header["spacing"])
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                              f"{arr.ndim} numbers, got {spacing!r}")
+    return arr, tuple(spacing)
 
 
 # -- records and manifest ----------------------------------------------------
@@ -112,7 +194,7 @@ class VolumeRecord:
 class RecordEntry:
     case_id: str
     split: str
-    image: str            # relative path of the image header json
+    image: str            # file name of the image container
     mask: str | None
     spacing: tuple
 
@@ -125,23 +207,6 @@ class Manifest:
     counts: dict
     records: list
     digests: dict
-
-
-def write_volume(record, directory):
-    """Write one record's arrays under ``directory``; returns (entry, digests)."""
-    directory = Path(directory)
-    digests = {}
-    image_base = directory / f"{record.case_id}.image"
-    digests.update(write_array(image_base, record.image, record.spacing))
-    mask_rel = None
-    if record.mask is not None:
-        mask_base = directory / f"{record.case_id}.mask"
-        digests.update(write_array(mask_base, record.mask, record.spacing))
-        mask_rel = f"{record.case_id}.mask.json"
-    entry = RecordEntry(case_id=record.case_id, split=record.split,
-                        image=f"{record.case_id}.image.json", mask=mask_rel,
-                        spacing=tuple(record.spacing))
-    return entry, digests
 
 
 def read_volume(directory, entry):
@@ -236,7 +301,7 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     """Generate a split dataset on disk and return its manifest.
 
     Unlabeled-train masks are withheld from the manifest; they go to the
-    sealed ``audit/`` sidecar so experiments cannot accidentally touch them.
+    sealed ``audit/`` directory so experiments cannot accidentally touch them.
     """
     if n_labeled < 1 or n_test < 1 or n_unlabeled < 0:
         raise ConfigError("need n_labeled >= 1, n_test >= 1, n_unlabeled >= 0")
@@ -250,32 +315,36 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     plan = ([("labeled-train", True)] * n_labeled
             + [("unlabeled-train", False)] * n_unlabeled
             + [("test", True)] * n_test)
-    records, digests, audit_digests = [], {}, {}
+    records, files = [], {}
     for idx, (split, keep_mask) in enumerate(plan):
         rng = np.random.default_rng([seed, idx])
         image, mask = generate_phantom(shape, rng, params)
         case_id = f"case_{idx:04d}"
-        record = VolumeRecord(case_id=case_id, image=image,
-                              mask=mask if keep_mask else None,
-                              spacing=spacing, split=split)
-        entry, d = write_volume(record, volumes)
-        records.append(entry)
-        digests.update(d)
-        if not keep_mask:
-            audit_digests.update(write_array(audit / f"{case_id}.mask", mask,
-                                             spacing))
-    (audit / "audit_manifest.json").write_text(json.dumps(
+        image_name, mask_name = f"{case_id}.image.vol", f"{case_id}.mask.vol"
+        files[volumes / image_name] = encode_volume(image, spacing)
+        files[(volumes if keep_mask else audit) / mask_name] = \
+            encode_volume(mask, spacing)
+        records.append(RecordEntry(case_id=case_id, split=split,
+                                   image=image_name,
+                                   mask=mask_name if keep_mask else None,
+                                   spacing=spacing))
+    digests = {path: hashlib.sha256(blob).hexdigest()
+               for path, blob in files.items()}
+    files[audit / "audit_manifest.json"] = json.dumps(
         {"note": "withheld unlabeled-train masks, for audit only",
-         "digests": audit_digests}, indent=1) + "\n")
-
-    manifest = {"format": MANIFEST_FORMAT, "version": 1, "seed": seed,
-                "shape": list(shape),
+         "digests": {p.name: d for p, d in digests.items() if p.parent == audit}},
+        indent=1) + "\n"
+    manifest = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION,
+                "seed": seed, "shape": list(shape),
                 "counts": {"labeled": n_labeled, "unlabeled": n_unlabeled,
                            "test": n_test},
                 "phantom_params": asdict(params),
                 "records": [asdict(r) for r in records],
-                "digests": digests}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+                "digests": {p.name: d for p, d in digests.items()
+                            if p.parent == volumes}}
+    # renamed last, the manifest commits the build
+    files[out_dir / "manifest.json"] = json.dumps(manifest, indent=1) + "\n"
+    _write_atomic(files)
     return load_manifest(out_dir / "manifest.json")
 
 
@@ -291,6 +360,10 @@ def _check_manifest(path, doc):
         raise FileFormatError(f"{path}: manifest is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise FileFormatError(f"{path}: bad format tag {doc.get('format')!r}")
+    if doc.get("version") != MANIFEST_VERSION:
+        raise FileFormatError(f"{path}: manifest version {doc.get('version')!r} "
+                              f"is not {MANIFEST_VERSION}; rebuild the dataset "
+                              "with build-data")
     shape = doc.get("shape")
     if not (type(doc.get("seed")) is int and isinstance(shape, list)
             and all(_is_count(n) for n in shape)
@@ -337,17 +410,16 @@ def verify_manifest(manifest):
     """Every referenced file must exist and match its recorded digest."""
     volumes = manifest.root / "volumes"
     for entry in manifest.records:
-        refs = [entry.image, entry.image.replace(".json", ".raw")]
-        if entry.mask is not None:
-            refs += [entry.mask, entry.mask.replace(".json", ".raw")]
-        for rel in refs:
+        for rel in (entry.image, entry.mask):
+            if rel is None:
+                continue
             path = volumes / rel
             if not path.exists():
                 raise DataError(f"manifest references missing file {path}")
             want = manifest.digests.get(rel)
             if want is None:
                 raise DataError(f"manifest has no digest for {rel}")
-            if _sha256(path) != want:
+            if hashlib.sha256(path.read_bytes()).hexdigest() != want:
                 raise DataError(f"digest mismatch for {path}")
 
 

@@ -6,11 +6,8 @@ strictly inside, zero on the boundary, positive strictly outside.  The
 boundary is the set of foreground voxels with at least one face-adjacent
 background voxel inside the grid.  Masks without such a boundary
 (all-foreground or all-background) are degenerate: they receive the
-sentinel +-grid-diagonal and a flag instead of an error, so callers can
-keep or drop them.
+sentinel +-grid-diagonal instead of an error.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,38 +70,27 @@ def grid_diagonal(shape):
     return float(np.sqrt(sum(float(n) * n for n in shape)))
 
 
-@dataclass
-class SignedDistanceMap:
-    values: np.ndarray
-    normalized: bool
-    degenerate: bool
-
-
 def signed_distance_map(mask):
     """Signed Euclidean distance to the mask boundary (voxel units).
 
-    Degenerate masks (no boundary) get +-grid-diagonal everywhere with the
-    flag set; the sign still follows the inside-negative convention.
+    Degenerate masks (no boundary) get +-grid-diagonal everywhere; the sign
+    still follows the inside-negative convention.
     """
     fg = _as_binary(mask)
     bnd = boundary_voxels(fg)
     if not bnd.any():
         diag = grid_diagonal(fg.shape)
-        values = np.where(fg, -diag, diag).astype(np.float64)
-        return SignedDistanceMap(values, normalized=False, degenerate=True)
+        return np.where(fg, -diag, diag).astype(np.float64)
     d = np.sqrt(np.rint(_edt_squared_from(bnd)))
-    values = np.where(fg, -d, d)
-    values[bnd] = 0.0
-    return SignedDistanceMap(values, normalized=False, degenerate=False)
+    sdm = np.where(fg, -d, d)
+    sdm[bnd] = 0.0
+    return sdm
 
 
 def normalize_sdm(sdm):
     """Scale a signed distance map into [-1, 1]; exact zeros stay zero."""
-    if sdm.normalized:
-        raise ConfigError("signed distance map is already normalized")
-    scale = float(np.abs(sdm.values).max())
-    values = sdm.values / scale if scale > 0 else sdm.values.copy()
-    return SignedDistanceMap(values, normalized=True, degenerate=sdm.degenerate)
+    scale = float(np.abs(sdm).max())
+    return sdm / scale if scale > 0 else sdm.copy()
 
 
 def sdm_target(mask):

@@ -8,7 +8,6 @@ probability unless the caller passes ``head``; thresholding at exactly 0.5
 assigns background.
 """
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _write_atomic, _write_csv
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import dice_jaccard, surface_distances
 from .network import select_final
@@ -40,10 +40,10 @@ def _tile_starts(size, window, stride):
     return starts
 
 
-def sliding_window_infer(net, volume, window, stride, head=select_final):
-    """Volume of ``head``'s map, averaged over overlapping window predictions."""
-    volume = np.asarray(volume, dtype=np.float64)
-    rank = volume.ndim
+def check_window(window, stride, rank, depth):
+    """Window and stride as per-axis tuples (an int applies to every axis);
+    raises ConfigError unless both have ``rank`` axes, 1 <= stride <= window
+    on each, and each window extent is divisible by 2^``depth``."""
     window = tuple(int(w) for w in (window if not isinstance(window, int)
                                     else (window,) * rank))
     stride = tuple(int(s) for s in (stride if not isinstance(stride, int)
@@ -54,10 +54,18 @@ def sliding_window_infer(net, volume, window, stride, head=select_final):
     if any(s < 1 or s > w for w, s in zip(window, stride)):
         raise ConfigError(f"need 1 <= stride <= window, got window {window} "
                           f"stride {stride}")
-    multiple = 1 << net.config.depth
+    multiple = 1 << depth
     if any(w % multiple for w in window):
         raise ConfigError(f"window {window} must be divisible by {multiple} "
                           "(2^depth)")
+    return window, stride
+
+
+def sliding_window_infer(net, volume, window, stride, head=select_final):
+    """Volume of ``head``'s map, averaged over overlapping window predictions."""
+    volume = np.asarray(volume, dtype=np.float64)
+    window, stride = check_window(window, stride, volume.ndim,
+                                  net.config.depth)
 
     original = volume.shape
     pad = [max(0, w - n) for n, w in zip(original, window)]
@@ -141,18 +149,14 @@ def evaluate(net, records, window, stride, out_dir=None):
 def write_report(report, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_CSV_HEADER)
-        for c in report.cases:
-            writer.writerow([
-                c.case_id, format(c.dice, ".17g"), format(c.jaccard, ".17g"),
-                "" if c.asd is None else format(c.asd, ".17g"),
-                "" if c.hd95 is None else format(c.hd95, ".17g"),
-                int(c.degenerate), METRICS_SCHEMA])
+    _write_csv(out_dir / "metrics.csv", [METRICS_CSV_HEADER] + [
+        [c.case_id, format(c.dice, ".17g"), format(c.jaccard, ".17g"),
+         "" if c.asd is None else format(c.asd, ".17g"),
+         "" if c.hd95 is None else format(c.hd95, ".17g"),
+         int(c.degenerate), METRICS_SCHEMA] for c in report.cases])
     doc = {"schema": METRICS_SCHEMA, "aggregate": report.aggregate,
            "n_cases": report.n_cases, "n_degenerate": report.n_degenerate,
            "cases": [{"case_id": c.case_id, "dice": c.dice,
                       "jaccard": c.jaccard, "asd": c.asd, "hd95": c.hd95,
                       "degenerate": c.degenerate} for c in report.cases]}
-    (out_dir / "metrics.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_atomic({out_dir / "metrics.json": json.dumps(doc, indent=1) + "\n"})

@@ -7,22 +7,21 @@ convolution.  Each decoder ends in a 2-channel segmentation head (softmax)
 and a 1-channel signed-distance head (tanh).  Skip connections from every
 encoder resolution feed both decoders.
 
-The checkpoint container is a single file: an 8-byte little-endian header
-length, a JSON header (format tag, network config, metadata, per-tensor
-shape/dtype/offset), then the concatenated little-endian raw payload.
+A checkpoint is one container file of ``data.encode_container`` whose
+header carries the network config and free-form metadata next to the
+parameter (and optional extra) tensors.
 """
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .data import _write_atomic, encode_container, read_container
 from .errors import ConfigError, FileFormatError, ShapeError
 from .tensor import (Parameter, Tensor, concat, conv_nd, conv_transpose_nd,
                      instance_norm, interp_upsample, softmax_channel)
 
 CHECKPOINT_FORMAT = "geoseg-checkpoint"
-_DTYPES = {"float64": "<f8", "float32": "<f4", "uint8": "|u1", "int64": "<i8"}
 
 
 @dataclass(frozen=True)
@@ -185,98 +184,32 @@ class DualDecoderNet:
 
 
 def save_checkpoint(path, net, extra_tensors=None, meta=None):
-    """Write the network (plus optional extra arrays) as one binary file."""
+    """Write the network (plus optional extra arrays) as one container file."""
     tensors = dict(net.state_tensors())
     if extra_tensors:
         tensors.update(extra_tensors)
-    entries = {}
-    payload = bytearray()
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        dtype = arr.dtype.name
-        if dtype not in _DTYPES:
-            raise FileFormatError(f"unsupported checkpoint dtype {dtype}")
-        raw = np.ascontiguousarray(arr).astype(_DTYPES[dtype]).tobytes()
-        entries[name] = {"shape": list(arr.shape), "dtype": dtype,
-                         "offset": len(payload), "nbytes": len(raw)}
-        payload.extend(raw)
-    header = {"format": CHECKPOINT_FORMAT, "version": 1,
-              "network": asdict(net.config), "meta": meta or {},
-              "tensors": entries}
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(len(blob).to_bytes(8, "little"))
-        f.write(blob)
-        f.write(bytes(payload))
+    _write_atomic({path: encode_container(
+        CHECKPOINT_FORMAT, tensors,
+        {"network": asdict(net.config), "meta": meta or {}})})
 
 
-def _is_count(value):
-    return type(value) is int and value >= 0
-
-
-def _check_header(path, header, payload_len):
-    """Raise FileFormatError unless every header field loading reads is
-    present and of the type it is read as, and each tensor entry spans
-    exactly its shape's bytes inside a payload of ``payload_len`` bytes."""
-    if not isinstance(header, dict):
-        raise FileFormatError(f"{path}: header is not a JSON object")
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise FileFormatError(f"{path}: bad format tag "
-                              f"{header.get('format')!r}")
-    tensors = header.get("tensors")
-    if not isinstance(tensors, dict):
-        raise FileFormatError(f"{path}: header 'tensors' is not an object")
-    for name, entry in tensors.items():
-        if not (isinstance(entry, dict) and _is_count(entry.get("offset"))
-                and _is_count(entry.get("nbytes"))
-                and isinstance(entry.get("shape"), list)
-                and all(_is_count(n) for n in entry["shape"])):
-            raise FileFormatError(f"{path}: tensor {name!r} needs integer "
-                                  "offset and nbytes and a list shape")
-        dtype = entry.get("dtype")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
-        expect = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(dtype).itemsize
-        if entry["nbytes"] != expect or \
-                entry["offset"] + entry["nbytes"] > payload_len:
-            raise FileFormatError(f"{path}: payload size mismatch for {name}")
+def load_checkpoint(path):
+    """Read a checkpoint; returns (NetworkConfig, tensors, meta)."""
+    header, tensors = read_container(path, CHECKPOINT_FORMAT)
     network = header.get("network")
     keys = {f.name: type(f.default) for f in fields(NetworkConfig)}
     if not isinstance(network, dict) or set(network) != set(keys) or any(
             type(network[k]) is not t for k, t in keys.items()):
         raise FileFormatError(f"{path}: header 'network' must have exactly "
                               f"the keys {sorted(keys)}, typed as NetworkConfig's")
-    if not isinstance(header.get("meta", {}), dict):
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
         raise FileFormatError(f"{path}: header 'meta' is not an object")
-
-
-def load_checkpoint(path):
-    """Read a checkpoint; returns (NetworkConfig, tensors, meta)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 8:
-        raise FileFormatError(f"{path}: too short to be a checkpoint")
-    hlen = int.from_bytes(blob[:8], "little")
-    if 8 + hlen > len(blob):
-        raise FileFormatError(f"{path}: header length {hlen} exceeds file size")
     try:
-        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"{path}: unreadable header ({e})") from None
-    payload = blob[8 + hlen:]
-    _check_header(path, header, len(payload))
-    tensors = {}
-    for name, entry in header["tensors"].items():
-        dtype = entry["dtype"]
-        end = entry["offset"] + entry["nbytes"]
-        arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[dtype])
-        # astype copies, so loaded tensors are writable and natively ordered
-        tensors[name] = arr.reshape(entry["shape"]).astype(dtype)
-    try:
-        config = NetworkConfig(**header["network"])
+        config = NetworkConfig(**network)
     except ConfigError as e:
         raise FileFormatError(f"{path}: invalid network config ({e})") from None
-    return config, tensors, header.get("meta", {})
+    return config, tensors, meta
 
 
 def net_from_checkpoint(path):

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .data import _write_atomic
 from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
 from .losses import LossConfig, total_loss
@@ -194,7 +195,7 @@ def _labeled_item(split, cfg, rng):
     img, msk = random_crop(record.image, record.mask, cfg.crop, rng)
     if cfg.augment:
         img, msk = augment(img, msk, rng)
-    return img, msk, sdm_target(msk).values
+    return img, msk, sdm_target(msk)
 
 
 def sample_batch(split, cfg, rng):
@@ -287,12 +288,16 @@ def resume_state(path, cfg, rng):
     return net, step
 
 
-def _continue_loss_csv(path, t_start):
-    """Open a run's loss.csv for appending from step ``t_start``.
-
-    The header and the rows of steps 0..t_start-1 stay byte for byte; rows
-    of later steps, logged after the checkpoint being resumed, are cut off.
+def _open_loss_csv(path, t_start=None):
+    """Open a run's loss.csv, the one file not written whole through
+    ``_write_atomic``, as an append stream: a new log with its header, or
+    the log of a run resumed at step ``t_start``, whose header and rows of
+    steps 0..t_start-1 stay byte for byte and whose later rows are cut off.
     """
+    if t_start is None:
+        csv_file = open(path, "w", newline="")
+        csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
+        return csv_file
     try:
         lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
     except FileNotFoundError:
@@ -339,15 +344,12 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.json").write_text(
-            json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n")
+        _write_atomic({out_dir / "config.json":
+                       json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n"})
         ckpt_dir = out_dir / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
-        if resume_from is None:
-            csv_file = open(out_dir / "loss.csv", "w", newline="")
-            csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
-        else:
-            csv_file = _continue_loss_csv(out_dir / "loss.csv", t_start)
+        csv_file = _open_loss_csv(out_dir / "loss.csv",
+                                  None if resume_from is None else t_start)
         writer = csv.writer(csv_file)
 
     rows = []
@@ -379,6 +381,6 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     if out_dir is not None:
         _save_training_checkpoint(ckpt_dir / "final.ckpt", net, opt, rng,
                                   cfg.t_max, cfg_hash)
-        (out_dir / "summary.json").write_text(
-            json.dumps(summary, indent=1) + "\n")
+        _write_atomic({out_dir / "summary.json":
+                       json.dumps(summary, indent=1) + "\n"})
     return TrainResult(net=net, rows=rows, out_dir=out_dir, summary=summary)

@@ -9,7 +9,8 @@ import pytest
 
 from geoseg.cli import main, weights_to_pixels
 from geoseg.data import read_array, write_array
-from geoseg.network import net_from_checkpoint
+from geoseg.network import DualDecoderNet, NetworkConfig, \
+    net_from_checkpoint, save_checkpoint
 from geoseg.tensor import Tensor, no_grad
 from helpers import random_blob_mask
 
@@ -273,14 +274,20 @@ def test_unusable_resume_point_is_a_one_line_error(dataset, four_step_run,
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def _edit_volume_entry(edit):
+    return lambda h: _edit_entries(h, edit)
+
+
+# container edits, then the volume's own: its one tensor and its spacing
 BAD_VOLUME_HEADERS = [
     ("header-not-object", lambda h: [h]),
-    ("no-dtype", lambda h: _without(h, "dtype")),
-    ("dtype-not-string", lambda h: {**h, "dtype": ["uint8"]}),
-    ("no-shape", lambda h: _without(h, "shape")),
-    ("shape-not-list", lambda h: {**h, "shape": 576}),
-    ("shape-negative", lambda h: {**h, "shape": [-24, -24]}),
-    ("shape-float", lambda h: {**h, "shape": [24.0, 24]}),
+    ("no-dtype", _edit_volume_entry(lambda e: _without(e, "dtype"))),
+    ("dtype-not-string", _edit_volume_entry(lambda e: {**e, "dtype": ["uint8"]})),
+    ("no-shape", _edit_volume_entry(lambda e: _without(e, "shape"))),
+    ("shape-not-list", _edit_volume_entry(lambda e: {**e, "shape": 576})),
+    ("shape-negative", _edit_volume_entry(lambda e: {**e, "shape": [-24, -24]})),
+    ("shape-float", _edit_volume_entry(lambda e: {**e, "shape": [24.0, 24]})),
+    ("tensor-renamed", lambda h: {**h, "tensors": {"mask": h["tensors"]["volume"]}}),
     ("no-spacing", lambda h: _without(h, "spacing")),
     ("spacing-not-list", lambda h: {**h, "spacing": 1.0}),
     ("spacing-short", lambda h: {**h, "spacing": [1.0]}),
@@ -291,11 +298,11 @@ BAD_VOLUME_HEADERS = [
 @pytest.mark.parametrize("edit", [case[1] for case in BAD_VOLUME_HEADERS],
                          ids=[case[0] for case in BAD_VOLUME_HEADERS])
 def test_malformed_volume_header_is_an_io_error(tmp_path, capsys, edit):
-    write_array(tmp_path / "mask", np.zeros((24, 24), np.uint8), (1.0, 1.0))
-    header = tmp_path / "mask.json"
-    header.write_text(json.dumps(edit(json.loads(header.read_text()))))
+    volume = tmp_path / "mask.vol"
+    write_array(volume, np.zeros((24, 24), np.uint8), (1.0, 1.0))
+    _rewrite_header(volume, volume, edit)
     capsys.readouterr()
-    code = run(["export-maps", "--mask", str(header), "--out",
+    code = run(["export-maps", "--mask", str(volume), "--out",
                 str(tmp_path / "maps")])
     assert code == 1
     err = capsys.readouterr().err
@@ -340,6 +347,24 @@ def test_malformed_manifest_is_an_io_error(dataset, tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error category=io message=")
     assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_version_1_manifest_asks_for_a_rebuild(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    "version": 1}))
+    capsys.readouterr()
+    code = run(["train", "--manifest", str(data), "--out", str(tmp_path / "run")]
+               + TINY)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert err.count("\n") == 1
+    assert "build-data" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_ablate_schema(dataset, tmp_path):
@@ -461,6 +486,41 @@ def _assert_config_error_before_out(capsys, code, out):
     assert not out.exists()
 
 
+# (id, eval flags); the 4-step run's net has depth 2, so windows are
+# multiples of 4, and the dataset is 2D
+BAD_EVAL_WINDOWS = [
+    ("zero-window", ["--window", "0x0"]),
+    ("stride-past-window", ["--window", "8x8", "--stride", "16x16"]),
+    ("window-not-multiple", ["--window", "10x10"]),
+    ("rank-mismatch", ["--window", "16x16x16"]),
+    ("unparsable-window", ["--window", "sixteen"]),
+]
+
+
+@pytest.mark.parametrize("flags", [case[1] for case in BAD_EVAL_WINDOWS],
+                         ids=[case[0] for case in BAD_EVAL_WINDOWS])
+def test_bad_eval_window_is_a_config_error(dataset, four_step_run, tmp_path,
+                                           capsys, flags):
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint",
+                str(four_step_run / "checkpoints" / "final.ckpt"),
+                "--manifest", str(dataset), "--out", str(out)] + flags)
+    _assert_config_error_before_out(capsys, code, out)
+
+
+def test_eval_of_a_3d_net_on_2d_data_is_a_config_error(dataset, tmp_path,
+                                                       capsys):
+    ckpt = tmp_path / "net3d.ckpt"
+    save_checkpoint(ckpt, DualDecoderNet(NetworkConfig(rank=3, width=2,
+                                                       depth=1)))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                "--out", str(out)])
+    _assert_config_error_before_out(capsys, code, out)
+
+
 @pytest.mark.parametrize("crop", ["0x0", "-8x-8", "0x64"])
 def test_nonpositive_crop_is_a_config_error(tmp_path, capsys, crop):
     out = tmp_path / "out"
@@ -548,18 +608,18 @@ def _parse_pgm(path):
 def test_export_maps_from_mask(tmp_path):
     from geoseg.geometry import boundary_voxels
     mask = random_blob_mask(rng, (24, 24)).astype(np.uint8)
-    write_array(tmp_path / "mask", mask, (1.0, 1.0))
+    write_array(tmp_path / "mask.vol", mask, (1.0, 1.0))
     out = tmp_path / "maps"
-    code = run(["export-maps", "--mask", str(tmp_path / "mask.json"),
+    code = run(["export-maps", "--mask", str(tmp_path / "mask.vol"),
                 "--rho", "1,2,3", "--out", str(out)])
     assert code == 0
 
-    sdm, _ = read_array(out / "sdm.json")
+    sdm, _ = read_array(out / "sdm.vol")
     assert sdm.dtype == np.float32
 
     means = []
     for rho in (1, 2, 3):
-        weights, _ = read_array(out / f"weights_rho{rho}.json")
+        weights, _ = read_array(out / f"weights_rho{rho}.vol")
         means.append(weights.mean())
         pixels = _parse_pgm(out / f"weights_rho{rho}_slice.pgm")
         # the 255 maxima sit exactly on the boundary voxels
@@ -571,11 +631,11 @@ def test_export_maps_from_mask(tmp_path):
 
 
 def test_export_maps_non_finite_rho_is_a_config_error(tmp_path, capsys):
-    write_array(tmp_path / "mask", random_blob_mask(rng, (24, 24)).astype(
+    write_array(tmp_path / "mask.vol", random_blob_mask(rng, (24, 24)).astype(
         np.uint8), (1.0, 1.0))
     for rho in ("1,nan", "inf"):
         out = tmp_path / "maps"
-        code = run(["export-maps", "--mask", str(tmp_path / "mask.json"),
+        code = run(["export-maps", "--mask", str(tmp_path / "mask.vol"),
                     "--rho", rho, "--out", str(out)])
         _assert_config_error_before_out(capsys, code, out)
 
@@ -590,13 +650,13 @@ def test_export_maps_from_checkpoint(dataset, tmp_path):
     run_dir = tmp_path / "run"
     assert run(["train", "--manifest", str(dataset), "--out", str(run_dir)]
                + TINY) == 0
-    image_json = next((dataset / "volumes").glob("*.image.json"))
+    image = next((dataset / "volumes").glob("*.image.vol"))
     out = tmp_path / "maps"
     code = run(["export-maps", "--checkpoint",
                 str(run_dir / "checkpoints" / "final.ckpt"),
-                "--image", str(image_json), "--rho", "2", "--out", str(out)])
+                "--image", str(image), "--rho", "2", "--out", str(out)])
     assert code == 0
-    assert (out / "weights_rho2.raw").exists()
+    assert (out / "weights_rho2.vol").exists()
     assert (out / "sdm_slice.pgm").exists()
 
 
@@ -606,15 +666,15 @@ def test_export_maps_from_checkpoint_is_decoder_one_sdm(dataset, tmp_path):
                + TINY) == 0
     # 18x21 pads to 20x24 at depth 2
     image = rng.standard_normal((18, 21)).astype(np.float32)
-    write_array(tmp_path / "image", image, (1.0, 1.0))
+    write_array(tmp_path / "image.vol", image, (1.0, 1.0))
     ckpt = run_dir / "checkpoints" / "final.ckpt"
     out = tmp_path / "maps"
     assert run(["export-maps", "--checkpoint", str(ckpt), "--image",
-                str(tmp_path / "image.json"), "--rho", "2", "--out",
+                str(tmp_path / "image.vol"), "--rho", "2", "--out",
                 str(out)]) == 0
     net, _, _ = net_from_checkpoint(ckpt)
     padded = np.zeros((1, 1, 20, 24))
     padded[0, 0, :18, :21] = image
     with no_grad():
         sdm1 = net.forward(Tensor(padded)).sdm1.data[0, 0, :18, :21]
-    assert (out / "sdm.raw").read_bytes() == sdm1.astype("<f4").tobytes()
+    assert read_array(out / "sdm.vol")[0].tobytes() == sdm1.astype("<f4").tobytes()

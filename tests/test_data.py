@@ -1,13 +1,23 @@
-"""Volume container round-trips, phantom generator, dataset manifests."""
+"""Container round-trips, atomic writes, phantom generator, dataset manifests."""
 
+import ast
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoseg
+from geoseg import data
 from geoseg.data import (PhantomParams, build_dataset, generate_phantom,
                          load_manifest, load_split, read_array, write_array)
 from geoseg.errors import DataError, FileFormatError
+from geoseg.network import DualDecoderNet, NetworkConfig, load_checkpoint, \
+    save_checkpoint
 
 rng = np.random.default_rng(41)
 
@@ -17,54 +27,225 @@ rng = np.random.default_rng(41)
 
 def test_array_round_trip_float32(tmp_path):
     arr = rng.standard_normal((9, 7)).astype(np.float32)
-    write_array(tmp_path / "vol", arr, (1.0, 1.0))
-    back, spacing = read_array(tmp_path / "vol.json")
+    write_array(tmp_path / "vol.vol", arr, (1.0, 1.0))
+    back, spacing = read_array(tmp_path / "vol.vol")
     assert back.dtype == np.float32 and spacing == (1.0, 1.0)
     assert back.tobytes() == arr.tobytes()
 
 
 def test_array_round_trip_uint8(tmp_path):
     arr = (rng.random((4, 5, 6)) < 0.5).astype(np.uint8)
-    write_array(tmp_path / "m", arr, (1.0, 1.0, 2.5))
-    back, _ = read_array(tmp_path / "m.json")
+    write_array(tmp_path / "m.vol", arr, (1.0, 1.0, 2.5))
+    back, _ = read_array(tmp_path / "m.vol")
     assert back.dtype == np.uint8
     np.testing.assert_array_equal(back, arr)
 
 
+def _payload(path):
+    blob = path.read_bytes()
+    return blob[8 + int.from_bytes(blob[:8], "little"):]
+
+
 def test_payload_size_is_shape_times_itemsize(tmp_path):
     arr = np.zeros((32, 32, 16), dtype=np.float32)
-    write_array(tmp_path / "v", arr, (1, 1, 1))
-    assert (tmp_path / "v.raw").stat().st_size == 32 * 32 * 16 * 4
+    write_array(tmp_path / "v.vol", arr, (1, 1, 1))
+    assert len(_payload(tmp_path / "v.vol")) == 32 * 32 * 16 * 4
 
 
 def test_truncated_payload_rejected(tmp_path):
     arr = np.zeros((8, 8), dtype=np.float32)
-    write_array(tmp_path / "v", arr, (1, 1))
-    raw = tmp_path / "v.raw"
-    raw.write_bytes(raw.read_bytes()[:-4])
+    write_array(tmp_path / "v.vol", arr, (1, 1))
+    vol = tmp_path / "v.vol"
+    vol.write_bytes(vol.read_bytes()[:-4])
     with pytest.raises(FileFormatError, match="payload"):
-        read_array(tmp_path / "v.json")
+        read_array(vol)
+
+
+def _write_raw_container(path, header, payload=b""):
+    blob = json.dumps(header).encode()
+    path.write_bytes(len(blob).to_bytes(8, "little") + blob + payload)
 
 
 def test_bad_magic_rejected(tmp_path):
-    (tmp_path / "v.json").write_text(json.dumps({"format": "nope"}))
-    (tmp_path / "v.raw").write_bytes(b"")
+    _write_raw_container(tmp_path / "v.vol", {"format": "nope"})
     with pytest.raises(FileFormatError, match="format"):
-        read_array(tmp_path / "v.json")
+        read_array(tmp_path / "v.vol")
+
+
+def test_checkpoint_is_not_a_volume(tmp_path):
+    (tmp_path / "c.ckpt").write_bytes(data.encode_container(
+        "geoseg-checkpoint", {"volume": np.zeros(2)}, {"spacing": [1.0]}))
+    with pytest.raises(FileFormatError, match="format"):
+        read_array(tmp_path / "c.ckpt")
 
 
 def test_unknown_dtype_rejected(tmp_path):
-    header = {"format": "geoseg-volume", "version": 1, "shape": [2],
-              "dtype": "float16", "spacing": [1.0], "byte_order": "little"}
-    (tmp_path / "v.json").write_text(json.dumps(header))
-    (tmp_path / "v.raw").write_bytes(b"\x00" * 4)
+    header = {"format": "geoseg-volume", "version": 1, "spacing": [1.0],
+              "tensors": {"volume": {"shape": [2], "dtype": "float16",
+                                     "offset": 0, "nbytes": 4}}}
+    _write_raw_container(tmp_path / "v.vol", header, b"\x00" * 4)
     with pytest.raises(FileFormatError, match="dtype"):
-        read_array(tmp_path / "v.json")
+        read_array(tmp_path / "v.vol")
+
+
+@pytest.mark.parametrize("tensors", [{}, {"image": np.zeros(2, np.uint8)},
+                                     {"volume": np.zeros(2, np.uint8),
+                                      "extra": np.zeros(2, np.uint8)}],
+                         ids=["none", "misnamed", "two"])
+def test_volume_holds_exactly_one_tensor(tmp_path, tensors):
+    (tmp_path / "v.vol").write_bytes(data.encode_container(
+        "geoseg-volume", tensors, {"spacing": [1.0]}))
+    with pytest.raises(FileFormatError, match="one tensor"):
+        read_array(tmp_path / "v.vol")
 
 
 def test_unsupported_write_dtype_rejected(tmp_path):
     with pytest.raises(FileFormatError):
-        write_array(tmp_path / "v", np.zeros(3, dtype=np.int32), (1,))
+        write_array(tmp_path / "v.vol", np.zeros(3, dtype=np.int32), (1,))
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- atomic writes ----------------------------------------------------------------
+
+
+def test_failed_fsync_leaves_the_old_file_and_no_temp_file(tmp_path,
+                                                            monkeypatch):
+    target = tmp_path / "v.vol"
+    write_array(target, np.arange(6, dtype=np.uint8), (1.0,))
+    before = target.read_bytes()
+
+    def broken_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data.os, "fsync", broken_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write_array(target, np.zeros(100, dtype=np.float32), (1.0,))
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["v.vol"]
+
+
+def test_atomic_write_replaces_each_file_whole(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.bin"
+    data._write_atomic({a: "old\n"})
+    data._write_atomic({a: b"new", b: b"\x00\x01"})
+    assert a.read_bytes() == b"new" and b.read_bytes() == b"\x00\x01"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
+
+
+# The writer runs in a child process whose os.fsync SIGKILLs the process
+# on its call number ``kill_at`` (1-based): a crash after the new bytes are
+# written but before they replace the old files.
+_KILLED_WRITER = """
+import os, signal, sys
+from pathlib import Path
+from geoseg.data import build_dataset
+from geoseg.network import DualDecoderNet, NetworkConfig, save_checkpoint
+
+root, what, kill_at = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+calls, real_fsync = 0, os.fsync
+
+def fsync(fd):
+    global calls
+    calls += 1
+    if calls == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real_fsync(fd)
+
+os.fsync = fsync
+if what == "checkpoint":
+    save_checkpoint(root / "net.ckpt",
+                    DualDecoderNet(NetworkConfig(width=2, depth=1, seed=1)))
+else:
+    # another seed and one more test case than the original
+    build_dataset(root / "data", 1, 1, 2, (16, 16), seed=1)
+"""
+
+
+def _run_killed_writer(root, what, kill_at):
+    env = {**os.environ, "PYTHONPATH": str(Path(geoseg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(root),
+                           what, str(kill_at)], env=env, capture_output=True)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+
+
+def test_writer_killed_mid_write_leaves_the_previous_files(tmp_path):
+    save_checkpoint(tmp_path / "net.ckpt",
+                    DualDecoderNet(NetworkConfig(width=2, depth=1, seed=0)))
+    build_dataset(tmp_path / "data", 1, 1, 1, (16, 16), seed=0)
+
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    _run_killed_writer(tmp_path, "checkpoint", kill_at=1)
+    # the rebuild syncs 8 volumes, the audit manifest, then the manifest
+    _run_killed_writer(tmp_path, "dataset", kill_at=10)
+
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+             and not p.name.startswith(".")}
+    assert after == before
+    load_checkpoint(tmp_path / "net.ckpt")
+    assert len(load_manifest(tmp_path / "data").records) == 3
+    # what the kills left behind sits under hidden names no reader opens
+    left = sorted(p.name for p in tmp_path.rglob(".*"))
+    assert len(left) == 11 and all(name.endswith(".tmp") for name in left)
+    assert ".manifest.json.tmp" in left and ".net.ckpt.tmp" in left
+
+
+def _is_write(call):
+    """Whether a call writes a file: write_text, write_bytes, or an open
+    whose mode is not a read-only constant."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) and os.open(path, flags); Path.open(mode)
+    low_level = isinstance(func, ast.Name) or (
+        isinstance(func.value, ast.Name) and func.value.id in ("os", "io"))
+    pos = 1 if low_level else 0
+    mode = call.args[pos] if len(call.args) > pos else next(
+        (k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) <= set("rbt"))
+
+
+def _file_writes(source):
+    """(enclosing function, line) of every file write in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Call) and _is_write(child):
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_write_guard_sees_every_kind_of_write():
+    source = ("def f(p):\n p.write_text('x')\n p.write_bytes(b'')\n"
+              " open(p, 'w')\n open(p, mode='ab')\n p.open('r+')\n"
+              " os.open(p, os.O_WRONLY)\n open(p)\n open(p, 'rb')\n"
+              " p.open()\n p.read_text()\n")
+    assert _file_writes(source) == [("f", n) for n in range(2, 8)]
+
+
+# the only places that may write a file: the atomic writer and the
+# loss.csv append stream
+_WRITERS = {("data.py", "_write_atomic"), ("training.py", "_open_loss_csv")}
+
+
+def test_every_file_write_goes_through_the_atomic_writer():
+    package = Path(geoseg.__file__).parent
+    writes = {(path.name, scope, line)
+              for path in sorted(package.glob("*.py"))
+              for scope, line in _file_writes(path.read_text())}
+    assert {(name, scope) for name, scope, _ in writes} == _WRITERS, writes
 
 
 # -- phantom generator ------------------------------------------------------------
@@ -150,7 +331,7 @@ def test_unlabeled_masks_sealed_in_audit_sidecar(dataset):
     unlabeled = [r for r in manifest.records if r.split == "unlabeled-train"]
     assert all(r.mask is None for r in unlabeled)
     for r in unlabeled:
-        assert (out / "audit" / f"{r.case_id}.mask.raw").exists()
+        assert (out / "audit" / f"{r.case_id}.mask.vol").exists()
 
 
 def test_rebuild_same_seed_identical_digests(tmp_path, dataset):
@@ -163,9 +344,9 @@ def test_rebuild_same_seed_identical_digests(tmp_path, dataset):
 def test_manifest_verification_catches_corruption(tmp_path):
     build_dataset(tmp_path, n_labeled=1, n_unlabeled=1, n_test=1,
                   shape=(16, 16), seed=7)
-    victim = next((tmp_path / "volumes").glob("*.image.raw"))
+    victim = next((tmp_path / "volumes").glob("*.image.vol"))
     blob = bytearray(victim.read_bytes())
-    blob[0] ^= 0xFF
+    blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="digest"):
         load_manifest(tmp_path)

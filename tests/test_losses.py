@@ -278,7 +278,7 @@ def test_ramp_rejects_negative_step():
 def _toy_batch(n_lab=2, n_unlab=2, spatial=(8, 8)):
     masks = (rng.random((n_lab,) + spatial) < 0.4).astype(np.float64)
     from geoseg.geometry import sdm_target
-    targets = np.stack([sdm_target(m).values for m in masks])
+    targets = np.stack([sdm_target(m) for m in masks])
     images = rng.standard_normal((n_lab + n_unlab, 1) + spatial)
     return Batch(images=images, masks=masks, sdm_targets=targets)
 

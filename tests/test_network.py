@@ -1,5 +1,8 @@
 """Dual-decoder network contracts: shapes, ranges, determinism, checkpoints."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -93,7 +96,7 @@ def test_gradient_step_touches_every_branch():
     opt = SGD(net.parameters(), lr=0.05, momentum=0.0)
     spatial = (16, 16)
     masks = (rng.random((2,) + spatial) < 0.4).astype(np.float64)
-    targets = np.stack([sdm_target(m).values for m in masks])
+    targets = np.stack([sdm_target(m) for m in masks])
     batch = Batch(images=rng.standard_normal((4, 1) + spatial),
                   masks=masks, sdm_targets=targets)
     before = {name: p.data.copy() for name, p in net.params.items()}
@@ -124,6 +127,24 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     for name in net.params:
         np.testing.assert_array_equal(restored.params[name].data,
                                       net.params[name].data)
+
+
+def test_checkpoint_bytes_keep_the_version_1_layout(tmp_path):
+    # checkpoints written before volumes shared the container still load,
+    # and new ones are byte for byte what those versions wrote
+    net = DualDecoderNet(NetworkConfig(width=2, depth=1))
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(path, net, meta={"step": 3},
+                    extra_tensors={"extra/u8": np.arange(3, dtype=np.uint8)})
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    assert hashlib.sha256(blob[:8 + hlen]).hexdigest() == \
+        "0ae6830e1b5ee7eeb438f5b985acb6dc41cd7cff74ce92b2ec5291ac47addcd9"
+    assert list(json.loads(blob[8:8 + hlen])) == \
+        ["format", "version", "network", "meta", "tensors"]
+    tensors = [p.data.astype("<f8") for p in net.params.values()]
+    assert blob[8 + hlen:] == b"".join(t.tobytes() for t in tensors) + \
+        bytes([0, 1, 2])
 
 
 def test_checkpoint_restored_net_same_forward(tmp_path):

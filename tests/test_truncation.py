@@ -1,11 +1,12 @@
-"""Truncation fuzz over the three on-disk formats.
+"""Truncation fuzz over the two on-disk formats.
 
-A checkpoint (8-byte header length, JSON header, tensor payload), a volume
-(JSON header plus raw payload) and a dataset manifest are each cut short:
-every JSON document and the checkpoint header at every byte, each payload
-at every 7th or 13th byte.  Every cut must be refused with a GeoSegError.
-The one cut left out removes only a trailing newline, which leaves the
-JSON before it complete.
+A checkpoint and a volume are both containers (8-byte header length, JSON
+header, tensor payload); a dataset manifest is a JSON document.  Each is
+cut short: the manifest and each container's length and header at every
+byte, each container payload at every 7th or 13th byte.  The volume's
+header and payload cuts are separate rows.  Every cut must be
+refused with a GeoSegError.  The one cut left out removes only the
+manifest's trailing newline, which leaves the JSON before it complete.
 """
 
 import shutil
@@ -18,7 +19,7 @@ from geoseg.errors import GeoSegError
 from geoseg.network import DualDecoderNet, NetworkConfig, load_checkpoint, \
     save_checkpoint
 
-IMAGE = "data/volumes/case_0000.image"
+IMAGE = "data/volumes/case_0000.image.vol"
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +48,16 @@ def _payload_cuts(blob, start=0):
             if (n - start) % 7 == 0 or (n - start) % 13 == 0]
 
 
-def _checkpoint_cuts(blob):
-    payload = 8 + int.from_bytes(blob[:8], "little")
-    return [*range(payload), *_payload_cuts(blob, payload)]
+def _header_cuts(blob):
+    return range(8 + int.from_bytes(blob[:8], "little"))
+
+
+def _body_cuts(blob):
+    return _payload_cuts(blob, 8 + int.from_bytes(blob[:8], "little"))
+
+
+def _container_cuts(blob):
+    return [*_header_cuts(blob), *_body_cuts(blob)]
 
 
 def _load_checkpoint(work):
@@ -57,7 +65,7 @@ def _load_checkpoint(work):
 
 
 def _load_volume(work):
-    read_array(work / f"{IMAGE}.json")
+    read_array(work / IMAGE)
 
 
 def _load_manifest(work):
@@ -66,9 +74,9 @@ def _load_manifest(work):
 
 # (id, file cut, its cut positions, load)
 FORMATS = [
-    ("checkpoint", "net.ckpt", _checkpoint_cuts, _load_checkpoint),
-    ("volume-header", f"{IMAGE}.json", _json_cuts, _load_volume),
-    ("volume-payload", f"{IMAGE}.raw", _payload_cuts, _load_volume),
+    ("checkpoint", "net.ckpt", _container_cuts, _load_checkpoint),
+    ("volume-header", IMAGE, _header_cuts, _load_volume),
+    ("volume-payload", IMAGE, _body_cuts, _load_volume),
     ("manifest", "data/manifest.json", _json_cuts, _load_manifest),
 ]
 
@@ -91,9 +99,9 @@ CLI_CASES = [
     ("checkpoint", "net.ckpt",
      lambda w: ["eval", "--checkpoint", w / "net.ckpt", "--manifest",
                 w / "data"]),
-    ("volume", f"{IMAGE}.json",
+    ("volume", IMAGE,
      lambda w: ["export-maps", "--checkpoint", w / "net.ckpt", "--image",
-                w / f"{IMAGE}.json"]),
+                w / IMAGE]),
     ("manifest", "data/manifest.json",
      lambda w: ["train", "--manifest", w / "data", "--t-max", "1"]),
 ]
