@@ -39,10 +39,11 @@ _DTYPES = {"float64": "<f8", "float32": "<f4", "uint8": "|u1", "int64": "<i8"}
 def _write_atomic(files):
     """Replace each path of ``files`` ({path: bytes, or str written as
     UTF-8}) with its data: write each to a hidden temp file beside it, fsync
-    them all, then rename each over its path, in order.  A reader sees an
-    old file or a new one, never a part, and a crash before the renames
-    leaves every old file.  On an exception the temp files are removed and
-    the exception re-raised."""
+    them all, rename each over its path, in order, then fsync each directory
+    renamed into.  A reader sees an old file or a new one, never a part; a
+    crash before the renames leaves every old file, and one after the
+    directory syncs every new one, even on power loss.  On an exception the
+    temp files are removed and the exception re-raised."""
     tmps = {}
     try:
         for path, data in files.items():
@@ -58,6 +59,12 @@ def _write_atomic(files):
                 os.close(fd)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
+        for directory in dict.fromkeys(path.parent for path in tmps):
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except BaseException:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
@@ -129,9 +136,12 @@ def _check_header(path, header, tag, payload_len):
             raise FileFormatError(f"{path}: payload size mismatch for {name}")
 
 
-def read_container(path, tag):
-    """Read a ``tag`` container; returns (header, {name: array})."""
+def read_container(path, tag, digest=None):
+    """Read a ``tag`` container; returns (header, {name: array}).  With a
+    ``digest``, the file's bytes must have that SHA-256 hex digest."""
     blob = Path(path).read_bytes()
+    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        raise DataError(f"digest mismatch for {path}")
     if len(blob) < 8:
         raise FileFormatError(f"{path}: too short to be a {tag} file")
     hlen = int.from_bytes(blob[:8], "little")
@@ -164,9 +174,10 @@ def write_array(path, arr, spacing):
     _write_atomic({path: encode_volume(arr, spacing)})
 
 
-def read_array(path):
-    """Read a volume container back; returns (array, spacing)."""
-    header, tensors = read_container(path, VOLUME_FORMAT)
+def read_array(path, digest=None):
+    """Read a volume container back; returns (array, spacing).  With a
+    ``digest``, the file's bytes must have that SHA-256 hex digest."""
+    header, tensors = read_container(path, VOLUME_FORMAT, digest)
     if list(tensors) != ["volume"]:
         raise FileFormatError(f"{path}: a volume holds one tensor named "
                               f"'volume', got {list(tensors)}")
@@ -207,17 +218,7 @@ class Manifest:
     counts: dict
     records: list
     digests: dict
-
-
-def read_volume(directory, entry):
-    """Load a manifest entry back into a VolumeRecord."""
-    directory = Path(directory)
-    image, spacing = read_array(directory / entry.image)
-    mask = None
-    if entry.mask is not None:
-        mask, _ = read_array(directory / entry.mask)
-    return VolumeRecord(case_id=entry.case_id, image=image, mask=mask,
-                        spacing=spacing, split=entry.split)
+    volumes: dict         # file name -> (array, spacing), read once
 
 
 # -- phantom generator ----------------------------------------------------------
@@ -306,24 +307,27 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     if n_labeled < 1 or n_test < 1 or n_unlabeled < 0:
         raise ConfigError("need n_labeled >= 1, n_test >= 1, n_unlabeled >= 0")
     out_dir = Path(out_dir)
-    volumes = out_dir / "volumes"
+    volumes_dir = out_dir / "volumes"
     audit = out_dir / "audit"
-    volumes.mkdir(parents=True, exist_ok=True)
+    volumes_dir.mkdir(parents=True, exist_ok=True)
     audit.mkdir(parents=True, exist_ok=True)
     spacing = tuple(spacing) if spacing is not None else (1.0,) * len(shape)
 
     plan = ([("labeled-train", True)] * n_labeled
             + [("unlabeled-train", False)] * n_unlabeled
             + [("test", True)] * n_test)
-    records, files = [], {}
+    records, files, volumes = [], {}, {}
     for idx, (split, keep_mask) in enumerate(plan):
         rng = np.random.default_rng([seed, idx])
         image, mask = generate_phantom(shape, rng, params)
         case_id = f"case_{idx:04d}"
         image_name, mask_name = f"{case_id}.image.vol", f"{case_id}.mask.vol"
-        files[volumes / image_name] = encode_volume(image, spacing)
-        files[(volumes if keep_mask else audit) / mask_name] = \
+        files[volumes_dir / image_name] = encode_volume(image, spacing)
+        files[(volumes_dir if keep_mask else audit) / mask_name] = \
             encode_volume(mask, spacing)
+        volumes[image_name] = (image, spacing)
+        if keep_mask:
+            volumes[mask_name] = (mask, spacing)
         records.append(RecordEntry(case_id=case_id, split=split,
                                    image=image_name,
                                    mask=mask_name if keep_mask else None,
@@ -341,11 +345,13 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
                 "phantom_params": asdict(params),
                 "records": [asdict(r) for r in records],
                 "digests": {p.name: d for p, d in digests.items()
-                            if p.parent == volumes}}
+                            if p.parent == volumes_dir}}
     # renamed last, the manifest commits the build
     files[out_dir / "manifest.json"] = json.dumps(manifest, indent=1) + "\n"
     _write_atomic(files)
-    return load_manifest(out_dir / "manifest.json")
+    return Manifest(root=out_dir, seed=seed, shape=tuple(shape),
+                    counts=manifest["counts"], records=records,
+                    digests=manifest["digests"], volumes=volumes)
 
 
 # JSON types of a manifest record's fields (RecordEntry's, spacing a list)
@@ -399,28 +405,29 @@ def load_manifest(path):
                            image=r["image"], mask=r["mask"],
                            spacing=tuple(r["spacing"]))
                for r in doc["records"]]
-    manifest = Manifest(root=root, seed=doc["seed"], shape=tuple(doc["shape"]),
-                        counts=doc["counts"], records=records,
-                        digests=doc["digests"])
-    verify_manifest(manifest)
-    return manifest
+    return Manifest(root=root, seed=doc["seed"], shape=tuple(doc["shape"]),
+                    counts=doc["counts"], records=records,
+                    digests=doc["digests"],
+                    volumes=_read_volumes(root / "volumes", records,
+                                          doc["digests"]))
 
 
-def verify_manifest(manifest):
-    """Every referenced file must exist and match its recorded digest."""
-    volumes = manifest.root / "volumes"
-    for entry in manifest.records:
+def _read_volumes(directory, records, digests):
+    """Read every file the records reference, once: it must exist and its
+    bytes must match the recorded digest.  Returns {name: (array, spacing)}."""
+    volumes = {}
+    for entry in records:
         for rel in (entry.image, entry.mask):
             if rel is None:
                 continue
-            path = volumes / rel
+            path = directory / rel
             if not path.exists():
                 raise DataError(f"manifest references missing file {path}")
-            want = manifest.digests.get(rel)
+            want = digests.get(rel)
             if want is None:
                 raise DataError(f"manifest has no digest for {rel}")
-            if hashlib.sha256(path.read_bytes()).hexdigest() != want:
-                raise DataError(f"digest mismatch for {path}")
+            volumes[rel] = read_array(path, want)
+    return volumes
 
 
 @dataclass
@@ -431,11 +438,13 @@ class DatasetSplit:
 
 
 def load_split(manifest):
-    """Load every record eagerly (desk-scale volumes are small)."""
-    volumes = manifest.root / "volumes"
+    """Every record of the manifest, with the volumes it has read."""
     split = DatasetSplit(labeled=[], unlabeled=[], test=[])
     for entry in manifest.records:
-        record = read_volume(volumes, entry)
+        image, spacing = manifest.volumes[entry.image]
+        mask = None if entry.mask is None else manifest.volumes[entry.mask][0]
+        record = VolumeRecord(case_id=entry.case_id, image=image, mask=mask,
+                              spacing=spacing, split=entry.split)
         if entry.split == "labeled-train":
             split.labeled.append(record)
         elif entry.split == "unlabeled-train":

@@ -5,30 +5,43 @@ float64 in NC+spatial layout: inputs ``[N, Ci, S...]``, kernels
 ``[Co, Ci, K...]``, outputs ``[N, Co, O...]``, with ``stride`` a
 per-spatial-axis tuple.  The caller applies any zero padding.
 
-Inside, each conv kernel works on channels-last data ``[N, S..., C]`` and
-lowers to BLAS matrix products, the implicit-GEMM scheme of Chetlur et al.
-(cuDNN, arXiv 1410.0759).  A kernel tap's strided window of a
-channels-last array is a matrix ``[N*O..., C]`` whose rows are contiguous
-channel vectors:
+The conv kernels stay in that layout.  They lower to accumulating BLAS
+matrix products over shifted views of the input, one product per kernel
+tap: the low-memory GEMM convolution of Anderson et al. (arXiv
+1709.03395), with no patch matrix and no layout transposes.  Every output
+position is a column of a flat grid:
 
-- ``conv_fwd``: one GEMM of the patch matrix ``[N*O..., K...*Ci]``,
-  copied from a sliding-window view of the input, against the kernel
-  reshaped to ``[Co, K...*Ci]``;
-- ``conv_bwd_input``: one ``[N*O..., Co] @ [Co, Ci]`` GEMM per kernel tap,
-  added into the strided window of ``gx`` that tap reaches;
-- ``conv_bwd_kernel``: one ``[Co, N*O...] @ [N*O..., Ci]`` GEMM per kernel
-  tap, against the strided window of the input that tap reads.  One
-  patch-matrix GEMM here measured slower inside a training step: its
-  patch matrix is K... times the input, the per-tap windows one time.
+- At unit stride the grid is the padded input's own extent.  Output ``o``
+  is column ``ravel(o)`` of the flattened input, and the first ``L``
+  columns, up to the last valid output, hold every output plus the row
+  tails: the positions past the end of each output row (and plane), which
+  the result drops.  Kernel tap ``t`` reads the zero-copy slice
+  ``flat[:, :, off:off+L]``, ``off = ravel(t)``, whose last column is the
+  input's last element for the last tap.
+- At any other stride the grid is the output extent itself, and a tap's
+  column matrix is its strided window of the input, gathered once.
 
-Each function transposes its arguments to channels-last on entry and its
-result back to a contiguous NC+spatial array on exit.  The rest of the
-package stays NC, and so does this interface: ``tensor.conv_nd`` and
-``conv_transpose_nd`` look these functions up at call time, and the
-benchmark (``benchmarks/README.md``) wraps them there, checks every conv
-layer against NC einsum references (``checks.check_conv_layers``) and
-counts each call's FLOP from its NC argument shapes
-(``probes.KERNEL_FLOP`` reads ``xp.shape[2:]`` as the spatial axes).
+With ``K_t = k[..., t]`` (``[Co, Ci]``) and ``x_t`` the tap's
+``[N, Ci, L]`` column matrix:
+
+- ``conv_fwd``: ``y += K_t @ x_t``.  The valid outputs come back through
+  one strided view of the grid and one contiguous copy.
+- ``conv_bwd_input``: ``gx_t += K_t.T @ g``, where ``g`` is the upstream
+  gradient placed on the grid with zero row tails and ``gx_t`` is the
+  tap's window of ``gx``.
+- ``conv_bwd_kernel``: ``gk[..., t] = sum_n g[n] @ x_t[n].T``.
+
+On full-resolution layers the accumulating adds of the first two kernels
+cost about as much as the products.  So the accumulator and each tap's
+product span whole rows of the grid, which makes every add one contiguous
+pass (numpy runs a strided 2-D add about 2.5x slower), and the batch runs
+in blocks of samples that keep both in cache across the taps.
+
+``tensor.conv_nd`` and ``conv_transpose_nd`` look these functions up at
+call time.  The benchmark (``benchmarks/README.md``) wraps them there,
+checks every conv layer against NC einsum references
+(``checks.check_conv_layers``) and counts each call's FLOP from its NC
+argument shapes (``probes.KERNEL_FLOP``).
 """
 
 import numpy as np
@@ -40,54 +53,140 @@ BACKEND = "numpy"
 # through the envelope arithmetic
 INF_SQ = 1e30
 
+# working set of one block of samples in the conv kernels: its input, its
+# accumulator and one tap's product, sized to stay in a 2 MB per-core L2
+BLOCK_BYTES = 1 << 20
 
-def _channels_last(a):
-    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+def _grid(spatial, stride, out_spatial):
+    # extent of the grid whose flat columns hold the outputs
+    return tuple(spatial) if all(s == 1 for s in stride) else tuple(out_spatial)
 
 
-def _channels_first(a):
-    return np.ascontiguousarray(np.moveaxis(a, -1, 1))
+def _span(grid, out_spatial):
+    # columns L of the flat grid up to and including the last valid output
+    return int(np.ravel_multi_index([o - 1 for o in out_spatial], grid)) + 1
+
+
+def _valid(a, out_spatial):
+    return a[(slice(None), slice(None)) + tuple(slice(0, o) for o in out_spatial)]
+
+
+def _columns(a, length=None):
+    # the first `length` flat columns of a [N, C, S...] array: [N, C, L]
+    return a.reshape(a.shape[:2] + (int(np.prod(a.shape[2:])),))[:, :, :length]
 
 
 def _window(tap, stride, out_spatial):
-    # the channels-last positions kernel tap `tap` meets, one per output
-    return (slice(None),) + tuple(
+    # the strided positions kernel tap `tap` meets, one per output
+    return (slice(None), slice(None)) + tuple(
         slice(t, t + s * o, s) for t, s, o in zip(tap, stride, out_spatial))
 
 
+def _tap_columns(a, kernel_spatial, stride, out_spatial):
+    """Yield (tap, [N, C, L] column matrix of ``a`` for that kernel tap).
+
+    At unit stride it is the zero-copy slice of the flattened array shifted
+    by the tap's flat offset; otherwise the tap's strided window, gathered.
+    """
+    unit = all(s == 1 for s in stride)
+    length = _span(a.shape[2:], out_spatial)
+    for tap in np.ndindex(*kernel_spatial):
+        if unit:
+            off = int(np.ravel_multi_index(tap, a.shape[2:]))
+            yield tap, _columns(a)[:, :, off:off + length]
+        else:
+            yield tap, _columns(a[_window(tap, stride, out_spatial)])
+
+
+def _add_tap(a, contrib, tap, stride, out_spatial):
+    """Add ``contrib``, on the output grid, into the window of ``a`` that
+    kernel tap ``tap`` meets."""
+    if all(s == 1 for s in stride):
+        # one contiguous add of the shifted flat arrays; the row tails of
+        # contrib are zero, so what spills into the next row adds nothing
+        off = int(np.ravel_multi_index(tap, a.shape[2:]))
+        flat = a.reshape(-1)
+        flat[off:] += contrib.reshape(-1)[:flat.size - off]
+    else:
+        a[_window(tap, stride, out_spatial)] += contrib
+
+
+def _on_grid(gy, grid):
+    # gy [N, C, O...] as the [N, C, L] columns of the grid, row tails zero
+    out_spatial = gy.shape[2:]
+    if grid == out_spatial:
+        return _columns(gy)
+    buf = np.zeros(gy.shape[:2] + grid, dtype=gy.dtype)
+    _valid(buf, out_spatial)[...] = gy
+    return _columns(buf, _span(grid, out_spatial))
+
+
+def _matmul(a, b, out):
+    # a [M, C] @ b [N, C, L] into out [N, M, L]; with C == 1 this is an
+    # outer product, which a broadcast multiply runs about 10x faster
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _block_size(n, per_sample_bytes):
+    """Samples per block: as many as fit their working set in BLOCK_BYTES,
+    at least one.  Each block runs every tap before the next starts, so its
+    accumulator stays in cache across the taps, and the per-tap product
+    buffer is allocated for one block only."""
+    return max(1, min(n, BLOCK_BYTES // max(1, per_sample_bytes)))
+
+
 def conv_fwd(xp, k, stride):
-    kernel_spatial = k.shape[2:]
-    rank = len(kernel_spatial)
+    n, co, kernel_spatial = xp.shape[0], k.shape[0], k.shape[2:]
     out_spatial = tuple((p - kk) // s + 1
                         for p, kk, s in zip(xp.shape[2:], kernel_spatial, stride))
-    win = np.lib.stride_tricks.sliding_window_view(
-        _channels_last(xp), kernel_spatial, axis=tuple(range(1, 1 + rank)))
-    win = win[_window((0,) * rank, stride, out_spatial)]  # N,O...,Ci,K...
-    cols = np.moveaxis(win, 1 + rank, -1).reshape(-1, k[0].size)  # N*O...,K...*Ci
-    y = cols @ _channels_last(k).reshape(k.shape[0], -1).T  # N*O...,Co
-    return _channels_first(y.reshape((xp.shape[0],) + out_spatial + (k.shape[0],)))
+    grid = _grid(xp.shape[2:], stride, out_spatial)
+    length = _span(grid, out_spatial)
+    # accumulator and per-tap product share the grid, so each add is one
+    # contiguous pass; their row tails are never read
+    y = np.zeros((n, co) + grid, dtype=xp.dtype)
+    step = _block_size(n, xp[:1].nbytes + 2 * y[:1].nbytes)
+    tmp = np.zeros((step,) + y.shape[1:], dtype=y.dtype)
+    # contiguous tap matrices, so that numpy hands every product to BLAS
+    taps = [np.ascontiguousarray(k[(...,) + t]) for t in np.ndindex(*kernel_spatial)]
+    for lo in range(0, n, step):
+        yb = y[lo:lo + step]
+        tb = tmp[:len(yb)]
+        columns = _tap_columns(xp[lo:lo + step], kernel_spatial, stride,
+                               out_spatial)
+        for i, (kt, (_, x_tap)) in enumerate(zip(taps, columns)):
+            _matmul(kt, x_tap, _columns(tb if i else yb, length))
+            if i:
+                yb += tb
+    return np.ascontiguousarray(_valid(y, out_spatial))
 
 
 def conv_bwd_input(gy, k, stride, padded_spatial):
-    n, co, out_spatial = gy.shape[0], gy.shape[1], gy.shape[2:]
-    ci = k.shape[1]
-    g = _channels_last(gy).reshape(-1, co)  # N*O...,Co
-    gx = np.zeros((n,) + tuple(padded_spatial) + (ci,), dtype=gy.dtype)
-    for tap in np.ndindex(*k.shape[2:]):
-        contrib = g @ k[(slice(None), slice(None)) + tap]  # N*O...,Ci
-        gx[_window(tap, stride, out_spatial)] += contrib.reshape(
-            (n,) + out_spatial + (ci,))
-    return _channels_first(gx)
+    n, ci, out_spatial = gy.shape[0], k.shape[1], gy.shape[2:]
+    grid = _grid(padded_spatial, stride, out_spatial)
+    g = _on_grid(gy, grid)
+    gx = np.zeros((n, ci) + tuple(padded_spatial), dtype=gy.dtype)
+    step = _block_size(n, 2 * gx[:1].nbytes + g[:1].nbytes)
+    tmp = np.zeros((step, ci) + grid, dtype=gy.dtype)
+    taps = [np.ascontiguousarray(k[(...,) + t].T) for t in np.ndindex(*k.shape[2:])]
+    for lo in range(0, n, step):
+        gxb = gx[lo:lo + step]
+        tb = tmp[:len(gxb)]
+        for kt, tap in zip(taps, np.ndindex(*k.shape[2:])):
+            _matmul(kt, g[lo:lo + step], _columns(tb, g.shape[2]))
+            _add_tap(gxb, tb, tap, stride, out_spatial)
+    return gx
 
 
 def conv_bwd_kernel(xp, gy, stride, kernel_spatial):
     co, ci, out_spatial = gy.shape[1], xp.shape[1], gy.shape[2:]
-    x = _channels_last(xp)
-    g = _channels_last(gy).reshape(-1, co).T  # Co,N*O...
-    gk = np.empty((co,) + tuple(kernel_spatial) + (ci,), dtype=xp.dtype)
-    for tap in np.ndindex(*kernel_spatial):
-        gk[(slice(None),) + tap] = g @ x[_window(tap, stride, out_spatial)].reshape(-1, ci)
-    return _channels_first(gk)
+    g = _on_grid(gy, _grid(xp.shape[2:], stride, out_spatial))
+    gk = np.empty((co, ci) + tuple(kernel_spatial), dtype=xp.dtype)
+    for tap, x_tap in _tap_columns(xp, kernel_spatial, stride, out_spatial):
+        gk[(...,) + tap] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
+    return gk
 
 
 def edt_pass(f):

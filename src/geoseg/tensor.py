@@ -17,7 +17,6 @@ Set ``GEOSEG_CHECK_FINITE=1`` to assert that every operation applied to
 finite inputs produced finite outputs (slow; for debugging NaN hunts).
 """
 
-import math
 import os
 from contextlib import contextmanager
 

@@ -132,6 +132,31 @@ def test_atomic_write_replaces_each_file_whole(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
 
 
+def test_atomic_write_syncs_each_directory_once_after_the_renames(
+        tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    events, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("sync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("rename", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(data.os, "fsync", fsync)
+    monkeypatch.setattr(data.os, "replace", replace)
+    files = [tmp_path / "a", sub / "b", tmp_path / "c"]
+    data._write_atomic({path: "x" for path in files})
+    # a renamed file keeps the inode its temp file had
+    assert events == ([("sync", p.stat().st_ino) for p in files]
+                      + [("rename", p.name) for p in files]
+                      + [("sync", tmp_path.stat().st_ino),
+                         ("sync", sub.stat().st_ino)])
+
+
 # The writer runs in a child process whose os.fsync SIGKILLs the process
 # on its call number ``kill_at`` (1-based): a crash after the new bytes are
 # written but before they replace the old files.
@@ -339,6 +364,28 @@ def test_rebuild_same_seed_identical_digests(tmp_path, dataset):
     again = build_dataset(tmp_path / "rebuild", n_labeled=4, n_unlabeled=6,
                           n_test=3, shape=(32, 32), seed=123)
     assert again.digests == manifest.digests
+
+
+def test_dataset_load_reads_each_volume_once(tmp_path, monkeypatch):
+    built = build_dataset(tmp_path, n_labeled=2, n_unlabeled=2, n_test=2,
+                          shape=(16, 16), seed=5)
+    reads, real_read = [], Path.read_bytes
+
+    def read_bytes(path):
+        reads.append(path.name)
+        return real_read(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    fresh = load_split(build_dataset(tmp_path / "again", 2, 2, 2, (16, 16), 5))
+    assert reads == []   # a build hands back what it wrote
+    split = load_split(load_manifest(tmp_path))
+    assert sorted(reads) == sorted(built.digests) and len(reads) == 10
+    for got, want in zip(split.labeled + split.unlabeled + split.test,
+                         fresh.labeled + fresh.unlabeled + fresh.test):
+        assert got.case_id == want.case_id and got.spacing == want.spacing
+        assert got.image.tobytes() == want.image.tobytes()
+        assert (got.mask is None) == (want.mask is None)
+        assert got.mask is None or got.mask.tobytes() == want.mask.tobytes()
 
 
 def test_manifest_verification_catches_corruption(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geoseg import training
-from geoseg.data import PhantomParams, build_dataset, load_split
+from geoseg.data import build_dataset, load_split
 from geoseg.errors import DataError
 from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
