@@ -44,6 +44,8 @@ checks every conv layer against NC einsum references
 argument shapes (``probes.KERNEL_FLOP``).
 """
 
+import math
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -63,9 +65,15 @@ def _grid(spatial, stride, out_spatial):
     return tuple(spatial) if all(s == 1 for s in stride) else tuple(out_spatial)
 
 
+def _flat_offsets(spatial, indices):
+    # flat offset of each index in a C-ordered array of extent `spatial`
+    strides = [math.prod(spatial[a + 1:]) for a in range(len(spatial))]
+    return [sum(i * s for i, s in zip(index, strides)) for index in indices]
+
+
 def _span(grid, out_spatial):
     # columns L of the flat grid up to and including the last valid output
-    return int(np.ravel_multi_index([o - 1 for o in out_spatial], grid)) + 1
+    return _flat_offsets(grid, [[o - 1 for o in out_spatial]])[0] + 1
 
 
 def _valid(a, out_spatial):
@@ -74,7 +82,7 @@ def _valid(a, out_spatial):
 
 def _columns(a, length=None):
     # the first `length` flat columns of a [N, C, S...] array: [N, C, L]
-    return a.reshape(a.shape[:2] + (int(np.prod(a.shape[2:])),))[:, :, :length]
+    return a.reshape(a.shape[:2] + (math.prod(a.shape[2:]),))[:, :, :length]
 
 
 def _window(tap, stride, out_spatial):
@@ -83,33 +91,25 @@ def _window(tap, stride, out_spatial):
         slice(t, t + s * o, s) for t, s, o in zip(tap, stride, out_spatial))
 
 
-def _tap_columns(a, kernel_spatial, stride, out_spatial):
-    """Yield (tap, [N, C, L] column matrix of ``a`` for that kernel tap).
-
-    At unit stride it is the zero-copy slice of the flattened array shifted
-    by the tap's flat offset; otherwise the tap's strided window, gathered.
-    """
-    unit = all(s == 1 for s in stride)
-    length = _span(a.shape[2:], out_spatial)
-    for tap in np.ndindex(*kernel_spatial):
-        if unit:
-            off = int(np.ravel_multi_index(tap, a.shape[2:]))
-            yield tap, _columns(a)[:, :, off:off + length]
-        else:
-            yield tap, _columns(a[_window(tap, stride, out_spatial)])
-
-
-def _add_tap(a, contrib, tap, stride, out_spatial):
-    """Add ``contrib``, on the output grid, into the window of ``a`` that
-    kernel tap ``tap`` meets."""
+def _tap_sources(spatial, kernel_spatial, stride, out_spatial):
+    """Kernel taps in C order, and where each one's columns lie in an array
+    of extent ``spatial``: at unit stride the flat offset of its shifted
+    view (an int), otherwise its strided window."""
+    taps = list(np.ndindex(*kernel_spatial))
     if all(s == 1 for s in stride):
-        # one contiguous add of the shifted flat arrays; the row tails of
-        # contrib are zero, so what spills into the next row adds nothing
-        off = int(np.ravel_multi_index(tap, a.shape[2:]))
-        flat = a.reshape(-1)
-        flat[off:] += contrib.reshape(-1)[:flat.size - off]
-    else:
-        a[_window(tap, stride, out_spatial)] += contrib
+        return taps, _flat_offsets(spatial, taps)
+    return taps, [_window(t, stride, out_spatial) for t in taps]
+
+
+def _tap_columns(a, sources, length):
+    """Yield each tap's [N, C, L] column matrix of ``a``: a zero-copy slice
+    of the flattened array at a flat offset, or a strided window, gathered."""
+    flat = _columns(a)
+    for src in sources:
+        if isinstance(src, int):
+            yield flat[:, :, src:src + length]
+        else:
+            yield _columns(a[src])
 
 
 def _on_grid(gy, grid):
@@ -149,15 +149,17 @@ def conv_fwd(xp, k, stride):
     y = np.zeros((n, co) + grid, dtype=xp.dtype)
     step = _block_size(n, xp[:1].nbytes + 2 * y[:1].nbytes)
     tmp = np.zeros((step,) + y.shape[1:], dtype=y.dtype)
+    y_cols, tmp_cols = _columns(y, length), _columns(tmp, length)
+    taps, sources = _tap_sources(xp.shape[2:], kernel_spatial, stride, out_spatial)
     # contiguous tap matrices, so that numpy hands every product to BLAS
-    taps = [np.ascontiguousarray(k[(...,) + t]) for t in np.ndindex(*kernel_spatial)]
+    mats = [np.ascontiguousarray(k[(...,) + t]) for t in taps]
     for lo in range(0, n, step):
         yb = y[lo:lo + step]
         tb = tmp[:len(yb)]
-        columns = _tap_columns(xp[lo:lo + step], kernel_spatial, stride,
-                               out_spatial)
-        for i, (kt, (_, x_tap)) in enumerate(zip(taps, columns)):
-            _matmul(kt, x_tap, _columns(tb if i else yb, length))
+        yb_cols, tb_cols = y_cols[lo:lo + step], tmp_cols[:len(yb)]
+        columns = _tap_columns(xp[lo:lo + step], sources, length)
+        for i, (kt, x_tap) in enumerate(zip(mats, columns)):
+            _matmul(kt, x_tap, tb_cols if i else yb_cols)
             if i:
                 yb += tb
     return np.ascontiguousarray(_valid(y, out_spatial))
@@ -170,13 +172,21 @@ def conv_bwd_input(gy, k, stride, padded_spatial):
     gx = np.zeros((n, ci) + tuple(padded_spatial), dtype=gy.dtype)
     step = _block_size(n, 2 * gx[:1].nbytes + g[:1].nbytes)
     tmp = np.zeros((step, ci) + grid, dtype=gy.dtype)
-    taps = [np.ascontiguousarray(k[(...,) + t].T) for t in np.ndindex(*k.shape[2:])]
+    tmp_cols = _columns(tmp, g.shape[2])
+    taps, sources = _tap_sources(padded_spatial, k.shape[2:], stride, out_spatial)
+    mats = [np.ascontiguousarray(k[(...,) + t].T) for t in taps]
     for lo in range(0, n, step):
         gxb = gx[lo:lo + step]
         tb = tmp[:len(gxb)]
-        for kt, tap in zip(taps, np.ndindex(*k.shape[2:])):
-            _matmul(kt, g[lo:lo + step], _columns(tb, g.shape[2]))
-            _add_tap(gxb, tb, tap, stride, out_spatial)
+        gx_flat, tb_flat = gxb.reshape(-1), tb.reshape(-1)
+        for kt, src in zip(mats, sources):
+            _matmul(kt, g[lo:lo + step], tmp_cols[:len(gxb)])
+            if isinstance(src, int):
+                # one contiguous add of the shifted flat arrays; the product's
+                # row tails are zero, so what spills into the next row adds nothing
+                gx_flat[src:] += tb_flat[:gx_flat.size - src]
+            else:
+                gxb[src] += tb
     return gx
 
 
@@ -184,7 +194,8 @@ def conv_bwd_kernel(xp, gy, stride, kernel_spatial):
     co, ci, out_spatial = gy.shape[1], xp.shape[1], gy.shape[2:]
     g = _on_grid(gy, _grid(xp.shape[2:], stride, out_spatial))
     gk = np.empty((co, ci) + tuple(kernel_spatial), dtype=xp.dtype)
-    for tap, x_tap in _tap_columns(xp, kernel_spatial, stride, out_spatial):
+    taps, sources = _tap_sources(xp.shape[2:], kernel_spatial, stride, out_spatial)
+    for tap, x_tap in zip(taps, _tap_columns(xp, sources, g.shape[2])):
         gk[(...,) + tap] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
     return gk
 

@@ -19,7 +19,7 @@ import numpy as np
 from .data import _write_atomic, encode_container, read_container
 from .errors import ConfigError, FileFormatError, ShapeError
 from .tensor import (Parameter, Tensor, concat, conv_nd, conv_transpose_nd,
-                     instance_norm, interp_upsample, softmax_channel)
+                     instance_norm_relu, interp_upsample, softmax_channel)
 
 CHECKPOINT_FORMAT = "geoseg-checkpoint"
 
@@ -113,8 +113,10 @@ class DualDecoderNet:
     def parameters(self):
         return list(self.params.values())
 
-    def _norm(self, t):
-        return instance_norm(t) if self.config.normalization == "instance" else t
+    def _norm_relu(self, t):
+        if self.config.normalization == "instance":
+            return instance_norm_relu(t)
+        return t.relu()
 
     def _conv(self, t, name, stride=1, padding=0):
         return conv_nd(t, self.params[f"{name}.kernel"],
@@ -122,7 +124,7 @@ class DualDecoderNet:
                        padding=padding)
 
     def _block(self, t, name, stride=1, padding=0):
-        return self._norm(self._conv(t, name, stride, padding)).relu()
+        return self._norm_relu(self._conv(t, name, stride, padding))
 
     def forward(self, x):
         """Run the network on a [N,C,spatial...] batch tensor."""
@@ -154,7 +156,7 @@ class DualDecoderNet:
             if dec == "dec1":
                 up = conv_transpose_nd(h, self.params[f"{name}.kernel"],
                                        self.params[f"{name}.bias"], stride=2)
-                h = self._norm(up).relu()
+                h = self._norm_relu(up)
             else:
                 h = self._block(interp_upsample(h), name)
             h = concat([h, skips[level - 1]], axis=1)

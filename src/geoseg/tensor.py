@@ -2,8 +2,10 @@
 
 Just enough machinery for a small encoder / dual-decoder convolutional
 network and its loss pipeline: elementwise arithmetic, full reductions,
-channel softmax / log-sum-exp, instance normalization, N-D cross-correlation
-with its transpose, and factor-2 linear up-sampling.
+channel softmax / log-sum-exp, instance normalization fused with the ReLU
+that always follows it (one node, closed-form backward), N-D
+cross-correlation with its transpose, and factor-2 linear up-sampling as a
+two-tap slice stencil along each axis.
 
 Deliberate restrictions:
   * broadcasting is limited to python-scalar-with-tensor; any other shape
@@ -268,24 +270,32 @@ def logsumexp_channel(t):
     return Tensor._make(m + np.log(s), (t,), backward)
 
 
-def instance_norm(t, eps=1e-5):
-    """Normalize each (item, channel) slice over its spatial extent."""
+def instance_norm_relu(t, eps=1e-5):
+    """ReLU of the instance normalization of [N, C, spatial...]: each
+    (item, channel) slice is normalized over its spatial extent.
+
+    One node: the backward masks the upstream gradient with the ReLU and
+    applies the normalization's closed-form gradient in place.
+    """
     if t.ndim < 3:
-        raise ShapeError(f"instance_norm needs [N, C, spatial...], got {t.shape}")
-    axes = tuple(range(2, t.ndim))
-    x = t.data
-    mu = x.mean(axis=axes, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
+        raise ShapeError(f"instance_norm_relu needs [N, C, spatial...], "
+                         f"got {t.shape}")
+    shape = t.shape
+    x = t.data.reshape(shape[:2] + (-1,))
+    y = x - x.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt((y * y).mean(axis=2, keepdims=True) + eps)
+    y *= inv
 
     def backward(g):
-        gm = g.mean(axis=axes, keepdims=True)
-        gym = (g * y).mean(axis=axes, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gr = g.reshape(y.shape) * (y > 0.0)
+        tmp = gr * y
+        gym = tmp.mean(axis=2, keepdims=True)
+        gr -= gr.mean(axis=2, keepdims=True)
+        gr -= np.multiply(y, gym, out=tmp)
+        gr *= inv
+        return (gr.reshape(shape),)
 
-    return Tensor._make(y, (t,), backward)
+    return Tensor._make(np.maximum(y, 0.0).reshape(shape), (t,), backward)
 
 
 # -- convolution ----------------------------------------------------------------
@@ -342,12 +352,14 @@ def conv_nd(x, kernel, bias=None, stride=1, padding=0):
             raise ShapeError(f"conv_nd: kernel {kernel.shape} does not fit padded "
                              f"input {x.shape} (padding {padding})")
 
-    pads = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x.data, pads) if any(padding) else x.data
-    kd = kernel.data
-    padded_spatial = xp.shape[2:]
+    padded_spatial = tuple(ext + 2 * p for ext, p in zip(x.shape[2:], padding))
     inner = tuple([slice(None), slice(None)]
                   + [slice(p, sp - p) for p, sp in zip(padding, padded_spatial)])
+    xp = x.data
+    if any(padding):
+        xp = np.zeros(x.shape[:2] + padded_spatial)
+        xp[inner] = x.data
+    kd = kernel.data
 
     def grads(g):
         gx = np.ascontiguousarray(
@@ -379,52 +391,55 @@ def conv_transpose_nd(x, kernel, bias=None, stride=1):
     return _conv_node(y, x, kernel, bias, grads)
 
 
-def _upsample_plan(n):
-    # align-corners-false linear interpolation, fixed factor 2:
-    # source coordinate of output j is (j + 0.5) / 2 - 0.5, clamped
-    src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n - 1)
-    w1 = src - i0
-    return i0, i1, 1.0 - w1, w1
+def _along(axis, start=None, stop=None, step=None):
+    # index taking slice(start, stop, step) of `axis` and all of the others
+    return (slice(None),) * axis + (slice(start, stop, step),)
+
+
+def _upsample_axis(x, axis):
+    # align-corners-false linear interpolation, fixed factor 2: output 2m
+    # is 0.25*x[m-1] + 0.75*x[m] and output 2m+1 is 0.75*x[m] + 0.25*x[m+1],
+    # clamped at the edges, where the first and last outputs copy x[0] and
+    # x[n-1]
+    out = np.empty(x.shape[:axis] + (2 * x.shape[axis],) + x.shape[axis + 1:])
+    even, odd = out[_along(axis, 0, None, 2)], out[_along(axis, 1, None, 2)]
+    near, far = 0.75 * x, 0.25 * x
+    head, tail = _along(axis, None, -1), _along(axis, 1, None)
+    np.add(far[head], near[tail], out=even[tail])
+    np.add(near[head], far[tail], out=odd[head])
+    even[_along(axis, 0, 1)] = x[_along(axis, 0, 1)]
+    odd[_along(axis, -1, None)] = x[_along(axis, -1, None)]
+    return out
 
 
 def _upsample_axis_backward(g, axis):
-    # adjoint of the factor-2 stencil: interior outputs blend 0.75/0.25 with
-    # a neighbor, the clamped first/last output copy their edge input
-    moved = np.moveaxis(g, axis, 0)
-    even = moved[0::2]
-    odd = moved[1::2]
-    n = even.shape[0]
-    gx = np.zeros((n,) + moved.shape[1:], dtype=np.float64)
-    gx[0] += even[0]
-    if n > 1:
-        gx[1:] += 0.75 * even[1:]
-        gx[:-1] += 0.25 * even[1:]
-        gx[:-1] += 0.75 * odd[:-1]
-        gx[1:] += 0.25 * odd[:-1]
-    gx[n - 1] += odd[n - 1]
-    return np.moveaxis(gx, 0, axis)
+    # adjoint of _upsample_axis: each input sums the weighted outputs that
+    # read it, in a fixed order that sets the rounding
+    even, odd = g[_along(axis, 0, None, 2)], g[_along(axis, 1, None, 2)]
+    head, tail = _along(axis, None, -1), _along(axis, 1, None)
+    gx = np.zeros(even.shape)
+    gx[_along(axis, 0, 1)] += even[_along(axis, 0, 1)]
+    gx[tail] += 0.75 * even[tail]
+    gx[head] += 0.25 * even[tail]
+    gx[head] += 0.75 * odd[head]
+    gx[tail] += 0.25 * odd[head]
+    gx[_along(axis, -1, None)] += odd[_along(axis, -1, None)]
+    return gx
 
 
 def interp_upsample(x):
     """Linear (bi/tri-linear) x2 up-sampling of the spatial axes."""
     if x.ndim not in (4, 5):
         raise ShapeError(f"interp_upsample supports rank 2 or 3, input is {x.shape}")
-    axes = tuple(range(2, x.ndim))
-    plans = [(axis, *_upsample_plan(x.shape[axis])) for axis in axes]
-
+    axes = range(2, x.ndim)
     data = x.data
-    for axis, i0, i1, w0, w1 in plans:
-        wshape = [1] * data.ndim
-        wshape[axis] = -1
-        data = (np.take(data, i0, axis=axis) * w0.reshape(wshape)
-                + np.take(data, i1, axis=axis) * w1.reshape(wshape))
+    for axis in axes:
+        data = _upsample_axis(data, axis)
 
     def backward(g):
         for axis in reversed(axes):
             g = _upsample_axis_backward(g, axis)
-        return (np.ascontiguousarray(g),)
+        return (g,)
 
     return Tensor._make(data, (x,), backward)
 

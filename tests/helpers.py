@@ -96,6 +96,68 @@ def conv_bwd_kernel_oracle(xp, gy, stride, kernel_spatial):
     return gk
 
 
+def instance_norm_relu_reference(x, g, eps=1e-5):
+    """Instance normalization and ReLU as two separate steps, forward and
+    backward, over the spatial axes of [N, C, spatial...]: returns the
+    output and the input gradient for the upstream gradient ``g``."""
+    axes = tuple(range(2, x.ndim))
+    mu = x.mean(axis=axes, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+    gr = g * (y > 0.0)
+    gm = gr.mean(axis=axes, keepdims=True)
+    gym = (gr * y).mean(axis=axes, keepdims=True)
+    return np.maximum(y, 0.0), inv * (gr - gm - y * gym)
+
+
+def _linear_x2_sources(n):
+    # source coordinate of output j is (j + 0.5) / 2 - 0.5, clamped
+    src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+    i0 = np.floor(src).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n - 1)
+    w1 = src - i0
+    return i0, i1, 1.0 - w1, w1
+
+
+def upsample_reference(x, g):
+    """Factor-2 align-corners-false linear up-sampling of the spatial axes
+    by gathers of each output's two source samples, and its adjoint applied
+    to the upstream gradient ``g``: returns (output, input gradient)."""
+    axes = tuple(range(2, x.ndim))
+    y = x
+    for axis in axes:
+        i0, i1, w0, w1 = _linear_x2_sources(y.shape[axis])
+        wshape = [1] * y.ndim
+        wshape[axis] = -1
+        y = (np.take(y, i0, axis=axis) * w0.reshape(wshape)
+             + np.take(y, i1, axis=axis) * w1.reshape(wshape))
+    for axis in reversed(axes):
+        moved = np.moveaxis(g, axis, 0)
+        even, odd = moved[0::2], moved[1::2]
+        n = even.shape[0]
+        gx = np.zeros((n,) + moved.shape[1:])
+        gx[0] += even[0]
+        if n > 1:
+            gx[1:] += 0.75 * even[1:]
+            gx[:-1] += 0.25 * even[1:]
+            gx[:-1] += 0.75 * odd[:-1]
+            gx[1:] += 0.25 * odd[:-1]
+        gx[n - 1] += odd[n - 1]
+        g = np.moveaxis(gx, 0, axis)
+    return y, g
+
+
+def assert_bitwise_equal(got, want):
+    """Same shape and the same float64 bit patterns, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    same = got.view(np.uint64) == want.view(np.uint64)
+    assert same.all(), (f"{(~same).sum()} of {same.size} entries differ; "
+                        f"first got={got[~same][0]!r} want={want[~same][0]!r}")
+
+
 def brute_force_edt_sq(mask):
     """All-pairs nearest-foreground squared distances, exact int64."""
     mask = np.asarray(mask).astype(bool)

@@ -12,7 +12,8 @@ from geoseg.losses import LossConfig, total_loss
 from geoseg.network import (DualDecoderNet, NetworkConfig, load_checkpoint,
                             net_from_checkpoint, save_checkpoint, select_final)
 from geoseg.tensor import SGD, Tensor
-from geoseg.training import Batch
+from geoseg.training import Batch, TrainConfig
+from helpers import assert_grads_match, fd_gradient
 
 rng = np.random.default_rng(31)
 
@@ -109,6 +110,53 @@ def test_gradient_step_touches_every_branch():
         changed = any(not np.array_equal(before[n], p.data)
                       for n, p in net.params.items() if n.startswith(prefix))
         assert changed, f"no parameter under {prefix} moved"
+
+
+@pytest.mark.parametrize("norm", ["instance", "none"])
+def test_whole_network_gradients_match_finite_differences(norm):
+    net = DualDecoderNet(NetworkConfig(width=2, depth=1, normalization=norm,
+                                       seed=21))
+    x = Tensor(rng.standard_normal((2, 1, 8, 8)))
+    weights = [rng.standard_normal((2, 1, 8, 8)) for _ in range(4)]
+
+    def loss():
+        out = net.forward(x)
+        return sum(((head * Tensor(w)).sum() for head, w in
+                    zip((out.seg1, out.seg2, out.sdm1, out.sdm2), weights)),
+                   Tensor(0.0))
+
+    loss().backward()
+    for name in ("enc.stem.kernel", "enc.block1.bias", "dec1.up1.kernel",
+                 "dec1.merge1.bias", "dec2.up1.kernel", "dec2.merge1.kernel",
+                 "dec1.seg_head.bias", "dec2.sdm_head.kernel"):
+        p = net.params[name]
+        assert_grads_match(p.grad, fd_gradient(lambda: loss().item(), p.data))
+
+
+def _backward_nodes(root):
+    # operation nodes a backward pass from root visits
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return count
+
+
+def test_default_train_step_records_125_graph_nodes():
+    # one fused instance-norm+ReLU node per conv block (19 of them); two
+    # nodes per block would make 144
+    cfg = TrainConfig()
+    net = DualDecoderNet(cfg.network)
+    n = cfg.labeled_per_batch + cfg.unlabeled_per_batch
+    masks = (rng.random((cfg.labeled_per_batch,) + cfg.crop) < 0.4) * 1.0
+    batch = Batch(images=rng.standard_normal((n, 1) + cfg.crop), masks=masks,
+                  sdm_targets=np.stack([sdm_target(m) for m in masks]))
+    out = net.forward(Tensor(batch.images))
+    total = total_loss(out, batch, 0, cfg.t_max, cfg.loss).total
+    assert _backward_nodes(total) == 125
 
 
 # -- checkpoint container ------------------------------------------------------

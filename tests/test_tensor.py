@@ -9,9 +9,11 @@ import pytest
 
 from geoseg.errors import ConfigError, ShapeError, TrainingAbort
 from geoseg.tensor import (SGD, Parameter, Tensor, concat, conv_nd,
-                           conv_transpose_nd, instance_norm, interp_upsample,
-                           logsumexp_channel, mse, no_grad, softmax_channel)
-from helpers import assert_grads_match, fd_gradient
+                           conv_transpose_nd, instance_norm_relu,
+                           interp_upsample, logsumexp_channel, mse, no_grad,
+                           softmax_channel)
+from helpers import (assert_bitwise_equal, assert_grads_match, fd_gradient,
+                     instance_norm_relu_reference, upsample_reference)
 
 rng = np.random.default_rng(7)
 
@@ -124,9 +126,41 @@ def test_grad_softmax_logsumexp():
     check_op(lambda x, y: (logsumexp_channel(x) * y).sum(), z, w)
 
 
+def _away_from_relu_kink(shape):
+    # each (item, channel) slice holds values v and -v with |v| >= 0.5, so
+    # its mean is zero and normalizing only scales it; then a per-slice
+    # scale and offset, so the op has to undo both
+    half = shape[:2] + (int(np.prod(shape[2:])) // 2,)
+    v = rng.uniform(0.5, 2.0, half) * rng.choice([-1.0, 1.0], half)
+    z = rng.permuted(np.concatenate([v, -v], axis=2), axis=2).reshape(shape)
+    return z * rng.uniform(0.5, 3.0, shape[:2] + (1,) * (len(shape) - 2)) \
+        + rng.standard_normal(shape[:2] + (1,) * (len(shape) - 2))
+
+
 def test_grad_instance_norm():
-    x = rng.standard_normal((2, 3, 4, 5))
-    check_op(lambda t: (instance_norm(t).square()).sum(), x)
+    for shape in [(2, 3, 4, 5), (1, 2, 2, 3, 4)]:
+        x = _away_from_relu_kink(shape)
+        axes = tuple(range(2, len(shape)))
+        xc = x - x.mean(axis=axes, keepdims=True)
+        assert (np.abs(xc) / xc.std(axis=axes, keepdims=True)).min() >= 1e-3
+        w = rng.standard_normal(shape)
+        check_op(lambda t: (instance_norm_relu(t) * Tensor(w)).sum()
+                 + instance_norm_relu(t).square().mean(), x)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (2, 2, 3, 4, 2)],
+                         ids=["2d", "3d"])
+def test_instance_norm_relu_is_bitwise_the_two_node_formula(shape):
+    x = rng.standard_normal(shape) * 2.0 + 0.5
+    x[1, 0] = 0.75  # a constant channel: zero variance, only eps is left
+    g = rng.standard_normal(shape)
+    t = Tensor(x, requires_grad=True)  # grad starts as None, not +0.0
+    out = instance_norm_relu(t)
+    (out * Tensor(g)).sum().backward()
+    want_y, want_gx = instance_norm_relu_reference(x, g)
+    assert_bitwise_equal(out.data, want_y)
+    assert_bitwise_equal(t.grad, want_gx)
+    assert not out.data[1, 0].any()
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -282,6 +316,26 @@ def test_upsample_ramp_matches_analytic_interpolation():
     want = np.interp(src, [0.0, 1.0], [0.0, 1.0])
     np.testing.assert_allclose(got[0], want)
     np.testing.assert_allclose(got[1], want)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_upsample_is_bitwise_the_gather_formula(rank):
+    # every extent in {1, 2, 3, 8} on every axis: all pairs in 2D, a
+    # Latin square of them in 3D
+    extents = [1, 2, 3, 8]
+    if rank == 2:
+        spatials = [(a, b) for a in extents for b in extents]
+    else:
+        spatials = [tuple(extents[(i + a) % 4] for a in range(3)) for i in range(4)]
+    for spatial in spatials:
+        x = rng.standard_normal((2, 3) + spatial)
+        g = rng.standard_normal((2, 3) + tuple(2 * e for e in spatial))
+        t = Tensor(x, requires_grad=True)
+        out = interp_upsample(t)
+        (out * Tensor(g)).sum().backward()
+        want_y, want_gx = upsample_reference(x, g)
+        assert_bitwise_equal(out.data, want_y)
+        assert_bitwise_equal(t.grad, want_gx)
 
 
 # -- optimizer ------------------------------------------------------------------
