@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import PhantomParams, _write_atomic, _write_csv, build_dataset, \
-    load_manifest, load_split, read_array, write_array
+    check_build, load_manifest, load_split, read_array, write_array
 from .errors import ConfigError, DataError, GeoSegError
 from .geometry import boundary_weights, sdm_target
 from .inference import check_window, evaluate, sliding_window_infer
 from .network import net_from_checkpoint
-from .training import TrainConfig, check_config_keys, config_from_dict, \
-    train_loop
+from .training import TrainConfig, check_config_keys, check_pools, \
+    config_from_dict, train_loop
 
 ABLATE_SCHEMA = "ablate_v1"
 SWEEP_SCHEMA = "sweep_v1"
@@ -108,19 +108,31 @@ def _resolve_train_config(args):
     return config_from_dict(doc)
 
 
+def _load_dataset(path, cfg=None, needs_test=False):
+    """The dataset at ``path`` as (shape, split); its pools must fill
+    ``cfg``'s batches and, with ``needs_test``, it must have test records."""
+    manifest = load_manifest(path)
+    split = load_split(manifest)
+    if cfg is not None:
+        check_pools(split, cfg)
+    if needs_test and not split.test:
+        raise DataError(f"{path}: the dataset has no test records")
+    return manifest.shape, split
+
+
 def _default_window(shape, depth):
     multiple = 1 << depth
     return tuple(-(-n // multiple) * multiple for n in shape)
 
 
-def _eval_window(args, manifest, net):
-    if net.config.rank != len(manifest.shape):
+def _eval_window(args, shape, net):
+    if net.config.rank != len(shape):
         raise ConfigError(f"checkpoint is a rank-{net.config.rank} network, "
-                          f"the dataset's volumes are {manifest.shape}")
+                          f"the dataset's volumes are {shape}")
     window = (_parse_extents(args.window) if args.window
-              else _default_window(manifest.shape, net.config.depth))
+              else _default_window(shape, net.config.depth))
     stride = _parse_extents(args.stride) if args.stride else window
-    return check_window(window, stride, len(manifest.shape), net.config.depth)
+    return check_window(window, stride, len(shape), net.config.depth)
 
 
 def _train_and_eval(split, cfg, run_dir, shape):
@@ -165,11 +177,10 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
     if repeated:
         raise ConfigError(f"experiment grid repeats run dir(s) {repeated}: "
                           "seeds and members must be distinct")
-    manifest = load_manifest(args.manifest)
+    # every run shares the base config's batch sizes
+    shape, split = _load_dataset(args.manifest, base, needs_test=True)
     out = _prepare_out(args.out, args.force)
-    split = load_split(manifest)
-    results = [(label, [_train_and_eval(split, cfg, out / "runs" / run,
-                                        manifest.shape)
+    results = [(label, [_train_and_eval(split, cfg, out / "runs" / run, shape)
                         for run, cfg in member_runs])
                for label, member_runs in grid]
     rows = [(column, "seed") + _METRICS + ("schema",)]
@@ -188,29 +199,22 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
 
 def cmd_build_data(args):
     shape = _parse_extents(args.shape)
-    params = PhantomParams()
-    over = {}
-    if args.noise_sigma is not None:
-        over["noise_sigma"] = args.noise_sigma
-    if args.blur_sigma is not None:
-        over["blur_sigma"] = args.blur_sigma
-    if args.contrast is not None:
-        over["contrast"] = args.contrast
-    if over:
-        params = replace(params, **over)
+    params = PhantomParams(**{name: getattr(args, name) for name in
+                              ("noise_sigma", "blur_sigma", "contrast")
+                              if getattr(args, name) is not None})
+    counts = (args.labeled, args.unlabeled, args.test)
+    check_build(*counts, shape)
     out = _prepare_out(args.out, args.force)
     seed = args.seed if args.seed is not None else 0
-    manifest = build_dataset(out, args.labeled, args.unlabeled, args.test,
-                             shape, seed, params)
+    manifest = build_dataset(out, *counts, shape, seed, params)
     print(f"wrote {len(manifest.records)} records to {out}")
     return 0
 
 
 def cmd_train(args):
     cfg = _resolve_train_config(args)
-    manifest = load_manifest(args.manifest)
+    _, split = _load_dataset(args.manifest, cfg)
     out = _prepare_out(args.out, args.force)
-    split = load_split(manifest)
     result = train_loop(split, cfg, out_dir=out,
                         resume_from=args.resume_from)
     print(f"trained {cfg.t_max} steps -> {out} "
@@ -219,11 +223,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    manifest = load_manifest(args.manifest)
+    shape, split = _load_dataset(args.manifest, needs_test=True)
     net, _, _ = net_from_checkpoint(args.checkpoint)
-    window, stride = _eval_window(args, manifest, net)
+    window, stride = _eval_window(args, shape, net)
     out = _prepare_out(args.out, args.force)
-    split = load_split(manifest)
     report = evaluate(net, split.test, window, stride, out_dir=out)
     agg = report.aggregate
     print(f"evaluated {report.n_cases} cases: dice={agg['dice']:.4f} "

@@ -14,7 +14,10 @@ with its voxel spacing in the header.  Every artifact but a run's
 mid-write leaves the previous file in place.
 A dataset is a directory with a manifest: labeled-train and test records
 reference their masks, unlabeled-train masks are written to a sealed
-``audit/`` directory that the manifest never mentions.
+``audit/`` directory that the manifest never mentions.  Loading a dataset
+checks the whole manifest, then reads and digest-checks every volume it
+lists once; each loaded record carries its arrays, and ``load_split`` only
+groups the records by split.
 """
 
 import csv
@@ -192,33 +195,22 @@ def read_array(path, digest=None):
 # -- records and manifest ----------------------------------------------------
 
 
+# the split tags, in the order of DatasetSplit's pools
+SPLITS = ("labeled-train", "unlabeled-train", "test")
+
+
 @dataclass
 class VolumeRecord:
     case_id: str
+    split: str
     image: np.ndarray
-    mask: np.ndarray | None
-    spacing: tuple
-    split: str
-
-
-@dataclass
-class RecordEntry:
-    case_id: str
-    split: str
-    image: str            # file name of the image container
-    mask: str | None
-    spacing: tuple
+    mask: np.ndarray | None     # None for an unlabeled-train record
 
 
 @dataclass
 class Manifest:
-    root: Path
-    seed: int
     shape: tuple
-    counts: dict
-    records: list
-    digests: dict
-    volumes: dict         # file name -> (array, spacing), read once
+    records: list               # VolumeRecords, in manifest order
 
 
 # -- phantom generator ----------------------------------------------------------
@@ -297,6 +289,15 @@ def generate_phantom(shape, rng, params=PhantomParams()):
 # -- dataset builder --------------------------------------------------------------
 
 
+def check_build(n_labeled, n_unlabeled, n_test, shape):
+    """Raise ConfigError unless build_dataset can build these split sizes
+    and phantom shape."""
+    if n_labeled < 1 or n_test < 1 or n_unlabeled < 0:
+        raise ConfigError("need n_labeled >= 1, n_test >= 1, n_unlabeled >= 0")
+    if len(shape) not in (2, 3) or min(shape) < 16:
+        raise ConfigError(f"phantom shape {shape} needs 2 or 3 axes, each >= 16")
+
+
 def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
                   params=PhantomParams(), spacing=None):
     """Generate a split dataset on disk and return its manifest.
@@ -304,19 +305,18 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     Unlabeled-train masks are withheld from the manifest; they go to the
     sealed ``audit/`` directory so experiments cannot accidentally touch them.
     """
-    if n_labeled < 1 or n_test < 1 or n_unlabeled < 0:
-        raise ConfigError("need n_labeled >= 1, n_test >= 1, n_unlabeled >= 0")
+    check_build(n_labeled, n_unlabeled, n_test, shape)
     out_dir = Path(out_dir)
     volumes_dir = out_dir / "volumes"
     audit = out_dir / "audit"
     volumes_dir.mkdir(parents=True, exist_ok=True)
     audit.mkdir(parents=True, exist_ok=True)
-    spacing = tuple(spacing) if spacing is not None else (1.0,) * len(shape)
+    spacing = list(spacing) if spacing is not None else [1.0] * len(shape)
 
     plan = ([("labeled-train", True)] * n_labeled
             + [("unlabeled-train", False)] * n_unlabeled
             + [("test", True)] * n_test)
-    records, files, volumes = [], {}, {}
+    records, entries, files = [], [], {}
     for idx, (split, keep_mask) in enumerate(plan):
         rng = np.random.default_rng([seed, idx])
         image, mask = generate_phantom(shape, rng, params)
@@ -325,13 +325,11 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
         files[volumes_dir / image_name] = encode_volume(image, spacing)
         files[(volumes_dir if keep_mask else audit) / mask_name] = \
             encode_volume(mask, spacing)
-        volumes[image_name] = (image, spacing)
-        if keep_mask:
-            volumes[mask_name] = (mask, spacing)
-        records.append(RecordEntry(case_id=case_id, split=split,
-                                   image=image_name,
-                                   mask=mask_name if keep_mask else None,
-                                   spacing=spacing))
+        records.append(VolumeRecord(case_id, split, image,
+                                    mask if keep_mask else None))
+        entries.append({"case_id": case_id, "split": split, "image": image_name,
+                        "mask": mask_name if keep_mask else None,
+                        "spacing": spacing})
     digests = {path: hashlib.sha256(blob).hexdigest()
                for path, blob in files.items()}
     files[audit / "audit_manifest.json"] = json.dumps(
@@ -343,25 +341,24 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
                 "counts": {"labeled": n_labeled, "unlabeled": n_unlabeled,
                            "test": n_test},
                 "phantom_params": asdict(params),
-                "records": [asdict(r) for r in records],
+                "records": entries,
                 "digests": {p.name: d for p, d in digests.items()
                             if p.parent == volumes_dir}}
     # renamed last, the manifest commits the build
     files[out_dir / "manifest.json"] = json.dumps(manifest, indent=1) + "\n"
     _write_atomic(files)
-    return Manifest(root=out_dir, seed=seed, shape=tuple(shape),
-                    counts=manifest["counts"], records=records,
-                    digests=manifest["digests"], volumes=volumes)
+    return Manifest(shape=tuple(shape), records=records)
 
 
-# JSON types of a manifest record's fields (RecordEntry's, spacing a list)
+# JSON types of a manifest record's fields
 _RECORD_TYPES = {"case_id": str, "split": str, "image": str,
                  "mask": (str, type(None)), "spacing": list}
 
 
 def _check_manifest(path, doc):
-    """Raise FileFormatError unless the manifest has every field
-    load_manifest reads, of the type it is read as."""
+    """Raise FileFormatError unless the manifest has every field of its
+    format, of the type it is read as, and each record a known split tag
+    and a mask exactly when its split has one."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: manifest is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
@@ -389,9 +386,18 @@ def _check_manifest(path, doc):
                 f"{path}: record {i} needs the keys {list(_RECORD_TYPES)} "
                 "with string case_id/split/image, string-or-null mask and "
                 "list spacing")
+        if record["split"] not in SPLITS:
+            raise FileFormatError(f"{path}: record {i} has unknown split tag "
+                                  f"{record['split']!r}, expected one of {SPLITS}")
+        if (record["mask"] is None) != (record["split"] == "unlabeled-train"):
+            raise FileFormatError(f"{path}: record {i}: unlabeled-train records "
+                                  "list no mask, the others list one")
 
 
 def load_manifest(path):
+    """The dataset at ``path`` (its directory or its manifest.json): the
+    manifest is checked whole, then each volume it lists is read once; a
+    volume must exist and its bytes must match the manifest's digest."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -400,34 +406,19 @@ def load_manifest(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{path}: unreadable manifest ({e})") from None
     _check_manifest(path, doc)
-    root = path.parent
-    records = [RecordEntry(case_id=r["case_id"], split=r["split"],
-                           image=r["image"], mask=r["mask"],
-                           spacing=tuple(r["spacing"]))
+
+    def read(name):
+        file = path.parent / "volumes" / name
+        if not file.exists():
+            raise DataError(f"manifest references missing file {file}")
+        if name not in doc["digests"]:
+            raise DataError(f"manifest has no digest for {name}")
+        return read_array(file, doc["digests"][name])[0]
+
+    records = [VolumeRecord(r["case_id"], r["split"], read(r["image"]),
+                            None if r["mask"] is None else read(r["mask"]))
                for r in doc["records"]]
-    return Manifest(root=root, seed=doc["seed"], shape=tuple(doc["shape"]),
-                    counts=doc["counts"], records=records,
-                    digests=doc["digests"],
-                    volumes=_read_volumes(root / "volumes", records,
-                                          doc["digests"]))
-
-
-def _read_volumes(directory, records, digests):
-    """Read every file the records reference, once: it must exist and its
-    bytes must match the recorded digest.  Returns {name: (array, spacing)}."""
-    volumes = {}
-    for entry in records:
-        for rel in (entry.image, entry.mask):
-            if rel is None:
-                continue
-            path = directory / rel
-            if not path.exists():
-                raise DataError(f"manifest references missing file {path}")
-            want = digests.get(rel)
-            if want is None:
-                raise DataError(f"manifest has no digest for {rel}")
-            volumes[rel] = read_array(path, want)
-    return volumes
+    return Manifest(shape=tuple(doc["shape"]), records=records)
 
 
 @dataclass
@@ -438,19 +429,8 @@ class DatasetSplit:
 
 
 def load_split(manifest):
-    """Every record of the manifest, with the volumes it has read."""
-    split = DatasetSplit(labeled=[], unlabeled=[], test=[])
-    for entry in manifest.records:
-        image, spacing = manifest.volumes[entry.image]
-        mask = None if entry.mask is None else manifest.volumes[entry.mask][0]
-        record = VolumeRecord(case_id=entry.case_id, image=image, mask=mask,
-                              spacing=spacing, split=entry.split)
-        if entry.split == "labeled-train":
-            split.labeled.append(record)
-        elif entry.split == "unlabeled-train":
-            split.unlabeled.append(record)
-        elif entry.split == "test":
-            split.test.append(record)
-        else:
-            raise DataError(f"unknown split tag {entry.split!r}")
-    return split
+    """The manifest's records, grouped by split in manifest order."""
+    pools = {tag: [] for tag in SPLITS}
+    for record in manifest.records:
+        pools[record.split].append(record)
+    return DatasetSplit(*pools.values())

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("need at least one labeled item per batch")
         if self.unlabeled_per_batch < 0:
             raise ConfigError("unlabeled_per_batch must be >= 0")
+        if self.network.in_channels != 1:
+            raise ConfigError("network.in_channels must be 1: volumes have one channel")
         if len(self.crop) != self.network.rank:
             raise ConfigError(f"crop {self.crop} does not match network rank "
                               f"{self.network.rank}")
@@ -155,10 +157,8 @@ def random_crop(volume, mask, crop, rng):
     corner = [int(rng.integers(0, v - c + 1))
               for v, c in zip(volume.shape, crop)]
     window = tuple(slice(o, o + c) for o, c in zip(corner, crop))
-    img = np.ascontiguousarray(volume[window])
-    if mask is None:
-        return img, None
-    return img, np.ascontiguousarray(mask[window])
+    return (np.ascontiguousarray(volume[window]),
+            None if mask is None else np.ascontiguousarray(mask[window]))
 
 
 def draw_augment_decisions(rng, shape):
@@ -184,42 +184,41 @@ def apply_augment(arr, decisions):
 def augment(image, mask, rng):
     """Flip/rotate image (and mask, identically); masks stay binary."""
     decisions = draw_augment_decisions(rng, image.shape)
-    image = apply_augment(image, decisions)
-    if mask is not None:
-        mask = apply_augment(mask, decisions)
-    return image, mask
+    return (apply_augment(image, decisions),
+            None if mask is None else apply_augment(mask, decisions))
 
 
-def _labeled_item(split, cfg, rng):
-    record = split.labeled[int(rng.integers(len(split.labeled)))]
+def check_pools(split, cfg):
+    """Raise DataError unless the split's pools can fill ``cfg``'s batches."""
+    if not split.labeled:
+        raise DataError("the dataset has no labeled-train records")
+    if cfg.unlabeled_per_batch > 0 and not split.unlabeled:
+        raise DataError("the dataset has no unlabeled-train records for the batch")
+
+
+def _draw_item(pool, cfg, rng):
+    """A crop of a record drawn from ``pool``, augmented; (image, mask), the
+    mask None for an unlabeled record."""
+    record = pool[int(rng.integers(len(pool)))]
     img, msk = random_crop(record.image, record.mask, cfg.crop, rng)
     if cfg.augment:
         img, msk = augment(img, msk, rng)
-    return img, msk, sdm_target(msk)
+    return img, msk
 
 
 def sample_batch(split, cfg, rng):
     """Labeled items first, then unlabeled, sampled with replacement."""
-    if not split.labeled:
-        raise DataError("labeled pool is empty")
-    if cfg.unlabeled_per_batch > 0 and not split.unlabeled:
-        raise DataError("unlabeled pool is empty but the batch needs "
-                        "unlabeled items")
-    images, masks, targets = [], [], []
-    for _ in range(cfg.labeled_per_batch):
-        img, msk, target = _labeled_item(split, cfg, rng)
-        images.append(img)
-        masks.append(msk)
-        targets.append(target)
-    for _ in range(cfg.unlabeled_per_batch):
-        record = split.unlabeled[int(rng.integers(len(split.unlabeled)))]
-        img, _ = random_crop(record.image, None, cfg.crop, rng)
-        if cfg.augment:
-            img, _ = augment(img, None, rng)
-        images.append(img)
-    return Batch(images=np.stack(images).astype(np.float64)[:, None],
+    check_pools(split, cfg)
+    labeled = [_draw_item(split.labeled, cfg, rng)
+               for _ in range(cfg.labeled_per_batch)]
+    unlabeled = [_draw_item(split.unlabeled, cfg, rng)[0]
+                 for _ in range(cfg.unlabeled_per_batch)]
+    masks = [msk for _, msk in labeled]
+    return Batch(images=np.stack([img for img, _ in labeled] + unlabeled)
+                 .astype(np.float64)[:, None],
                  masks=np.stack(masks).astype(np.float64),
-                 sdm_targets=np.stack(targets).astype(np.float64))
+                 sdm_targets=np.stack([sdm_target(msk) for msk in masks])
+                 .astype(np.float64))
 
 
 # -- the optimization loop ---------------------------------------------------------
@@ -327,8 +326,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     ``resume_from`` too, ``out_dir`` must be the run's own directory: its
     loss CSV keeps the rows before the checkpoint's step and continues.
     """
-    if not split.labeled:
-        raise DataError("training split has no labeled records")
+    check_pools(split, cfg)
     cfg_hash = config_hash(cfg)
     rng = np.random.default_rng([cfg.seed, _BATCH_STREAM])
     if resume_from is not None:

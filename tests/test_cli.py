@@ -367,6 +367,80 @@ def test_version_1_manifest_asks_for_a_rebuild(dataset, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _drop_split(tag):
+    return lambda d: {**d, "records": [r for r in d["records"]
+                                       if r["split"] != tag]}
+
+
+def _edit_first(split, edit):
+    """Edit the manifest's first record of ``split``."""
+    def apply(doc):
+        first = next(r for r in doc["records"] if r["split"] == split)
+        return {**doc, "records": [edit(r) if r is first else r
+                                   for r in doc["records"]]}
+    return apply
+
+
+def _flip_last_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+ALL_COMMANDS = ("train", "eval", "ablate", "sweep-rho")
+# (id, manifest edit, volume damage, category, commands the defect stops);
+# a command left out does not use the pool the defect empties
+DATASET_DEFECTS = [
+    ("unknown-split-tag", _edit_first("test", lambda r: {**r, "split": "val"}),
+     None, "io", ALL_COMMANDS),
+    ("no-test-records", _drop_split("test"), None, "data",
+     ("eval", "ablate", "sweep-rho")),
+    ("empty-unlabeled-pool", _drop_split("unlabeled-train"), None, "data",
+     ("train", "ablate", "sweep-rho")),
+    ("no-labeled-records", _drop_split("labeled-train"), None, "data",
+     ("train", "ablate", "sweep-rho")),
+    ("test-record-without-mask", _edit_first("test", lambda r: {**r, "mask": None}),
+     None, "io", ALL_COMMANDS),
+    ("unlabeled-record-with-mask",
+     _edit_first("unlabeled-train",
+                 lambda r: {**r, "mask": "case_0000.mask.vol"}),
+     None, "io", ALL_COMMANDS),
+    ("digest-mismatch", None, _flip_last_byte, "data", ALL_COMMANDS),
+    ("missing-volume", None, lambda path: path.unlink(), "data", ALL_COMMANDS),
+]
+DEFECT_CASES = [(f"{defect}-{command}", command, *case)
+                for defect, *case, commands in DATASET_DEFECTS
+                for command in commands]
+
+
+@pytest.mark.parametrize("command, edit, damage, category",
+                         [case[1:] for case in DEFECT_CASES],
+                         ids=[case[0] for case in DEFECT_CASES])
+def test_dataset_defect_stops_the_command_before_out(
+        dataset, four_step_run, tmp_path, capsys, command, edit, damage,
+        category):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    if edit is not None:
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    if damage is not None:
+        damage(data / "volumes" / "case_0000.image.vol")
+    out = tmp_path / "out"
+    flags = {"train": TINY, "ablate": TINY + ["--seeds", "0"],
+             "sweep-rho": TINY + ["--values", "2", "--seeds", "0"],
+             "eval": ["--checkpoint",
+                      str(four_step_run / "checkpoints" / "final.ckpt")]}
+    capsys.readouterr()
+    code = run([command, "--manifest", str(data), "--out", str(out)]
+               + flags[command])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error category={category} message=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ablate_schema(dataset, tmp_path):
     out = tmp_path / "abl"
     code = run(["ablate", "--manifest", str(dataset), "--out", str(out),
@@ -457,6 +531,8 @@ BAD_CONFIGS = [
     ("float-field-bool", '{"loss": {"rho": true}}',
      "config.loss.rho must be a number"),
     ("mistyped-crop", '{"crop": 5}', "invalid config value"),
+    ("in-channels-not-one", '{"network": {"in_channels": 2}}',
+     "network.in_channels must be 1"),
 ]
 
 
@@ -567,6 +643,20 @@ def test_bad_phantom_param_is_a_config_error(tmp_path, capsys, flag, value):
     out = tmp_path / "data"
     code = run(["build-data", "--labeled", "1", "--unlabeled", "0", "--test",
                 "1", "--shape", "16x16", "--out", str(out), f"{flag}={value}"])
+    _assert_config_error_before_out(capsys, code, out)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--labeled", "0"], ["--test", "0"], ["--unlabeled", "-1"],
+    ["--shape", "8x8"], ["--shape", "16"], ["--shape", "16x16x16x16"]],
+    ids=["labeled-0", "test-0", "unlabeled--1", "shape-8x8", "shape-16",
+         "shape-16x16x16x16"])
+def test_bad_build_data_input_is_a_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "data"
+    argv = {"--labeled": "1", "--unlabeled": "0", "--test": "1",
+            "--shape": "16x16", **dict([flags])}
+    code = run(["build-data", "--out", str(out)]
+               + [part for item in argv.items() for part in item])
     _assert_config_error_before_out(capsys, code, out)
 
 

@@ -359,16 +359,23 @@ def test_unlabeled_masks_sealed_in_audit_sidecar(dataset):
         assert (out / "audit" / f"{r.case_id}.mask.vol").exists()
 
 
+def _manifest_doc(root):
+    return json.loads((root / "manifest.json").read_text())
+
+
 def test_rebuild_same_seed_identical_digests(tmp_path, dataset):
-    _, manifest = dataset
-    again = build_dataset(tmp_path / "rebuild", n_labeled=4, n_unlabeled=6,
-                          n_test=3, shape=(32, 32), seed=123)
-    assert again.digests == manifest.digests
+    out, _ = dataset
+    build_dataset(tmp_path / "rebuild", n_labeled=4, n_unlabeled=6, n_test=3,
+                  shape=(32, 32), seed=123)
+    digests = _manifest_doc(out)["digests"]
+    assert len(digests) == 20   # 13 images, 7 masks
+    assert _manifest_doc(tmp_path / "rebuild")["digests"] == digests
 
 
 def test_dataset_load_reads_each_volume_once(tmp_path, monkeypatch):
-    built = build_dataset(tmp_path, n_labeled=2, n_unlabeled=2, n_test=2,
-                          shape=(16, 16), seed=5)
+    build_dataset(tmp_path, n_labeled=2, n_unlabeled=2, n_test=2,
+                  shape=(16, 16), seed=5)
+    listed = sorted(_manifest_doc(tmp_path)["digests"])
     reads, real_read = [], Path.read_bytes
 
     def read_bytes(path):
@@ -379,10 +386,10 @@ def test_dataset_load_reads_each_volume_once(tmp_path, monkeypatch):
     fresh = load_split(build_dataset(tmp_path / "again", 2, 2, 2, (16, 16), 5))
     assert reads == []   # a build hands back what it wrote
     split = load_split(load_manifest(tmp_path))
-    assert sorted(reads) == sorted(built.digests) and len(reads) == 10
+    assert sorted(reads) == listed and len(reads) == 10
     for got, want in zip(split.labeled + split.unlabeled + split.test,
                          fresh.labeled + fresh.unlabeled + fresh.test):
-        assert got.case_id == want.case_id and got.spacing == want.spacing
+        assert got.case_id == want.case_id and got.split == want.split
         assert got.image.tobytes() == want.image.tobytes()
         assert (got.mask is None) == (want.mask is None)
         assert got.mask is None or got.mask.tobytes() == want.mask.tobytes()
@@ -403,5 +410,6 @@ def test_ten_percent_labeled_regime_shape(tmp_path):
     manifest = build_dataset(tmp_path, n_labeled=4, n_unlabeled=36, n_test=10,
                              shape=(16, 16), seed=1,
                              params=PhantomParams(max_objects=1))
-    assert manifest.counts == {"labeled": 4, "unlabeled": 36, "test": 10}
+    assert _manifest_doc(tmp_path)["counts"] == {"labeled": 4, "unlabeled": 36,
+                                                 "test": 10}
     assert len(manifest.records) == 50

@@ -197,9 +197,8 @@ def _records(n, shape=(16, 16)):
     out = []
     for i in range(n):
         mask = random_blob_mask(rng, shape).astype(np.uint8)
-        out.append(VolumeRecord(case_id=f"case_{i:04d}",
-                                image=mask.astype(np.float32), mask=mask,
-                                spacing=(1.0, 1.0), split="test"))
+        out.append(VolumeRecord(case_id=f"case_{i:04d}", split="test",
+                                image=mask.astype(np.float32), mask=mask))
     return out
 
 
@@ -232,9 +231,9 @@ def test_evaluate_report_rows_and_aggregate_mean(tmp_path):
 
 
 def test_evaluate_flags_degenerate_surface_cases(tmp_path):
-    record = VolumeRecord(case_id="allfg", image=np.ones((16, 16), np.float32),
-                          mask=np.ones((16, 16), np.uint8),
-                          spacing=(1.0, 1.0), split="test")
+    record = VolumeRecord(case_id="allfg", split="test",
+                          image=np.ones((16, 16), np.float32),
+                          mask=np.ones((16, 16), np.uint8))
     report = evaluate(_ConstantNet(0.9), [record], (16, 16), (16, 16),
                       out_dir=tmp_path)
     case = report.cases[0]
@@ -247,7 +246,7 @@ def test_evaluate_flags_degenerate_surface_cases(tmp_path):
 
 
 def test_evaluate_requires_masks():
-    record = VolumeRecord(case_id="x", image=np.zeros((16, 16), np.float32),
-                          mask=None, spacing=(1.0, 1.0), split="test")
+    record = VolumeRecord(case_id="x", split="test",
+                          image=np.zeros((16, 16), np.float32), mask=None)
     with pytest.raises(ConfigError):
         evaluate(_ConstantNet(0.5), [record], (16, 16), (16, 16))

@@ -155,6 +155,14 @@ def test_empty_pool_rejected(split):
         sample_batch(empty, tiny_config(), np.random.default_rng(0))
 
 
+def test_train_loop_checks_the_pools_before_writing(split, tmp_path):
+    no_unlabeled = type(split)(labeled=split.labeled, unlabeled=[],
+                               test=split.test)
+    with pytest.raises(DataError, match="no unlabeled-train records"):
+        train_loop(no_unlabeled, tiny_config(), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 # -- schedule ----------------------------------------------------------------------
 
 
