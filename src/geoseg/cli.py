@@ -282,8 +282,7 @@ def _predicted_sdm(checkpoint, image_path):
     net, _, _ = net_from_checkpoint(checkpoint)
     image, spacing = read_array(image_path)
     window = _default_window(image.shape, net.config.depth)
-    sdm = sliding_window_infer(net, image, window, window,
-                               head=lambda out: out.sdm1)
+    sdm = sliding_window_infer(net, image, window, window, head="sdm")
     return sdm, spacing
 
 

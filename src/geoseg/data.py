@@ -197,6 +197,8 @@ def read_array(path, digest=None):
 
 # the split tags, in the order of DatasetSplit's pools
 SPLITS = ("labeled-train", "unlabeled-train", "test")
+# the manifest's 'counts' key of each split tag, in the same order
+_COUNT_KEYS = ("labeled", "unlabeled", "test")
 
 
 @dataclass
@@ -357,8 +359,9 @@ _RECORD_TYPES = {"case_id": str, "split": str, "image": str,
 
 def _check_manifest(path, doc):
     """Raise FileFormatError unless the manifest has every field of its
-    format, of the type it is read as, and each record a known split tag
-    and a mask exactly when its split has one."""
+    format, of the type it is read as, each record a known split tag and a
+    mask exactly when its split has one, and 'counts' the number of records
+    of each split."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: manifest is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
@@ -392,6 +395,12 @@ def _check_manifest(path, doc):
         if (record["mask"] is None) != (record["split"] == "unlabeled-train"):
             raise FileFormatError(f"{path}: record {i}: unlabeled-train records "
                                   "list no mask, the others list one")
+    counts = {key: sum(r["split"] == tag for r in records)
+              for key, tag in zip(_COUNT_KEYS, SPLITS)}
+    if doc["counts"] != counts or any(type(n) is not int
+                                      for n in doc["counts"].values()):
+        raise FileFormatError(f"{path}: manifest 'counts' {doc['counts']} do "
+                              f"not match its records' split tags {counts}")
 
 
 def load_manifest(path):

@@ -3,9 +3,11 @@
 Windows tile the volume with the given stride, the final window per axis
 clamped to the boundary; overlapping predictions are averaged uniformly by
 visit count.  Volumes smaller than the window are zero-padded (trailing
-edge) and un-padded after.  The exported map is decoder 1's foreground
-probability unless the caller passes ``head``; thresholding at exactly 0.5
-assigns background.
+edge) and un-padded after.  Each tile runs the encoder and the final
+decoder (decoder 1) only, through ``DualDecoderNet.predict``: decoder 2
+serves the training losses and no prediction reads it.  The averaged map
+is that decoder's foreground probability, or its SDM with ``head="sdm"``;
+thresholding at exactly 0.5 assigns background.
 """
 
 import itertools
@@ -18,7 +20,6 @@ import numpy as np
 from .data import _write_atomic, _write_csv
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import dice_jaccard, surface_distances
-from .network import select_final
 from .tensor import Tensor, no_grad
 
 METRICS_SCHEMA = "metrics_v1"
@@ -61,8 +62,14 @@ def check_window(window, stride, rank, depth):
     return window, stride
 
 
-def sliding_window_infer(net, volume, window, stride, head=select_final):
-    """Volume of ``head``'s map, averaged over overlapping window predictions."""
+HEADS = ("seg", "sdm")
+
+
+def sliding_window_infer(net, volume, window, stride, head="seg"):
+    """Volume of the final decoder's ``head`` map ("seg" or "sdm"), averaged
+    over overlapping window predictions."""
+    if head not in HEADS:
+        raise ConfigError(f"head must be one of {HEADS}, got {head!r}")
     volume = np.asarray(volume, dtype=np.float64)
     window, stride = check_window(window, stride, volume.ndim,
                                   net.config.depth)
@@ -80,7 +87,7 @@ def sliding_window_infer(net, volume, window, stride, head=select_final):
         for corner in itertools.product(*axes_starts):
             sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
             tile = Tensor(volume[sl][None, None])
-            out = head(net.forward(tile)).data[0, 0]
+            out = net.predict(tile)[head].data[0, 0]
             prob[sl] += out
             count[sl] += 1.0
     prob /= count

@@ -2,10 +2,18 @@
 
 Both decoders are structurally identical and consume the same encoder
 features, but they up-sample differently: decoder 1 uses learned transposed
-convolutions, decoder 2 uses linear interpolation followed by a width-1
-convolution.  Each decoder ends in a 2-channel segmentation head (softmax)
+convolutions, decoder 2 a width-1 convolution followed by linear
+interpolation.  The two commute, since both are linear and each
+interpolated output's weights sum to one (so the bias passes through), and
+the convolution runs first, on a quarter (2D) or an eighth (3D) of the
+positions.  Each decoder ends in a 2-channel segmentation head (softmax)
 and a 1-channel signed-distance head (tanh).  Skip connections from every
 encoder resolution feed both decoders.
+
+``forward`` runs the encoder and both decoders, as training needs.
+Decoder 1 (``FINAL_DECODER``) makes the test-time prediction; ``predict``
+runs the encoder and that decoder alone, since nothing reads decoder 2
+there.
 
 A checkpoint is one container file of ``data.encode_container`` whose
 header carries the network config and free-form metadata next to the
@@ -67,9 +75,14 @@ class DualDecoderOutputs:
             logits2=self.logits2.narrow(0, 0, n))
 
 
+# the decoder whose maps are the prediction: decoder 1, the
+# transposed-convolution decoder
+FINAL_DECODER = 1
+
+
 def select_final(outputs):
-    """Final segmentation map: the transposed-convolution decoder's output."""
-    return outputs.seg1
+    """Final segmentation map: the final decoder's foreground probability."""
+    return getattr(outputs, f"seg{FINAL_DECODER}")
 
 
 class DualDecoderNet:
@@ -126,8 +139,9 @@ class DualDecoderNet:
     def _block(self, t, name, stride=1, padding=0):
         return self._norm_relu(self._conv(t, name, stride, padding))
 
-    def forward(self, x):
-        """Run the network on a [N,C,spatial...] batch tensor."""
+    def encode(self, x):
+        """Encoder pass on a [N,C,spatial...] batch tensor: the bottleneck
+        features and the skip tensors, finest resolution first."""
         if x.ndim != self.config.rank + 2:
             raise ShapeError(f"expected [N,C,{self.config.rank} spatial dims], "
                              f"got shape {x.shape}")
@@ -144,27 +158,41 @@ class DualDecoderNet:
             skips.append(h)
             h = self._block(h, f"enc.down{level}", stride=2)
             h = self._block(h, f"enc.block{level}", padding=1)
+        return h, skips
 
-        seg1, logits1, sdm1 = self._decode(h, skips, "dec1")
-        seg2, logits2, sdm2 = self._decode(h, skips, "dec2")
-        return DualDecoderOutputs(seg1=seg1, seg2=seg2, sdm1=sdm1, sdm2=sdm2,
-                                  logits1=logits1, logits2=logits2)
-
-    def _decode(self, h, skips, dec):
+    def decode(self, h, skips, dec):
+        """One decoder's pass over ``encode``'s output: (seg, logits, sdm)."""
         for level in range(self.config.depth, 0, -1):
-            name = f"{dec}.up{level}"
-            if dec == "dec1":
-                up = conv_transpose_nd(h, self.params[f"{name}.kernel"],
-                                       self.params[f"{name}.bias"], stride=2)
-                h = self._norm_relu(up)
-            else:
-                h = self._block(interp_upsample(h), name)
+            h = self._norm_relu(self._up(h, dec, level))
             h = concat([h, skips[level - 1]], axis=1)
             h = self._block(h, f"{dec}.merge{level}", padding=1)
         logits = self._conv(h, f"{dec}.seg_head")
         seg = softmax_channel(logits).narrow(1, 1, 1)
         sdm = self._conv(h, f"{dec}.sdm_head").tanh()
         return seg, logits, sdm
+
+    def _up(self, h, dec, level):
+        # x2 up-sampling layer, before its norm+ReLU; decoder 2 convolves
+        # first, on the coarse grid (see the module docstring)
+        name = f"{dec}.up{level}"
+        if dec == "dec1":
+            return conv_transpose_nd(h, self.params[f"{name}.kernel"],
+                                     self.params[f"{name}.bias"], stride=2)
+        return interp_upsample(self._conv(h, name))
+
+    def forward(self, x):
+        """Run the encoder and both decoders on a [N,C,spatial...] batch."""
+        h, skips = self.encode(x)
+        seg1, logits1, sdm1 = self.decode(h, skips, "dec1")
+        seg2, logits2, sdm2 = self.decode(h, skips, "dec2")
+        return DualDecoderOutputs(seg1=seg1, seg2=seg2, sdm1=sdm1, sdm2=sdm2,
+                                  logits1=logits1, logits2=logits2)
+
+    def predict(self, x):
+        """The final decoder's maps of ``x`` as {"seg": ..., "sdm": ...},
+        each [N,1,spatial...]; decoder 2 is not run."""
+        seg, _, sdm = self.decode(*self.encode(x), f"dec{FINAL_DECODER}")
+        return {"seg": seg, "sdm": sdm}
 
     def state_tensors(self):
         return {f"param/{name}": p.data for name, p in self.params.items()}

@@ -148,12 +148,16 @@ class Batch:
         return len(self.masks)
 
 
+def _check_crop(shape, crop):
+    if len(shape) != len(crop):
+        raise DataError(f"crop {crop} rank does not match volume {shape}")
+    if any(v < c for v, c in zip(shape, crop)):
+        raise DataError(f"volume {shape} is smaller than crop {crop}")
+
+
 def random_crop(volume, mask, crop, rng):
     """Uniformly random corner crop; identical window for image and mask."""
-    if volume.ndim != len(crop):
-        raise DataError(f"crop {crop} rank does not match volume {volume.shape}")
-    if any(v < c for v, c in zip(volume.shape, crop)):
-        raise DataError(f"volume {volume.shape} is smaller than crop {crop}")
+    _check_crop(volume.shape, crop)
     corner = [int(rng.integers(0, v - c + 1))
               for v, c in zip(volume.shape, crop)]
     window = tuple(slice(o, o + c) for o, c in zip(corner, crop))
@@ -189,11 +193,14 @@ def augment(image, mask, rng):
 
 
 def check_pools(split, cfg):
-    """Raise DataError unless the split's pools can fill ``cfg``'s batches."""
+    """Raise DataError unless the split's pools can fill ``cfg``'s batches
+    with crops of every volume they hold."""
     if not split.labeled:
         raise DataError("the dataset has no labeled-train records")
     if cfg.unlabeled_per_batch > 0 and not split.unlabeled:
         raise DataError("the dataset has no unlabeled-train records for the batch")
+    for shape in {r.image.shape for r in split.labeled + split.unlabeled}:
+        _check_crop(shape, cfg.crop)
 
 
 def _draw_item(pool, cfg, rng):

@@ -314,11 +314,19 @@ def _edit_records(edit):
     return lambda doc: {**doc, "records": [edit(r) for r in doc["records"]]}
 
 
+def _edit_counts(edit):
+    return lambda doc: {**doc, "counts": edit(doc["counts"])}
+
+
 BAD_MANIFESTS = [
     ("manifest-not-object", lambda d: [d]),
     ("no-seed", lambda d: _without(d, "seed")),
     ("shape-not-list", lambda d: {**d, "shape": "16x16"}),
     ("counts-not-object", lambda d: {**d, "counts": [2, 2, 1]}),
+    ("counts-disagree-with-records", _edit_counts(lambda c: {"labeled": 99})),
+    ("count-one-too-many", _edit_counts(lambda c: {**c, "test": c["test"] + 1})),
+    ("count-not-int", _edit_counts(lambda c: {**c, "test": float(c["test"])})),
+    ("counts-extra-key", _edit_counts(lambda c: {**c, "audit": 0})),
     ("digests-not-object", lambda d: {**d, "digests": None}),
     ("no-records", lambda d: _without(d, "records")),
     ("records-not-list", lambda d: {**d, "records": {}}),
@@ -368,8 +376,10 @@ def test_version_1_manifest_asks_for_a_rebuild(dataset, tmp_path, capsys):
 
 
 def _drop_split(tag):
-    return lambda d: {**d, "records": [r for r in d["records"]
-                                       if r["split"] != tag]}
+    # the manifest stays consistent: its count of the split drops to 0
+    key = tag.removesuffix("-train")
+    return lambda d: {**d, "counts": {**d["counts"], key: 0},
+                      "records": [r for r in d["records"] if r["split"] != tag]}
 
 
 def _edit_first(split, edit):
@@ -437,6 +447,38 @@ def test_dataset_defect_stops_the_command_before_out(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error category={category} message=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# (id, flags that override TINY's, config file, error text); the
+# dataset's volumes are 16x16
+CROP_MISFITS = [
+    ("crop-larger-than-the-volumes", ["--crop", "32x32"], None,
+     "smaller than crop"),
+    ("crop-rank-not-the-datasets", ["--crop", "16x16x16"],
+     '{"network": {"rank": 3}}', "rank does not match"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-rho"])
+@pytest.mark.parametrize("flags, config, message",
+                         [case[1:] for case in CROP_MISFITS],
+                         ids=[case[0] for case in CROP_MISFITS])
+def test_crop_that_does_not_fit_the_dataset_stops_before_out(
+        dataset, tmp_path, capsys, command, flags, config, message):
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(dataset), "--out", str(out)] + TINY \
+        + flags + {"train": [], "ablate": ["--seeds", "0"],
+                   "sweep-rho": ["--values", "2", "--seeds", "0"]}[command]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv += ["--config", str(tmp_path / "config.json")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=data message=")
+    assert message in err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -6,15 +6,18 @@ import json
 import numpy as np
 import pytest
 
+from geoseg import network
 from geoseg.data import VolumeRecord
 from geoseg.errors import ConfigError, UndefinedMetricError
+from geoseg.geometry import sdm_target
 from geoseg.inference import (evaluate, sliding_window_infer,
                               threshold_foreground)
 from geoseg.metrics import dice_jaccard, surface_distances
-from geoseg.network import (DualDecoderNet, DualDecoderOutputs, NetworkConfig,
-                            select_final)
-from geoseg.tensor import Tensor
-from helpers import brute_force_surface_distances, random_blob_mask
+from geoseg.network import DualDecoderNet, NetworkConfig, select_final
+from geoseg.tensor import SGD, Tensor
+from geoseg.training import Batch, TrainConfig, train_step
+from helpers import (assert_bitwise_equal, brute_force_surface_distances,
+                     random_blob_mask)
 
 rng = np.random.default_rng(61)
 
@@ -112,10 +115,9 @@ class _ConstantNet:
         self.config = NetworkConfig(rank=2, width=2, depth=depth, seed=0)
         self.value = value
 
-    def forward(self, x):
+    def predict(self, x):
         const = Tensor(np.full((x.shape[0], 1) + x.shape[2:], self.value))
-        return DualDecoderOutputs(seg1=const, seg2=const, sdm1=const,
-                                  sdm2=const, logits1=None, logits2=None)
+        return {"seg": const, "sdm": const}
 
 
 class _ImageNet:
@@ -124,10 +126,9 @@ class _ImageNet:
     def __init__(self, depth=2):
         self.config = NetworkConfig(rank=2, width=2, depth=depth, seed=0)
 
-    def forward(self, x):
+    def predict(self, x):
         prob = Tensor(np.clip(x.data, 0.0, 1.0))
-        return DualDecoderOutputs(seg1=prob, seg2=prob, sdm1=prob, sdm2=prob,
-                                  logits1=None, logits2=None)
+        return {"seg": prob, "sdm": prob}
 
 
 def real_net(seed=3):
@@ -162,6 +163,81 @@ def test_non_overlapping_tiles_predicted_once():
             want = select_final(net.forward(Tensor(tile[None, None]))).data[0, 0]
             np.testing.assert_allclose(got[i:i + 16, j:j + 16], want,
                                        atol=1e-12)
+
+
+# (id, rank, volume, window, stride, the tile corners that stride gives:
+# the last tile per axis clamps to the edge, an axis shorter than the
+# window is zero-padded to it)
+TILINGS = [
+    ("overlapping-2d", 2, (24, 20), (16, 16), (8, 8),
+     [(0, 0), (0, 4), (8, 0), (8, 4)]),
+    ("padded-2d", 2, (12, 20), (16, 16), (8, 8), [(0, 0), (0, 4)]),
+    ("overlapping-padded-3d", 3, (12, 6, 10), (8, 8, 8), (4, 4, 4),
+     [(0, 0, 0), (0, 0, 2), (4, 0, 0), (4, 0, 2)]),
+]
+FULL_NET_HEADS = {"seg": select_final, "sdm": lambda out: out.sdm1}
+
+
+@pytest.mark.parametrize("head", sorted(FULL_NET_HEADS))
+@pytest.mark.parametrize("rank, shape, window, stride, corners",
+                         [case[1:] for case in TILINGS],
+                         ids=[case[0] for case in TILINGS])
+def test_sliding_window_is_the_tile_average_of_the_full_forward(
+        head, rank, shape, window, stride, corners):
+    # inference runs the encoder and decoder 1 only; its maps are the
+    # full network's decoder-1 maps bit for bit
+    net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2, seed=9))
+    vol = rng.standard_normal(shape)
+    got = sliding_window_infer(net, vol, window, stride, head=head)
+    padded = np.zeros([max(n, w) for n, w in zip(shape, window)])
+    padded[tuple(slice(0, n) for n in shape)] = vol
+    total, count = np.zeros(padded.shape), np.zeros(padded.shape)
+    for corner in corners:
+        sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
+        out = net.forward(Tensor(padded[sl][None, None]))
+        total[sl] += FULL_NET_HEADS[head](out).data[0, 0]
+        count[sl] += 1.0
+    assert count.min() == 1.0
+    total /= count
+    assert_bitwise_equal(got, total[tuple(slice(0, n) for n in shape)])
+
+
+def test_unknown_head_is_a_config_error():
+    with pytest.raises(ConfigError, match="head"):
+        sliding_window_infer(real_net(), np.zeros((16, 16)), (16, 16),
+                             (16, 16), head="seg2")
+
+
+def _record_layer_names(monkeypatch):
+    """Names of the conv layers run from now on, in call order."""
+    names = []
+    for fn in ("conv_nd", "conv_transpose_nd"):
+        def wrapper(x, kernel, *args, _real=getattr(network, fn), **kwargs):
+            names.append(kernel.name.removesuffix(".kernel"))
+            return _real(x, kernel, *args, **kwargs)
+        monkeypatch.setattr(network, fn, wrapper)
+    return names
+
+
+def test_evaluate_runs_no_decoder_2_layer(monkeypatch):
+    cfg = TrainConfig()
+    net = DualDecoderNet(cfg.network)
+    layers = {n.removesuffix(".kernel") for n in net.params
+              if n.endswith(".kernel")}
+    assert len(layers) == 23
+    names = _record_layer_names(monkeypatch)
+    record = VolumeRecord("c0", "test", rng.standard_normal((24, 16)),
+                          random_blob_mask(rng, (24, 16)))
+    evaluate(net, [record], (16, 16), (8, 8))
+    assert set(names) == {n for n in layers if not n.startswith("dec2.")}
+
+    # a training step still runs every layer
+    names.clear()
+    masks = (rng.random((1, 16, 16)) < 0.4) * 1.0
+    batch = Batch(images=rng.standard_normal((2, 1, 16, 16)), masks=masks,
+                  sdm_targets=np.stack([sdm_target(m) for m in masks]))
+    train_step(net, SGD(net.parameters(), lr=0.01), batch, 0, cfg)
+    assert set(names) == layers
 
 
 def test_constant_network_invariant_to_stride():

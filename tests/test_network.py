@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from geoseg import network
 from geoseg.errors import FileFormatError, ShapeError
 from geoseg.geometry import sdm_target
 from geoseg.losses import LossConfig, total_loss
 from geoseg.network import (DualDecoderNet, NetworkConfig, load_checkpoint,
                             net_from_checkpoint, save_checkpoint, select_final)
-from geoseg.tensor import SGD, Tensor
+from geoseg.tensor import SGD, Tensor, conv_nd, interp_upsample
 from geoseg.training import Batch, TrainConfig
 from helpers import assert_grads_match, fd_gradient
 
@@ -131,6 +132,40 @@ def test_whole_network_gradients_match_finite_differences(norm):
                  "dec1.seg_head.bias", "dec2.sdm_head.kernel"):
         p = net.params[name]
         assert_grads_match(p.grad, fd_gradient(lambda: loss().item(), p.data))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dec2_up_layer_equals_upsample_then_conv(rank, monkeypatch):
+    # decoder 2's width-1 conv runs on the coarse grid, before the linear
+    # x2 upsampling; since both are linear and each upsampled output's
+    # weights sum to one (so the bias passes through), the layer equals
+    # the conv on the upsampled grid up to rounding, in its value and in
+    # its input, kernel and bias gradients
+    net = small_net(rank=rank, width=4, depth=2, seed=8)
+    k, b = net.params["dec2.up1.kernel"], net.params["dec2.up1.bias"]
+    x = rng.standard_normal((2, 8) + (4,) * rank)
+    g = rng.standard_normal((2, 4) + (8,) * rank)
+
+    def run(layer):
+        xt = Tensor(x, requires_grad=True)
+        k.grad, b.grad = np.zeros_like(k.data), np.zeros_like(b.data)
+        out = layer(xt)
+        (out * Tensor(g)).sum().backward()
+        return out.data, xt.grad, k.grad, b.grad
+
+    conv_inputs = []
+
+    def recording_conv(t, *args, **kwargs):
+        conv_inputs.append(t.shape)
+        return conv_nd(t, *args, **kwargs)
+
+    monkeypatch.setattr(network, "conv_nd", recording_conv)
+    got = run(lambda t: net._up(t, "dec2", 1))
+    assert conv_inputs == [x.shape]
+    want = run(lambda t: conv_nd(interp_upsample(t), k, b))
+    for value, ref in zip(got, want, strict=True):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _backward_nodes(root):
