@@ -7,6 +7,12 @@ boundary is the set of foreground voxels with at least one face-adjacent
 background voxel inside the grid.  Masks without such a boundary
 (all-foreground or all-background) are degenerate: they receive the
 sentinel +-grid-diagonal instead of an error.
+
+Every transform is ``_edt_squared_from``: the linear seed scan
+(``kernels.seed_pass``) along the last axis, then the generic
+``kernels.edt_pass`` along each other axis.  The full field serves
+``exact_edt`` and the signed distance maps; the surface metrics ask for
+the last pass, along axis 0, only at the voxels they read.
 """
 
 import numpy as np
@@ -25,15 +31,40 @@ def _as_binary(mask):
     return arr.astype(bool)
 
 
-def _edt_squared_from(seeds):
-    """Exact squared distance to the nearest seed voxel, per axis scans."""
-    g = np.where(seeds, 0.0, kernels.INF_SQ)
-    for axis in range(g.ndim):
-        moved = np.ascontiguousarray(np.moveaxis(g, axis, -1))
-        shape = moved.shape
-        rows = kernels.edt_pass(moved.reshape(-1, shape[-1]))
-        g = np.moveaxis(rows.reshape(shape), -1, axis)
-    return np.ascontiguousarray(g)
+def _along(g, axis, pass_fn):
+    # apply a row kernel to every 1-D line of g along `axis`
+    moved = np.ascontiguousarray(np.moveaxis(g, axis, -1))
+    rows = pass_fn(moved.reshape(-1, moved.shape[-1]))
+    return np.moveaxis(rows.reshape(moved.shape), -1, axis)
+
+
+def _edt_squared_from(seeds, at=None):
+    """Exact squared distance to the nearest seed voxel, one pass per axis.
+
+    The last axis takes the linear seed scan, every other axis the generic
+    ``edt_pass``.  Given a bool mask ``at``, axis 0's pass is evaluated only
+    at its voxels, and their values come back in ``np.nonzero`` (C) order,
+    equal to the full field's ``[at]``.
+    """
+    if at is None or seeds.ndim > 1:
+        g = _along(seeds, seeds.ndim - 1, kernels.seed_pass)
+    else:  # a 1-D query: axis 0 is the only axis, and it is queried
+        g = np.where(seeds, 0.0, kernels.INF_SQ)
+    for axis in range(0 if at is None else 1, g.ndim - 1):
+        g = _along(g, axis, kernels.edt_pass)
+    if at is None:
+        return np.ascontiguousarray(g)
+    # each query voxel's axis-0 line of g is a column of g as [n0, rest]
+    n0 = g.shape[0]
+    lines = np.ascontiguousarray(g).reshape(n0, -1)
+    p0, col = np.nonzero(at.reshape(n0, -1))
+    q = np.arange(n0, dtype=np.float64)[:, None]
+    out = np.empty(len(p0))
+    step = max(1, kernels.EDT_BLOCK_ELEMENTS // n0)
+    for lo in range(0, len(p0), step):
+        cost = (q - p0[lo:lo + step]) ** 2
+        out[lo:lo + step] = (lines[:, col[lo:lo + step]] + cost).min(axis=0)
+    return out
 
 
 def exact_edt_squared(mask):

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: N-D cross-correlation and the exact distance scan.
+"""Hot numeric kernels: N-D cross-correlation and the exact distance passes.
 
 One numpy backend serves both spatial ranks.  The interface is contiguous
 float64 in NC+spatial layout: inputs ``[N, Ci, S...]``, kernels
@@ -42,6 +42,22 @@ call time.  The benchmark (``benchmarks/README.md``) wraps them there,
 checks every conv layer against NC einsum references
 (``checks.check_conv_layers``) and counts each call's FLOP from its NC
 argument shapes (``probes.KERNEL_FLOP``).
+
+The exact Euclidean distance transform is separable: one 1-D pass per axis,
+each on rows of squared distances.  Two kernels serve it:
+
+- ``seed_pass`` is the first, binary pass: the distance scan.  Along each
+  row it carries the index of the nearest seed from the left and from the
+  right, two running extrema, which is O(n) per row (the row phase of
+  Meijster et al., "A general algorithm for computing distance transforms
+  in linear time", 2000).
+- ``edt_pass`` is the generic pass on any squared-distance rows,
+  ``min_q (p - q)^2 + f[q]``, the lower envelope of parabolas of
+  Felzenszwalb & Huttenlocher (ToC 2012), found by brute force in
+  O(n^2) per row.
+
+Every finite value is an exact integer below 2^53, so the passes give the
+same bits in any order.
 """
 
 import math
@@ -58,6 +74,11 @@ INF_SQ = 1e30
 # working set of one block of samples in the conv kernels: its input, its
 # accumulator and one tap's product, sized to stay in a 2 MB per-core L2
 BLOCK_BYTES = 1 << 20
+
+# float64 elements of the broadcast temporary of one block of an exact
+# distance pass, 32 MB; edt_pass and the query pass of
+# geometry._edt_squared_from both read it
+EDT_BLOCK_ELEMENTS = 1 << 22
 
 
 def _grid(spatial, stride, out_spatial):
@@ -200,13 +221,26 @@ def conv_bwd_kernel(xp, gy, stride, kernel_spatial):
     return gk
 
 
+def seed_pass(seeds):
+    """Squared distance from each entry of the bool rows ``seeds`` [R, n] to
+    the nearest True entry of its row; INF_SQ throughout a row with none."""
+    n = seeds.shape[1]
+    idx = np.arange(n)
+    # nearest seed at or left of p (-n if none), and at or right of p (2n if
+    # none): either sentinel is at least n away, further than any real seed
+    left = np.maximum.accumulate(np.where(seeds, idx, -n), axis=1)
+    right = np.minimum.accumulate(np.where(seeds, idx, 2 * n)[:, ::-1], axis=1)[:, ::-1]
+    d = np.minimum(idx - left, right - idx)
+    return np.where(d < n, np.square(d, dtype=np.float64), INF_SQ)
+
+
 def edt_pass(f):
     # brute-force 1D transform: out[r, p] = min_q (p - q)^2 + f[r, q]
     rows, n = f.shape
     idx = np.arange(n, dtype=np.float64)
     cost = (idx[None, :] - idx[:, None]) ** 2  # cost[q, p]
     out = np.empty_like(f)
-    chunk = max(1, (1 << 22) // max(1, n * n))
+    chunk = max(1, EDT_BLOCK_ELEMENTS // max(1, n * n))
     for r0 in range(0, rows, chunk):
         block = f[r0:r0 + chunk]
         out[r0:r0 + chunk] = (block[:, :, None] + cost[None, :, :]).min(axis=1)

@@ -4,12 +4,17 @@ Surfaces use the same face-adjacency boundary convention as the signed
 distance maps, and distances are exact (integer squared arithmetic under
 the square root), so desk-scale results can be checked against brute-force
 all-pairs computation with no tolerance games.
+
+Only the distances at one surface's voxels are read, so the transform of
+the other surface runs its seed scan and inner passes in full and its last
+pass (axis 0) only at those voxels (``geometry._edt_squared_from`` with
+``at``).
 """
 
 import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError
-from .geometry import boundary_voxels, exact_edt
+from .geometry import _edt_squared_from, boundary_voxels
 
 
 def _binary_pair(a, b):
@@ -47,7 +52,8 @@ def surface_distances(pred_mask, true_mask, percentile=95.0):
     sa, sb = boundary_voxels(a), boundary_voxels(b)
     if not sa.any() or not sb.any():
         raise UndefinedMetricError("mask has no face-adjacency surface")
-    d_ab = exact_edt(sb)[sa]
-    d_ba = exact_edt(sa)[sb]
+    # in C order, the same values in the same order as exact_edt(sb)[sa]
+    d_ab = np.sqrt(np.rint(_edt_squared_from(sb, at=sa)))
+    d_ba = np.sqrt(np.rint(_edt_squared_from(sa, at=sb)))
     pooled = np.concatenate([d_ab, d_ba])
     return float(pooled.mean()), float(np.percentile(pooled, percentile))

@@ -232,8 +232,13 @@ def sample_batch(split, cfg, rng):
 
 
 def train_step(net, opt, batch, t, cfg):
-    """Forward, loss, backward, SGD update with the scheduled rate."""
-    outputs = net.forward(Tensor(batch.images))
+    """Forward, loss, backward, SGD update with the scheduled rate.  With no
+    consistency term no loss reads the unlabeled items, so only the labeled
+    ones are forwarded."""
+    images = batch.images
+    if cfg.loss.consistency == "none":
+        images = images[:batch.n_labeled]
+    outputs = net.forward(Tensor(images))
     breakdown = total_loss(outputs, batch, t, cfg.t_max, cfg.loss)
     for name in ("loss_seg", "loss_sdf", "loss_sup", "loss_cons", "loss_total"):
         if not np.isfinite(getattr(breakdown, name)):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from geoseg import kernels
 from geoseg.errors import ConfigError, DataError
-from geoseg.geometry import (approx_inverse, boundary_voxels, boundary_weights,
+from geoseg.geometry import (_edt_squared_from, approx_inverse, boundary_voxels, boundary_weights,
                              exact_edt, exact_edt_squared, grid_diagonal,
                              normalize_sdm, sdm_target, signed_distance_map)
 from geoseg.tensor import Tensor
@@ -48,6 +49,33 @@ def test_edt_matches_brute_force_exactly(shape):
         mask = random_mask(rng, shape)
         np.testing.assert_array_equal(exact_edt_squared(mask),
                                       brute_force_edt_sq(mask))
+
+
+@pytest.mark.parametrize("shape", [(9,), (1,), (7, 8), (1, 9), (9, 1),
+                                   (6, 5, 4), (3, 17, 5), (1, 6, 1),
+                                   (16, 16, 8)])
+def test_edt_at_query_voxels_equals_full_field(shape):
+    # the last pass evaluated only at `at` gives the full field's [at], bit
+    # for bit, in C order
+    for _ in range(10):
+        seeds = random_mask(rng, shape, p=rng.choice([0.02, 0.3]))
+        at = rng.random(shape) < rng.uniform(0.1, 0.9)
+        got = _edt_squared_from(seeds, at=at)
+        full = _edt_squared_from(seeds)
+        assert got.tobytes() == full[at].tobytes()
+        np.testing.assert_array_equal(np.rint(got).astype(np.int64),
+                                      exact_edt_squared(seeds)[at])
+
+
+def test_edt_at_query_voxels_across_gather_blocks(monkeypatch):
+    # a budget of 20 elements makes blocks of 2 query voxels along 9 rows
+    seeds = random_mask(rng, (9, 7, 5), p=0.05)
+    at = rng.random(seeds.shape) < 0.5
+    whole = _edt_squared_from(seeds, at=at)
+    monkeypatch.setattr(kernels, "EDT_BLOCK_ELEMENTS", 20)
+    got = _edt_squared_from(seeds, at=at)
+    assert got.tobytes() == whole.tobytes()
+    np.testing.assert_array_equal(got, brute_force_edt_sq(seeds)[at])
 
 
 # -- boundary and signed maps -----------------------------------------------

@@ -89,6 +89,20 @@ def test_surface_matches_brute_force(shape):
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(40, 36), (24, 20, 22)])
+def test_surface_spurious_blob_far_from_truth(shape):
+    # a stray blob in the far corner: its surface voxels lie far from every
+    # true surface voxel, and the distances must stay exact
+    truth = np.zeros(shape, bool)
+    truth[tuple(slice(2, 2 + n // 4) for n in shape)] = True
+    pred = truth.copy()
+    pred[tuple(slice(n - 4, n - 1) for n in shape)] = True
+    got = surface_distances(pred, truth)
+    want = brute_force_surface_distances(pred, truth)
+    np.testing.assert_allclose(got, want, atol=1e-9)
+    assert got[1] > 0.5 * np.sqrt(sum(n * n for n in shape))
+
+
 def test_percentile_100_is_exact_hausdorff():
     a = random_blob_mask(rng, (15, 14))
     b = random_blob_mask(rng, (15, 14))

@@ -138,3 +138,21 @@ def test_edt_pass_length_one_rows():
     f = np.array([[0.0], [kernels.INF_SQ]])
     out = kernels.edt_pass(f)
     assert out[0, 0] == 0.0 and out[1, 0] == kernels.INF_SQ
+
+
+def _seed_rows(rows, n, density):
+    seeds = rng.random((rows, n)) < density
+    seeds[0] = False           # a row with no seed
+    seeds[-1] = True           # an all-seed row
+    return seeds
+
+
+@pytest.mark.parametrize("rows, n, density", [(40, 17, 0.2), (12, 64, 0.03),
+                                              (6, 1, 0.5), (3, 2, 0.5)])
+def test_seed_pass_equals_edt_pass_on_seed_rows(rows, n, density):
+    seeds = _seed_rows(rows, n, density)
+    got = kernels.seed_pass(seeds)
+    want = kernels.edt_pass(np.where(seeds, 0.0, kernels.INF_SQ))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (got[0] == kernels.INF_SQ).all() and (got[-1] == 0.0).all()
+

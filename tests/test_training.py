@@ -10,7 +10,7 @@ from geoseg.data import build_dataset, load_split
 from geoseg.errors import DataError
 from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
-from geoseg.tensor import Tensor
+from geoseg.tensor import SGD, Tensor
 from geoseg.training import (Batch, TrainConfig, apply_augment, augment,
                              config_from_dict, lr_schedule,
                              random_crop, sample_batch, train_loop)
@@ -257,3 +257,42 @@ def test_information_barrier_unlabeled_images(split):
     assert bd_a.loss_sup == bd_b.loss_sup
     assert bd_a.loss_seg == bd_b.loss_seg
     assert bd_a.loss_cons != bd_b.loss_cons
+
+
+def _full_batch_step(net, opt, batch, t, cfg):
+    # the step with every batch item forwarded, unlabeled ones included
+    outputs = net.forward(Tensor(batch.images))
+    breakdown = total_loss(outputs, batch, t, cfg.t_max, cfg.loss)
+    opt.zero_grad()
+    breakdown.total.backward()
+    opt.step(lr=lr_schedule(t, cfg))
+    return breakdown
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_supervised_step_forwards_only_labeled_items(rank, tmp_path):
+    # with no consistency term the unlabeled items feed no loss: skipping
+    # them leaves every logged value and every parameter bit-identical
+    from geoseg.network import DualDecoderNet
+    shape = (16,) * rank
+    ds = load_split(build_dataset(tmp_path, n_labeled=2, n_unlabeled=2,
+                                  n_test=1, shape=shape, seed=7))
+    cfg = tiny_config(crop=shape, loss=LossConfig(consistency="none", k=20.0),
+                      network=NetworkConfig(rank=rank, width=2, depth=2, seed=5))
+    nets = [DualDecoderNet(cfg.network) for _ in range(2)]
+    opts = [SGD(n.parameters(), lr=cfg.base_lr, momentum=cfg.momentum)
+            for n in nets]
+    seen = []
+    forward = nets[0].forward
+    nets[0].forward = lambda x: seen.append(x.data.shape[0]) or forward(x)
+    gen = np.random.default_rng(3)
+    for t in range(3):
+        batch = sample_batch(ds, cfg, gen)
+        assert len(batch.images) == 4
+        got = training.train_step(nets[0], opts[0], batch, t, cfg)
+        want = _full_batch_step(nets[1], opts[1], batch, t, cfg)
+        assert got.csv_values() == want.csv_values()
+    assert seen == [2, 2, 2]
+    for p, q in zip(nets[0].parameters(), nets[1].parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+        assert p.momentum.tobytes() == q.momentum.tobytes(), p.name
