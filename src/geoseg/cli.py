@@ -93,15 +93,13 @@ def _resolve_train_config(args):
     if args.crop is not None:
         doc["crop"] = list(_parse_extents(args.crop))
     loss_over = {"rho": args.rho, "k": args.k, "beta": args.beta,
-                 "lambda_max": args.lambda_max, "ramp_power": args.ramp_power,
-                 "sign_mode": args.sign_mode}
+                 "lambda_max": args.lambda_max, "ramp_power": args.ramp_power}
     for key, value in loss_over.items():
         if value is not None:
             doc["loss"][key] = value
     if args.mode is not None:
         doc["loss"]["consistency"] = _MODES[args.mode]
-    net_over = {"width": args.width, "depth": args.depth,
-                "normalization": args.norm}
+    net_over = {"width": args.width, "depth": args.depth}
     for key, value in net_over.items():
         if value is not None:
             doc["network"][key] = value
@@ -203,9 +201,9 @@ def cmd_build_data(args):
                               ("noise_sigma", "blur_sigma", "contrast")
                               if getattr(args, name) is not None})
     counts = (args.labeled, args.unlabeled, args.test)
-    check_build(*counts, shape)
-    out = _prepare_out(args.out, args.force)
     seed = args.seed if args.seed is not None else 0
+    check_build(*counts, shape, seed)
+    out = _prepare_out(args.out, args.force)
     manifest = build_dataset(out, *counts, shape, seed, params)
     print(f"wrote {len(manifest.records)} records to {out}")
     return 0
@@ -287,16 +285,15 @@ def _predicted_sdm(checkpoint, image_path):
 
 
 def cmd_export_maps(args):
-    if bool(args.mask) == bool(args.checkpoint):
-        raise ConfigError("export-maps needs exactly one of --mask or "
-                          "--checkpoint (with --image)")
+    if (bool(args.mask), bool(args.checkpoint), bool(args.image)) not in (
+            (True, False, False), (False, True, True)):
+        raise ConfigError("export-maps takes --mask alone, or --checkpoint "
+                          "with --image")
     rhos = _parse_list(args.rho, float)
     if args.mask:
         mask, spacing = read_array(args.mask)
         sdm = sdm_target(mask)
     else:
-        if not args.image:
-            raise ConfigError("--checkpoint requires --image")
         sdm, spacing = _predicted_sdm(args.checkpoint, args.image)
 
     # slice pixels are derived from the float32 volumes as written, so the
@@ -353,11 +350,8 @@ def build_parser():
                              default=None)
     train_flags.add_argument("--ramp-power", dest="ramp_power", type=int,
                              default=None)
-    train_flags.add_argument("--sign-mode", dest="sign_mode",
-                             choices=("inside-negative", "literal"), default=None)
     train_flags.add_argument("--width", type=int, default=None)
     train_flags.add_argument("--depth", type=int, default=None)
-    train_flags.add_argument("--norm", choices=("none", "instance"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="geoseg",

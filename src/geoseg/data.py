@@ -291,13 +291,15 @@ def generate_phantom(shape, rng, params=PhantomParams()):
 # -- dataset builder --------------------------------------------------------------
 
 
-def check_build(n_labeled, n_unlabeled, n_test, shape):
+def check_build(n_labeled, n_unlabeled, n_test, shape, seed):
     """Raise ConfigError unless build_dataset can build these split sizes
-    and phantom shape."""
+    and phantom shape from this seed."""
     if n_labeled < 1 or n_test < 1 or n_unlabeled < 0:
         raise ConfigError("need n_labeled >= 1, n_test >= 1, n_unlabeled >= 0")
     if len(shape) not in (2, 3) or min(shape) < 16:
         raise ConfigError(f"phantom shape {shape} needs 2 or 3 axes, each >= 16")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
@@ -307,7 +309,7 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     Unlabeled-train masks are withheld from the manifest; they go to the
     sealed ``audit/`` directory so experiments cannot accidentally touch them.
     """
-    check_build(n_labeled, n_unlabeled, n_test, shape)
+    check_build(n_labeled, n_unlabeled, n_test, shape, seed)
     out_dir = Path(out_dir)
     volumes_dir = out_dir / "volumes"
     audit = out_dir / "audit"

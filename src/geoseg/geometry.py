@@ -21,8 +21,6 @@ from . import kernels
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-_SIGN_MODES = ("inside-negative", "literal")
-
 
 def _as_binary(mask):
     arr = np.asarray(mask)
@@ -129,23 +127,19 @@ def sdm_target(mask):
     return normalize_sdm(signed_distance_map(mask))
 
 
-def approx_inverse(z, k, sign_mode="inside-negative"):
-    """Smooth map from normalized signed distances to foreground probability.
+def approx_inverse(z, k):
+    """Smooth map sigmoid(-k*z) from normalized signed distances to
+    foreground probability.
 
-    The default ``inside-negative`` mode computes sigmoid(-k*z) so that
-    inside voxels (negative distance) approach probability 1.  ``literal``
-    keeps sigmoid(k*z), which maps inside voxels toward 0 and exists for
-    strict reproduction of the printed inverse transform.
+    Distances are negative inside the object, so inside voxels approach
+    probability 1, outside voxels 0, and the boundary (z = 0) sits at 0.5.
 
     Takes and returns a Tensor; gradients flow through.
     """
     if not 0 < k < np.inf:
         raise ConfigError(f"approx_inverse sharpness k must be positive and "
                           f"finite, got {k}")
-    if sign_mode not in _SIGN_MODES:
-        raise ConfigError(f"sign_mode must be one of {_SIGN_MODES}, got {sign_mode!r}")
-    scale = -float(k) if sign_mode == "inside-negative" else float(k)
-    return (z * scale).sigmoid()
+    return (z * -float(k)).sigmoid()
 
 
 def boundary_weights(sdm_pred, rho):

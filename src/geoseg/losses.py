@@ -30,12 +30,10 @@ class LossConfig:
     lambda_max: float = 0.1     # consistency weight at the end of ramp-up
     ramp_power: int = 1         # exponent on (1 - t/t_max) in the ramp
     consistency: str = "wgc"    # none | mc | gc | wgc
-    dice_eps: float = 1e-5
-    sign_mode: str = "inside-negative"
 
     def __post_init__(self):
         # written so that NaN fails each check
-        for name in ("rho", "k", "lambda_max", "dice_eps"):
+        for name in ("rho", "k", "lambda_max"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got "
                                   f"{getattr(self, name)}")
@@ -105,11 +103,11 @@ def cross_entropy_loss(seg_logits, target_fg):
     return (lse - z_true).mean()
 
 
-def seg_supervised_loss(outputs, y, eps=1e-5):
+def seg_supervised_loss(outputs, y):
     """Supervised segmentation loss: 0.5 * (dice + ce) summed over decoders."""
     yc = _with_channel(y)
-    return (dice_loss(outputs.seg1, yc, eps) + cross_entropy_loss(outputs.logits1, y)
-            + dice_loss(outputs.seg2, yc, eps)
+    return (dice_loss(outputs.seg1, yc) + cross_entropy_loss(outputs.logits1, y)
+            + dice_loss(outputs.seg2, yc)
             + cross_entropy_loss(outputs.logits2, y)) * 0.5
 
 
@@ -119,19 +117,19 @@ def sdf_supervised_loss(outputs, sdm_target):
     return (mse(outputs.sdm1, t) + mse(outputs.sdm2, t)) * 0.5
 
 
-def geometry_consistency_loss(outputs, k=1500.0, sign_mode="inside-negative",
-                              weights=(1.0, 1.0)):
+def geometry_consistency_loss(outputs, k=1500.0, weights=(1.0, 1.0)):
     """Cross-decoder, cross-task consistency.
 
     Mean over voxels of w1 * (seg1 - inv(sdm2))^2 + w2 * (seg2 - inv(sdm1))^2,
-    with gradients flowing through both operands of each term.  The default
-    python-scalar unit weights give the unweighted (gc) loss exactly; the
-    boundary-weighted (wgc) loss passes each decoder's ``boundary_weights``
-    of its own predicted distance map, which are constants in the gradient.
+    inv being ``approx_inverse``, with gradients flowing through both
+    operands of each term.  The default python-scalar unit weights give the
+    unweighted (gc) loss exactly; the boundary-weighted (wgc) loss passes
+    each decoder's ``boundary_weights`` of its own predicted distance map,
+    which are constants in the gradient.
     """
     w1, w2 = weights
-    t1 = (outputs.seg1 - approx_inverse(outputs.sdm2, k, sign_mode)).square()
-    t2 = (outputs.seg2 - approx_inverse(outputs.sdm1, k, sign_mode)).square()
+    t1 = (outputs.seg1 - approx_inverse(outputs.sdm2, k)).square()
+    t2 = (outputs.seg2 - approx_inverse(outputs.sdm1, k)).square()
     return (t1 * w1 + t2 * w2).mean()
 
 
@@ -160,10 +158,10 @@ def consistency_loss(outputs, config):
     if config.consistency == "mc":
         return mutual_consistency_loss(outputs)
     if config.consistency == "gc":
-        return geometry_consistency_loss(outputs, config.k, config.sign_mode)
+        return geometry_consistency_loss(outputs, config.k)
     weights = (boundary_weights(outputs.sdm1, config.rho),
                boundary_weights(outputs.sdm2, config.rho))
-    return geometry_consistency_loss(outputs, config.k, config.sign_mode, weights)
+    return geometry_consistency_loss(outputs, config.k, weights)
 
 
 def total_loss(outputs, batch, t, t_max, config):
@@ -178,7 +176,7 @@ def total_loss(outputs, batch, t, t_max, config):
         raise ConfigError("batch contains no labeled items; supervised loss "
                           "is undefined")
     lab = outputs.labeled_slice(n_lab)
-    l_seg = seg_supervised_loss(lab, batch.masks, config.dice_eps)
+    l_seg = seg_supervised_loss(lab, batch.masks)
     l_sdf = sdf_supervised_loss(lab, batch.sdm_targets)
     l_sup = l_seg + l_sdf * config.beta
     lam = ramp_up(t, t_max, config.lambda_max, config.ramp_power)

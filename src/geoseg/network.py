@@ -1,6 +1,8 @@
 """Shared-encoder, dual-decoder segmentation network.
 
-Both decoders are structurally identical and consume the same encoder
+It takes single-channel images, and every conv block ends in instance
+normalization fused with ReLU (``tensor.instance_norm_relu``).  Both
+decoders are structurally identical and consume the same encoder
 features, but they up-sample differently: decoder 1 uses learned transposed
 convolutions, decoder 2 a width-1 convolution followed by linear
 interpolation.  The two commute, since both are linear and each
@@ -35,10 +37,8 @@ CHECKPOINT_FORMAT = "geoseg-checkpoint"
 @dataclass(frozen=True)
 class NetworkConfig:
     rank: int = 2
-    in_channels: int = 1
     width: int = 8
     depth: int = 3
-    normalization: str = "instance"
     seed: int = 0
 
     def __post_init__(self):
@@ -48,11 +48,8 @@ class NetworkConfig:
             raise ConfigError(f"width must be >= 2, got {self.width}")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.normalization not in ("none", "instance"):
-            raise ConfigError(f"normalization must be none|instance, "
-                              f"got {self.normalization!r}")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -94,7 +91,7 @@ class DualDecoderNet:
         w, d = config.width, config.depth
         chans = [w * (1 << level) for level in range(d + 1)]
 
-        self._new_conv(rng, "enc.stem", w, config.in_channels, (3,) * r)
+        self._new_conv(rng, "enc.stem", w, 1, (3,) * r)
         for level in range(1, d + 1):
             self._new_conv(rng, f"enc.down{level}", chans[level],
                            chans[level - 1], (2,) * r)
@@ -126,18 +123,13 @@ class DualDecoderNet:
     def parameters(self):
         return list(self.params.values())
 
-    def _norm_relu(self, t):
-        if self.config.normalization == "instance":
-            return instance_norm_relu(t)
-        return t.relu()
-
     def _conv(self, t, name, stride=1, padding=0):
         return conv_nd(t, self.params[f"{name}.kernel"],
                        self.params[f"{name}.bias"], stride=stride,
                        padding=padding)
 
     def _block(self, t, name, stride=1, padding=0):
-        return self._norm_relu(self._conv(t, name, stride, padding))
+        return instance_norm_relu(self._conv(t, name, stride, padding))
 
     def encode(self, x):
         """Encoder pass on a [N,C,spatial...] batch tensor: the bottleneck
@@ -163,7 +155,7 @@ class DualDecoderNet:
     def decode(self, h, skips, dec):
         """One decoder's pass over ``encode``'s output: (seg, logits, sdm)."""
         for level in range(self.config.depth, 0, -1):
-            h = self._norm_relu(self._up(h, dec, level))
+            h = instance_norm_relu(self._up(h, dec, level))
             h = concat([h, skips[level - 1]], axis=1)
             h = self._block(h, f"{dec}.merge{level}", padding=1)
         logits = self._conv(h, f"{dec}.seg_head")

@@ -172,11 +172,6 @@ class Tensor:
 
     # -- activations -----------------------------------------------------------
 
-    def relu(self):
-        a = self.data
-        return Tensor._make(np.maximum(a, 0.0), (self,),
-                            lambda g: (g * (a > 0.0),))
-
     def tanh(self):
         out_data = np.tanh(self.data)
         return Tensor._make(out_data, (self,),

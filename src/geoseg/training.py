@@ -61,8 +61,8 @@ class TrainConfig:
             raise ConfigError("need at least one labeled item per batch")
         if self.unlabeled_per_batch < 0:
             raise ConfigError("unlabeled_per_batch must be >= 0")
-        if self.network.in_channels != 1:
-            raise ConfigError("network.in_channels must be 1: volumes have one channel")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.crop) != self.network.rank:
             raise ConfigError(f"crop {self.crop} does not match network rank "
                               f"{self.network.rank}")
@@ -83,9 +83,14 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must be >= 1")
 
 
-# JSON types a numeric config field accepts, by the type of its default: an
-# int field takes no float (NaN and Infinity are floats), a float field an int
-_NUMERIC = {int: ((int,), "an int"), float: ((int, float), "a number")}
+# the JSON values a config field accepts, by the type of its default: an int
+# field takes no float (NaN and Infinity are floats) or bool, a float field
+# an int, a bool field a bool, the crop a list (or asdict's tuple) of ints
+_JSON_TYPES = {int: (lambda v: type(v) is int, "an int"),
+               float: (lambda v: type(v) in (int, float), "a number"),
+               bool: (lambda v: type(v) is bool, "a bool"),
+               tuple: (lambda v: type(v) in (list, tuple)
+                       and all(type(c) is int for c in v), "a list of ints")}
 
 
 def _check_keys(doc, cls, where):
@@ -96,15 +101,15 @@ def _check_keys(doc, cls, where):
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
     for f in fields(cls):
-        allowed, kind = _NUMERIC.get(type(f.default), (None, None))
-        if allowed and f.name in doc and type(doc[f.name]) not in allowed:
+        accepts, kind = _JSON_TYPES.get(type(f.default), (None, None))
+        if accepts and f.name in doc and not accepts(doc[f.name]):
             raise ConfigError(f"{where}.{f.name} must be {kind}, got "
                               f"{doc[f.name]!r}")
 
 
 def check_config_keys(doc):
     """Reject a config document that is not an object, has unknown keys or
-    has a numeric value of the wrong JSON type."""
+    has a number, bool or crop value of the wrong JSON type."""
     _check_keys(doc, TrainConfig, "config")
     for name, cls in (("loss", LossConfig), ("network", NetworkConfig)):
         if name in doc:

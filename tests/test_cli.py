@@ -175,6 +175,12 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _with_removed_network_keys(header):
+    # the network config of a checkpoint written while these keys existed
+    return {**header, "network": {**header["network"], "in_channels": 1,
+                                  "normalization": "instance"}}
+
+
 BAD_CHECKPOINT_HEADERS = [
     ("header-not-object", lambda h: [h]),
     ("no-tensors", lambda h: _without(h, "tensors")),
@@ -191,6 +197,7 @@ BAD_CHECKPOINT_HEADERS = [
     ("mistyped-network-value", lambda h: {**h, "network": {**h["network"], "width": "2"}}),
     ("invalid-network-value", lambda h: {**h, "network": {**h["network"], "rank": 4}}),
     ("meta-not-object", lambda h: {**h, "meta": []}),
+    ("removed-network-keys", _with_removed_network_keys),
 ]
 
 
@@ -212,7 +219,9 @@ def test_malformed_checkpoint_header_is_an_io_error(dataset, four_step_run,
     code = run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                 "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error category=io message=")
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert err.count("\n") == 1
 
 
 def _edit_meta(edit):
@@ -249,6 +258,7 @@ BAD_RESUME_POINTS = [
     ("step-past-t-max", "step_000002", _edit_meta(lambda m: {**m, "step": 5}), "io"),
     ("momentum-flattened", "step_000002",
      lambda h: _flatten_entry(h, "momentum/enc.stem.kernel"), "io"),
+    ("removed-network-keys", "step_000002", _with_removed_network_keys, "io"),
     ("run-already-finished", "final", lambda h: h, "config"),
 ]
 
@@ -572,9 +582,23 @@ BAD_CONFIGS = [
      "config.network.width must be an int"),
     ("float-field-bool", '{"loss": {"rho": true}}',
      "config.loss.rho must be a number"),
-    ("mistyped-crop", '{"crop": 5}', "invalid config value"),
+    ("mistyped-crop", '{"crop": 5}', "config.crop must be a list of ints"),
+    ("crop-float", '{"crop": [32.7, 32]}', "config.crop must be a list of ints"),
+    ("crop-string", '{"crop": ["32", 32]}', "config.crop must be a list of ints"),
+    ("bool-field-string", '{"augment": "false"}', "config.augment must be a bool"),
+    ("bool-field-int", '{"augment": 1}', "config.augment must be a bool"),
+    ("negative-seed", '{"seed": -1}', "seed must be >= 0"),
+    ("negative-network-seed", '{"network": {"seed": -3}}', "seed must be >= 0"),
+    ("removed-sign-mode-key", '{"loss": {"sign_mode": "inside-negative"}}',
+     "unknown config.loss key(s): sign_mode"),
+    ("removed-dice-eps-key", '{"loss": {"dice_eps": 1e-5}}',
+     "unknown config.loss key(s): dice_eps"),
+    ("removed-normalization-key", '{"network": {"normalization": "instance"}}',
+     "unknown config.network key(s): normalization"),
+    ("removed-in-channels-key", '{"network": {"in_channels": 1}}',
+     "unknown config.network key(s): in_channels"),
     ("in-channels-not-one", '{"network": {"in_channels": 2}}',
-     "network.in_channels must be 1"),
+     "unknown config.network key(s): in_channels"),
 ]
 
 
@@ -651,7 +675,7 @@ def test_nonpositive_crop_is_a_config_error(tmp_path, capsys, crop):
 FLOAT_FIELDS = [("base_lr", "--lr"), ("lr_decay", None),
                 ("momentum", "--momentum"), ("loss.rho", "--rho"),
                 ("loss.k", "--k"), ("loss.beta", "--beta"),
-                ("loss.lambda_max", "--lambda-max"), ("loss.dice_eps", None)]
+                ("loss.lambda_max", "--lambda-max")]
 NON_FINITE = [(f"{field}-{value}-{via}", field, flag, value, via)
               for field, flag in FLOAT_FIELDS for value in ("nan", "inf")
               for via in ("config", "flag") if via == "config" or flag]
@@ -690,9 +714,10 @@ def test_bad_phantom_param_is_a_config_error(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("flags", [
     ["--labeled", "0"], ["--test", "0"], ["--unlabeled", "-1"],
-    ["--shape", "8x8"], ["--shape", "16"], ["--shape", "16x16x16x16"]],
+    ["--shape", "8x8"], ["--shape", "16"], ["--shape", "16x16x16x16"],
+    ["--seed", "-1"]],
     ids=["labeled-0", "test-0", "unlabeled--1", "shape-8x8", "shape-16",
-         "shape-16x16x16x16"])
+         "shape-16x16x16x16", "seed--1"])
 def test_bad_build_data_input_is_a_config_error(tmp_path, capsys, flags):
     out = tmp_path / "data"
     argv = {"--labeled": "1", "--unlabeled": "0", "--test": "1",
@@ -713,6 +738,30 @@ def test_empty_or_duplicate_grid_is_a_config_error(dataset, tmp_path, capsys,
     code = run([command, "--manifest", str(dataset), "--out", str(out),
                 f"{flag}={value}"] + TINY)
     _assert_config_error_before_out(capsys, code, out)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--seed", "-1"), ("ablate", "--seeds", "-1"),
+    ("sweep-rho", "--seeds", "0,-1")])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, flag,
+                                         value):
+    out = tmp_path / "out"
+    code = run([command, "--manifest", str(tmp_path / "absent"), "--out",
+                str(out), f"{flag}={value}"])
+    _assert_config_error_before_out(capsys, code, out)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-rho"])
+@pytest.mark.parametrize("flag, value", [("--sign-mode", "literal"),
+                                         ("--norm", "none")])
+def test_removed_flags_fail_to_parse(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--manifest", str(tmp_path / "absent"), "--out",
+             str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_sections_merge_with_flags(dataset, tmp_path):
@@ -770,6 +819,16 @@ def test_export_maps_non_finite_rho_is_a_config_error(tmp_path, capsys):
         code = run(["export-maps", "--mask", str(tmp_path / "mask.vol"),
                     "--rho", rho, "--out", str(out)])
         _assert_config_error_before_out(capsys, code, out)
+
+
+def test_export_maps_mask_with_image_is_a_config_error(tmp_path, capsys):
+    mask = random_blob_mask(rng, (24, 24)).astype(np.uint8)
+    write_array(tmp_path / "mask.vol", mask, (1.0, 1.0))
+    write_array(tmp_path / "image.vol", mask.astype(np.float32), (1.0, 1.0))
+    out = tmp_path / "maps"
+    code = run(["export-maps", "--mask", str(tmp_path / "mask.vol"),
+                "--image", str(tmp_path / "image.vol"), "--out", str(out)])
+    _assert_config_error_before_out(capsys, code, out)
 
 
 def test_export_maps_requires_one_source(tmp_path, capsys):

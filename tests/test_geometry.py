@@ -168,14 +168,13 @@ def test_normalize_degenerate_is_all_ones():
 # -- smooth inverse ------------------------------------------------------------
 
 
-def _inverse(z, k, sign_mode="inside-negative"):
-    return approx_inverse(Tensor(z), k, sign_mode).data
+def _inverse(z, k):
+    return approx_inverse(Tensor(z), k).data
 
 
 def test_approx_inverse_at_zero_is_half():
     for k in (1.0, 100.0, 1500.0):
-        for mode in ("inside-negative", "literal"):
-            assert _inverse(np.zeros(3), k, mode)[0] == 0.5
+        assert _inverse(np.zeros(3), k)[0] == 0.5
 
 
 def test_approx_inverse_saturation_default_mode():
@@ -183,14 +182,10 @@ def test_approx_inverse_saturation_default_mode():
     assert _inverse(np.array([0.01]), 1500.0)[0] < 1e-6
 
 
-def test_approx_inverse_literal_mode_flips_orientation():
-    assert _inverse(np.array([-1.0]), 1500.0, "literal")[0] < 1e-6
-
-
 def test_approx_inverse_monotone_and_bounded():
     z = np.linspace(-1.0, 1.0, 201)
     p = _inverse(z, 10.0)
-    assert (np.diff(p) < 0).all()          # decreasing in z (default mode)
+    assert (np.diff(p) < 0).all()          # decreasing in z
     assert (p > 0).all() and (p < 1).all()
 
 
@@ -199,8 +194,6 @@ def test_approx_inverse_matches_expit(k):
     # an independent logistic; k=1500 drives |k*z| far past exp's overflow
     z = np.concatenate([rng.uniform(-1, 1, size=64), [-1.0, 0.0, 1.0]])
     np.testing.assert_allclose(_inverse(z, k), expit(-k * z),
-                               rtol=1e-12, atol=1e-300)
-    np.testing.assert_allclose(_inverse(z, k, "literal"), expit(k * z),
                                rtol=1e-12, atol=1e-300)
 
 

@@ -44,3 +44,47 @@ def test_scanner_sees_unused_and_used_imports():
                          ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+SRC = sorted(Path(geoseg.__file__).parent.glob("*.py"))
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each private module-level name (one leading
+    underscore) that a module of ``sources``, a {module: source} map,
+    defines and no module reads: by name, as an attribute or in an
+    import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_scanner_sees_unread_and_read_private_names():
+    sources = {"a": "_A = 1\n_B: int = 2\n__all__ = []\n_C = _A\n"
+                    "def _f(): pass\nclass _K: pass\n",
+               "b": "from a import _B\nimport a\nprint(a._f)\n_c = 3\n"}
+    assert unread_private_names(sources) == [("a", 4, "_C"), ("a", 6, "_K"),
+                                             ("b", 4, "_c")]
+
+
+def test_no_unread_private_names_in_src():
+    assert unread_private_names({p.name: p.read_text() for p in SRC}) == []
