@@ -69,7 +69,7 @@ def _deep_merge(base, override):
     return base
 
 
-def _resolve_train_config(args):
+def _resolve_train_config(args, seed=None):
     doc = asdict(TrainConfig())
     if args.config:
         try:
@@ -78,9 +78,9 @@ def _resolve_train_config(args):
             raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
         check_config_keys(override)
         _deep_merge(doc, override)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-        doc["network"]["seed"] = args.seed
+    if seed is not None:
+        doc["seed"] = seed
+        doc["network"]["seed"] = seed
     simple = {"t_max": args.t_max, "base_lr": args.lr,
               "lr_decay_every": args.lr_decay_every,
               "labeled_per_batch": args.labeled_per_batch,
@@ -201,16 +201,15 @@ def cmd_build_data(args):
                               ("noise_sigma", "blur_sigma", "contrast")
                               if getattr(args, name) is not None})
     counts = (args.labeled, args.unlabeled, args.test)
-    seed = args.seed if args.seed is not None else 0
-    check_build(*counts, shape, seed)
+    check_build(*counts, shape, args.seed)
     out = _prepare_out(args.out, args.force)
-    manifest = build_dataset(out, *counts, shape, seed, params)
+    manifest = build_dataset(out, *counts, shape, args.seed, params)
     print(f"wrote {len(manifest.records)} records to {out}")
     return 0
 
 
 def cmd_train(args):
-    cfg = _resolve_train_config(args)
+    cfg = _resolve_train_config(args, args.seed)
     _, split = _load_dataset(args.manifest, cfg)
     out = _prepare_out(args.out, args.force)
     result = train_loop(split, cfg, out_dir=out,
@@ -322,14 +321,15 @@ def cmd_export_maps(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
 
+    # the flags of train, ablate and sweep-rho; ablate and sweep-rho take
+    # their seeds from --seeds
     train_flags = argparse.ArgumentParser(add_help=False)
     train_flags.add_argument("--manifest", required=True)
+    train_flags.add_argument("--config", default=None, help="JSON config file")
     train_flags.add_argument("--t-max", dest="t_max", type=int, default=None)
     train_flags.add_argument("--crop", default=None, help="e.g. 64x64")
     train_flags.add_argument("--lr", type=float, default=None)
@@ -360,6 +360,7 @@ def build_parser():
 
     p = sub.add_parser("build-data", parents=[common],
                        help="generate a synthetic phantom dataset")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labeled", type=int, required=True)
     p.add_argument("--unlabeled", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
@@ -371,6 +372,7 @@ def build_parser():
 
     p = sub.add_parser("train", parents=[common, train_flags],
                        help="run one training configuration")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume-from", dest="resume_from", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -403,6 +405,10 @@ def build_parser():
     p.add_argument("--rho", default="1,2,3")
     p.set_defaults(func=cmd_export_maps)
 
+    # a flag must be spelled out: as a prefix, a flag a command does not
+    # take (ablate's --seed) would parse as another (--seeds)
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

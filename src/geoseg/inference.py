@@ -8,10 +8,20 @@ decoder (decoder 1) only, through ``DualDecoderNet.predict``: decoder 2
 serves the training losses and no prediction reads it.  The averaged map
 is that decoder's foreground probability, or its SDM with ``head="sdm"``;
 thresholding at exactly 0.5 assigns background.
+
+A case's tiles run stacked along the batch axis, in the fewest
+near-equal batches of at most ``TILE_BATCH_VOXELS`` voxels; a window
+larger than that runs alone.  Batching saves the fixed per-call work
+around each forward's small GEMMs.  The budget exists for memory: a
+forward's activations grow with its batch, and one batch of all nine
+64x64 tiles of a 128x128 case raised peak RSS by about a quarter.  Every
+sample of a batch is computed on its own, so each map is byte-identical
+to a one-tile forward, and tiles are summed in the same corner order.
 """
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +74,10 @@ def check_window(window, stride, rank, depth):
 
 HEADS = ("seg", "sdm")
 
+# the most voxels one batched tile forward holds, unless a single window is
+# larger: four 64x64 windows, as many voxels as a default training batch
+TILE_BATCH_VOXELS = 1 << 14
+
 
 def sliding_window_infer(net, volume, window, stride, head="seg"):
     """Volume of the final decoder's ``head`` map ("seg" or "sdm"), averaged
@@ -83,13 +97,18 @@ def sliding_window_infer(net, volume, window, stride, head="seg"):
     count = np.zeros(volume.shape, dtype=np.float64)
     axes_starts = [_tile_starts(n, w, s)
                    for n, w, s in zip(volume.shape, window, stride)]
+    tiles = [tuple(slice(o, o + w) for o, w in zip(corner, window))
+             for corner in itertools.product(*axes_starts)]
+    # the fewest batches within the budget, their sizes differing by <= 1
+    per_batch = max(1, TILE_BATCH_VOXELS // math.prod(window))
+    n_batches = -(-len(tiles) // per_batch)
     with no_grad():
-        for corner in itertools.product(*axes_starts):
-            sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
-            tile = Tensor(volume[sl][None, None])
-            out = net.predict(tile)[head].data[0, 0]
-            prob[sl] += out
-            count[sl] += 1.0
+        for batch in np.array_split(np.arange(len(tiles)), n_batches):
+            x = Tensor(np.stack([volume[tiles[i]] for i in batch])[:, None])
+            out = net.predict(x)[head].data
+            for i, tile_out in zip(batch, out):
+                prob[tiles[i]] += tile_out[0]
+                count[tiles[i]] += 1.0
     prob /= count
     return prob[tuple(slice(0, n) for n in original)]
 

@@ -15,6 +15,7 @@ Run directory layout:
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -54,6 +55,9 @@ class TrainConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
     def __post_init__(self):
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral)
+               for c in self.crop):
+            raise ConfigError(f"crop extents must be ints, got {self.crop!r}")
         self.crop = tuple(int(c) for c in self.crop)
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")

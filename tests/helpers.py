@@ -5,8 +5,12 @@ implementations (nested python loops, all-pairs searches, scipy morphology)
 so the tests compare two genuinely different routes to the same numbers.
 """
 
+import itertools
+
 import numpy as np
 from scipy.ndimage import binary_erosion, generate_binary_structure
+
+from geoseg.tensor import Tensor
 
 
 def fd_gradient(loss_fn, array, h=1e-6):
@@ -203,6 +207,31 @@ def brute_force_surface_distances(a, b, percentile=95.0):
     d = np.sqrt(((sa[:, None, :] - sb[None, :, :]) ** 2).sum(axis=2))
     pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
     return float(pooled.mean()), float(np.percentile(pooled, percentile))
+
+
+def per_tile_sliding_window(net, volume, window, stride, head="seg"):
+    """Sliding-window inference with one ``net.predict`` call per tile.
+
+    The volume is zero-padded at its trailing edges up to the window; tiles
+    start at every multiple of the stride, plus one clamped to each axis's
+    end; the maps are summed in corner order and divided by visit counts.
+    """
+    shape = np.shape(volume)
+    padded = np.zeros([max(n, w) for n, w in zip(shape, window)])
+    padded[tuple(slice(0, n) for n in shape)] = volume
+    axes = []
+    for n, w, s in zip(padded.shape, window, stride):
+        starts = list(range(0, n - w + 1, s))
+        if starts[-1] != n - w:
+            starts.append(n - w)
+        axes.append(starts)
+    total, count = np.zeros(padded.shape), np.zeros(padded.shape)
+    for corner in itertools.product(*axes):
+        sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
+        total[sl] += net.predict(Tensor(padded[sl][None, None]))[head].data[0, 0]
+        count[sl] += 1.0
+    total /= count
+    return total[tuple(slice(0, n) for n in shape)]
 
 
 def random_mask(rng, shape, p=None):

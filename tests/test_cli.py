@@ -764,6 +764,35 @@ def test_removed_flags_fail_to_parse(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+# (command, the flags it needs to parse, a flag it does not read): only
+# build-data and train read --seed (ablate and sweep-rho read --seeds), and
+# only train, ablate and sweep-rho read --config
+UNREAD_FLAGS = [
+    ("build-data", ["--labeled", "1", "--unlabeled", "0", "--test", "1"],
+     "--config", "cfg.json"),
+    ("eval", ["--checkpoint", "c.ckpt", "--manifest", "m"], "--config",
+     "cfg.json"),
+    ("eval", ["--checkpoint", "c.ckpt", "--manifest", "m"], "--seed", "9"),
+    ("export-maps", ["--mask", "m.vol"], "--config", "cfg.json"),
+    ("export-maps", ["--mask", "m.vol"], "--seed", "9"),
+    ("ablate", ["--manifest", "m"], "--seed", "9"),
+    ("sweep-rho", ["--manifest", "m"], "--seed", "9"),
+]
+
+
+@pytest.mark.parametrize("command, needed, flag, value", UNREAD_FLAGS,
+                         ids=[f"{c[0]}{c[2]}" for c in UNREAD_FLAGS])
+def test_flags_a_command_does_not_read_fail_to_parse(tmp_path, capsys,
+                                                     command, needed, flag,
+                                                     value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run([command] + needed + ["--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_sections_merge_with_flags(dataset, tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"loss": {"rho": 1.5}, "network": {"width": 3}}')

@@ -2,22 +2,23 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from geoseg import network
+from geoseg import inference, network
 from geoseg.data import VolumeRecord
 from geoseg.errors import ConfigError, UndefinedMetricError
 from geoseg.geometry import sdm_target
-from geoseg.inference import (evaluate, sliding_window_infer,
-                              threshold_foreground)
+from geoseg.inference import (HEADS, TILE_BATCH_VOXELS, evaluate,
+                              sliding_window_infer, threshold_foreground)
 from geoseg.metrics import dice_jaccard, surface_distances
 from geoseg.network import DualDecoderNet, NetworkConfig, select_final
 from geoseg.tensor import SGD, Tensor
 from geoseg.training import Batch, TrainConfig, train_step
 from helpers import (assert_bitwise_equal, brute_force_surface_distances,
-                     random_blob_mask)
+                     per_tile_sliding_window, random_blob_mask)
 
 rng = np.random.default_rng(61)
 
@@ -214,6 +215,58 @@ def test_sliding_window_is_the_tile_average_of_the_full_forward(
     assert count.min() == 1.0
     total /= count
     assert_bitwise_equal(got, total[tuple(slice(0, n) for n in shape)])
+
+
+class _CountingNet:
+    """A real network that logs the batch size of each ``predict`` call."""
+
+    def __init__(self, net):
+        self.net, self.config, self.batches = net, net.config, []
+
+    def predict(self, x):
+        self.batches.append(x.shape[0])
+        return self.net.predict(x)
+
+
+# (id, rank, volume, window, stride, the batch sizes TILE_BATCH_VOXELS
+# gives: the fewest batches, near-equal; a window over budget runs alone)
+BATCHINGS = [
+    ("2d-one-batch", 2, (24, 20), (16, 16), (8, 8), [4]),
+    ("2d-padded", 2, (12, 20), (16, 16), (8, 8), [2]),
+    ("2d-nine-tiles", 2, (128, 128), (64, 64), (32, 32), [3, 3, 3]),
+    ("2d-clamped-uneven", 2, (120, 64), (64, 64), (16, 16), [3, 2]),
+    ("3d-padded-clamped", 3, (12, 6, 10), (8, 8, 8), (4, 4, 4), [4]),
+    ("3d-clamped-uneven", 3, (44, 16, 16), (16, 16, 16), (8, 8, 8), [3, 2]),
+    ("3d-over-budget", 3, (44, 32, 32), (32, 32, 32), (8, 8, 8), [1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("rank, shape, window, stride, batches",
+                         [case[1:] for case in BATCHINGS],
+                         ids=[case[0] for case in BATCHINGS])
+def test_batched_tiles_match_per_tile_inference(head, rank, shape, window,
+                                                stride, batches):
+    net = _CountingNet(DualDecoderNet(NetworkConfig(rank=rank, width=2,
+                                                    depth=2, seed=5)))
+    vol = rng.standard_normal(shape)
+    got = sliding_window_infer(net, vol, window, stride, head=head)
+    assert net.batches == batches
+    tile = math.prod(window)
+    assert max(batches) * tile <= max(tile, TILE_BATCH_VOXELS)
+    assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, window,
+                                                      stride, head))
+
+
+def test_tiles_split_into_the_fewest_near_equal_batches(monkeypatch):
+    # ten 16x16 tiles under a budget of three and a bit: 3+3+2+2, not 3+3+3+1
+    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 4 * 256 - 1)
+    net = _CountingNet(real_net())
+    vol = rng.standard_normal((16, 88))
+    got = sliding_window_infer(net, vol, (16, 16), (16, 8))
+    assert net.batches == [3, 3, 2, 2]
+    assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, (16, 16),
+                                                      (16, 8)))
 
 
 def test_unknown_head_is_a_config_error():

@@ -7,7 +7,7 @@ import pytest
 
 from geoseg import training
 from geoseg.data import build_dataset, load_split
-from geoseg.errors import DataError
+from geoseg.errors import ConfigError, DataError
 from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
 from geoseg.tensor import SGD, Tensor
@@ -172,6 +172,18 @@ def test_lr_schedule_paper_constants():
     assert lr_schedule(2499, cfg) == 0.01
     assert abs(lr_schedule(2500, cfg) - 0.001) < 1e-18
     assert abs(lr_schedule(5000, cfg) - 0.0001) < 1e-18
+
+
+@pytest.mark.parametrize("crop", [(32.7, 32), (32, 32.0), (True, 32),
+                                  ("32", 32)])
+def test_non_int_crop_is_a_config_error(crop):
+    with pytest.raises(ConfigError, match="crop extents must be ints"):
+        tiny_config(crop=crop)
+
+
+def test_numpy_int_crop_becomes_python_ints():
+    crop = tiny_config(crop=(np.int64(32), np.int32(32))).crop
+    assert crop == (32, 32) and all(type(c) is int for c in crop)
 
 
 def test_config_round_trip():
