@@ -11,7 +11,7 @@ from .geometry import (approx_inverse, boundary_weights, exact_edt,
                        normalize_sdm, sdm_target, signed_distance_map)
 from .kernels import BACKEND
 from .losses import LossConfig, ramp_up, total_loss
-from .network import DualDecoderNet, NetworkConfig, select_final
+from .network import DualDecoderNet, NetworkConfig
 from .tensor import SGD, Parameter, Tensor, no_grad
 from .training import TrainConfig, train_loop
 
@@ -21,6 +21,6 @@ __all__ = [
     "BACKEND", "DualDecoderNet", "LossConfig", "NetworkConfig", "Parameter",
     "SGD", "Tensor", "TrainConfig", "approx_inverse", "boundary_weights",
     "exact_edt", "no_grad", "normalize_sdm", "ramp_up", "sdm_target",
-    "select_final", "signed_distance_map", "total_loss", "train_loop",
+    "signed_distance_map", "total_loss", "train_loop",
     "__version__",
 ]

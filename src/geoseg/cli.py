@@ -3,7 +3,10 @@
 Commands: build-data, train, eval, ablate, sweep-rho, export-maps.
 Config precedence is defaults < --config file < command-line flags, and the
 fully resolved config is archived in the run directory before any compute,
-so every run is reproducible from its own artifacts.
+so every run is reproducible from its own artifacts.  ``CONFIG_FLAGS``
+names each flag that sets a config field, with its parser and that field;
+``build_parser`` and ``_resolve_train_config`` both read the rows of it
+that a command takes (``COMMAND_FLAGS``).
 
 Exit status is 0 on success; failures print one machine-parsable line
 ``error category=<cat> message=...`` to stderr and return nonzero.
@@ -12,7 +15,7 @@ Exit status is 0 on success; failures print one machine-parsable line
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +24,11 @@ from .data import PhantomParams, _write_atomic, _write_csv, build_dataset, \
     check_build, load_manifest, load_split, read_array, write_array
 from .errors import ConfigError, DataError, GeoSegError
 from .geometry import boundary_weights, sdm_target
-from .inference import check_window, evaluate, sliding_window_infer
+from .inference import METRICS, check_window, evaluate, mean_defined, \
+    sliding_window_infer
 from .network import net_from_checkpoint
-from .training import TrainConfig, check_config_keys, check_pools, \
-    config_from_dict, train_loop
+from .training import check_config_keys, check_pools, config_from_dict, \
+    train_loop
 
 ABLATE_SCHEMA = "ablate_v1"
 SWEEP_SCHEMA = "sweep_v1"
@@ -34,7 +38,6 @@ ABLATE_CONFIGS = ("seg", "seg+sdf", "mc", "gc", "wgc")
 _ABLATE_LOSS = {"seg": {"consistency": "none", "beta": 0.0},
                 "seg+sdf": {"consistency": "none"}}
 _MODES = {"supervised-only": "none", "mc": "mc", "gc": "gc", "wgc": "wgc"}
-_METRICS = ("dice", "jaccard", "asd", "hd95")
 
 
 def _parse_extents(text):
@@ -51,58 +54,62 @@ def _parse_list(text, cast):
         raise ConfigError(f"cannot parse list {text!r}")
 
 
-def _prepare_out(path, force):
+def _parse_mode(mode):
+    if mode not in _MODES:
+        raise argparse.ArgumentTypeError(f"choose from {', '.join(_MODES)}")
+    return _MODES[mode]
+
+
+# (flag, parser, the config field it sets); a loss or network field is
+# written "section.field"
+CONFIG_FLAGS = (
+    ("--t-max", int, "t_max"),
+    ("--crop", _parse_extents, "crop"),
+    ("--lr", float, "base_lr"),
+    ("--lr-decay-every", int, "lr_decay_every"),
+    ("--momentum", float, "momentum"),
+    ("--labeled-per-batch", int, "labeled_per_batch"),
+    ("--unlabeled-per-batch", int, "unlabeled_per_batch"),
+    ("--checkpoint-every", int, "checkpoint_every"),
+    ("--mode", _parse_mode, "loss.consistency"),
+    ("--rho", float, "loss.rho"),
+    ("--k", float, "loss.k"),
+    ("--beta", float, "loss.beta"),
+    ("--lambda-max", float, "loss.lambda_max"),
+    ("--ramp-power", int, "loss.ramp_power"),
+    ("--width", int, "network.width"),
+    ("--depth", int, "network.depth"),
+)
+# the rows each command takes: every ablate member sets loss.consistency,
+# and every sweep-rho member it and loss.rho, so their flags would be ignored
+COMMAND_FLAGS = {command: [row for row in CONFIG_FLAGS if row[0] not in unread]
+                 for command, unread in [("train", ()), ("ablate", ("--mode",)),
+                                         ("sweep-rho", ("--mode", "--rho"))]}
+
+
+def _check_out(path, force):
+    # the command's writers make the directory
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise DataError(f"output directory {out} is not empty; pass --force "
                         "to reuse it")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _deep_merge(base, override):
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
 def _resolve_train_config(args, seed=None):
-    doc = asdict(TrainConfig())
+    doc = {}
     if args.config:
         try:
-            override = json.loads(Path(args.config).read_text())
+            doc = json.loads(Path(args.config).read_text())
         except ValueError as e:
             raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
-        check_config_keys(override)
-        _deep_merge(doc, override)
-    if seed is not None:
-        doc["seed"] = seed
-        doc["network"]["seed"] = seed
-    simple = {"t_max": args.t_max, "base_lr": args.lr,
-              "lr_decay_every": args.lr_decay_every,
-              "labeled_per_batch": args.labeled_per_batch,
-              "unlabeled_per_batch": args.unlabeled_per_batch,
-              "checkpoint_every": args.checkpoint_every,
-              "momentum": args.momentum}
-    for key, value in simple.items():
+        check_config_keys(doc)
+    flags = [(path, getattr(args, path))
+             for _, _, path in COMMAND_FLAGS[args.command]]
+    for path, value in [("seed", seed), ("network.seed", seed)] + flags:
         if value is not None:
-            doc[key] = value
-    if args.crop is not None:
-        doc["crop"] = list(_parse_extents(args.crop))
-    loss_over = {"rho": args.rho, "k": args.k, "beta": args.beta,
-                 "lambda_max": args.lambda_max, "ramp_power": args.ramp_power}
-    for key, value in loss_over.items():
-        if value is not None:
-            doc["loss"][key] = value
-    if args.mode is not None:
-        doc["loss"]["consistency"] = _MODES[args.mode]
-    net_over = {"width": args.width, "depth": args.depth}
-    for key, value in net_over.items():
-        if value is not None:
-            doc["network"][key] = value
+            section, _, name = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[name] = value
     return config_from_dict(doc)
 
 
@@ -142,14 +149,7 @@ def _train_and_eval(split, cfg, run_dir, shape):
 
 def _metric_cells(agg):
     return ["" if agg[key] is None else format(agg[key], ".17g")
-            for key in _METRICS]
-
-
-def _mean_aggregate(aggs):
-    """Per-metric mean over the runs where the metric is defined."""
-    defined = {key: [a[key] for a in aggs if a[key] is not None]
-               for key in _METRICS}
-    return {key: float(np.mean(v)) if v else None for key, v in defined.items()}
+            for key in METRICS]
 
 
 def _run_grid(args, column, schema, csv_name, members, mean_rows):
@@ -177,16 +177,16 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
                           "seeds and members must be distinct")
     # every run shares the base config's batch sizes
     shape, split = _load_dataset(args.manifest, base, needs_test=True)
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     results = [(label, [_train_and_eval(split, cfg, out / "runs" / run, shape)
                         for run, cfg in member_runs])
                for label, member_runs in grid]
-    rows = [(column, "seed") + _METRICS + ("schema",)]
+    rows = [(column, "seed") + METRICS + ("schema",)]
     for label, aggs in results:
         rows += [[label, str(seed)] + _metric_cells(agg) + [schema]
                  for seed, agg in zip(seeds, aggs)]
     if mean_rows(len(seeds)):
-        rows += [[label, "mean"] + _metric_cells(_mean_aggregate(aggs))
+        rows += [[label, "mean"] + _metric_cells(mean_defined(aggs))
                  + [schema] for label, aggs in results]
     _write_csv(out / csv_name, rows)
     return out / csv_name, seeds
@@ -202,7 +202,7 @@ def cmd_build_data(args):
                               if getattr(args, name) is not None})
     counts = (args.labeled, args.unlabeled, args.test)
     check_build(*counts, shape, args.seed)
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     manifest = build_dataset(out, *counts, shape, args.seed, params)
     print(f"wrote {len(manifest.records)} records to {out}")
     return 0
@@ -211,7 +211,7 @@ def cmd_build_data(args):
 def cmd_train(args):
     cfg = _resolve_train_config(args, args.seed)
     _, split = _load_dataset(args.manifest, cfg)
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     result = train_loop(split, cfg, out_dir=out,
                         resume_from=args.resume_from)
     print(f"trained {cfg.t_max} steps -> {out} "
@@ -223,7 +223,7 @@ def cmd_eval(args):
     shape, split = _load_dataset(args.manifest, needs_test=True)
     net, _, _ = net_from_checkpoint(args.checkpoint)
     window, stride = _eval_window(args, shape, net)
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     report = evaluate(net, split.test, window, stride, out_dir=out)
     agg = report.aggregate
     print(f"evaluated {report.n_cases} cases: dice={agg['dice']:.4f} "
@@ -301,7 +301,8 @@ def cmd_export_maps(args):
     sdm32 = sdm.astype(np.float32)
     maps = [(rho, boundary_weights(sdm32.astype(np.float64), rho)
              .astype(np.float32)) for rho in rhos]
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
+    out.mkdir(parents=True, exist_ok=True)
     write_array(out / "sdm.vol", sdm32, spacing)
     sdm_px = np.rint((_mid_slice(sdm32).astype(np.float64) + 1.0)
                      / 2.0 * 255.0).astype(np.uint8)
@@ -325,33 +326,6 @@ def build_parser():
     common.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
 
-    # the flags of train, ablate and sweep-rho; ablate and sweep-rho take
-    # their seeds from --seeds
-    train_flags = argparse.ArgumentParser(add_help=False)
-    train_flags.add_argument("--manifest", required=True)
-    train_flags.add_argument("--config", default=None, help="JSON config file")
-    train_flags.add_argument("--t-max", dest="t_max", type=int, default=None)
-    train_flags.add_argument("--crop", default=None, help="e.g. 64x64")
-    train_flags.add_argument("--lr", type=float, default=None)
-    train_flags.add_argument("--lr-decay-every", dest="lr_decay_every",
-                             type=int, default=None)
-    train_flags.add_argument("--momentum", type=float, default=None)
-    train_flags.add_argument("--labeled-per-batch", dest="labeled_per_batch",
-                             type=int, default=None)
-    train_flags.add_argument("--unlabeled-per-batch", dest="unlabeled_per_batch",
-                             type=int, default=None)
-    train_flags.add_argument("--checkpoint-every", dest="checkpoint_every",
-                             type=int, default=None)
-    train_flags.add_argument("--mode", choices=sorted(_MODES), default=None)
-    train_flags.add_argument("--rho", type=float, default=None)
-    train_flags.add_argument("--k", type=float, default=None)
-    train_flags.add_argument("--beta", type=float, default=None)
-    train_flags.add_argument("--lambda-max", dest="lambda_max", type=float,
-                             default=None)
-    train_flags.add_argument("--ramp-power", dest="ramp_power", type=int,
-                             default=None)
-    train_flags.add_argument("--width", type=int, default=None)
-    train_flags.add_argument("--depth", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="geoseg",
@@ -370,7 +344,7 @@ def build_parser():
     p.add_argument("--contrast", type=float, default=None)
     p.set_defaults(func=cmd_build_data)
 
-    p = sub.add_parser("train", parents=[common, train_flags],
+    p = sub.add_parser("train", parents=[common],
                        help="run one training configuration")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume-from", dest="resume_from", default=None)
@@ -384,12 +358,12 @@ def build_parser():
     p.add_argument("--stride", default=None, help="e.g. 18x18")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", parents=[common, train_flags],
+    p = sub.add_parser("ablate", parents=[common],
                        help="run the five-configuration ablation")
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep-rho", parents=[common, train_flags],
+    p = sub.add_parser("sweep-rho", parents=[common],
                        help="sweep the boundary-weight sharpness")
     p.add_argument("--values", default="1.0,1.5,2.0,2.5,3.0")
     p.add_argument("--seeds", default="0")
@@ -405,6 +379,14 @@ def build_parser():
     p.add_argument("--rho", default="1,2,3")
     p.set_defaults(func=cmd_export_maps)
 
+    # train, ablate and sweep-rho share these; ablate and sweep-rho take
+    # their seeds from --seeds
+    for command, rows in COMMAND_FLAGS.items():
+        p = sub.choices[command]
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--config", default=None, help="JSON config file")
+        for flag, parse, path in rows:
+            p.add_argument(flag, dest=path, type=parse)
     # a flag must be spelled out: as a prefix, a flag a command does not
     # take (ablate's --seed) would parse as another (--seeds)
     for p in sub.choices.values():
@@ -413,15 +395,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a flag's parser may raise ConfigError (--crop 8y8)
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
-    except GeoSegError as e:
-        print(f"error category={e.category} message={e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error category=io message={e}", file=sys.stderr)
+    except (GeoSegError, OSError) as e:
+        category = e.category if isinstance(e, GeoSegError) else "io"
+        print(f"error category={category} message={e}", file=sys.stderr)
         return 1
 
 

@@ -33,8 +33,8 @@ from .metrics import dice_jaccard, surface_distances
 from .tensor import Tensor, no_grad
 
 METRICS_SCHEMA = "metrics_v1"
-METRICS_CSV_HEADER = ("case_id", "dice", "jaccard", "asd", "hd95",
-                      "degenerate_flag", "schema")
+METRICS = ("dice", "jaccard", "asd", "hd95")
+METRICS_CSV_HEADER = ("case_id",) + METRICS + ("degenerate_flag", "schema")
 
 
 def threshold_foreground(prob):
@@ -158,18 +158,21 @@ def evaluate(net, records, window, stride, out_dir=None):
                                  jaccard=jaccard, asd=asd, hd95=hd95,
                                  degenerate=degenerate))
 
-    defined = [c for c in cases if not c.degenerate]
-    aggregate = {
-        "dice": float(np.mean([c.dice for c in cases])) if cases else None,
-        "jaccard": float(np.mean([c.jaccard for c in cases])) if cases else None,
-        "asd": float(np.mean([c.asd for c in defined])) if defined else None,
-        "hd95": float(np.mean([c.hd95 for c in defined])) if defined else None,
-    }
-    report = MetricReport(cases=cases, aggregate=aggregate, n_cases=len(cases),
-                          n_degenerate=len(cases) - len(defined))
+    report = MetricReport(cases=cases,
+                          aggregate=mean_defined([vars(c) for c in cases]),
+                          n_cases=len(cases),
+                          n_degenerate=sum(c.degenerate for c in cases))
     if out_dir is not None:
         write_report(report, out_dir)
     return report
+
+
+def mean_defined(rows):
+    """Each of ``METRICS`` averaged over the rows (dicts) where it is not
+    None; None where no row defines it."""
+    defined = {key: [row[key] for row in rows if row[key] is not None]
+               for key in METRICS}
+    return {key: float(np.mean(v)) if v else None for key, v in defined.items()}
 
 
 def write_report(report, out_dir):

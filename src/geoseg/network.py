@@ -77,11 +77,6 @@ class DualDecoderOutputs:
 FINAL_DECODER = 1
 
 
-def select_final(outputs):
-    """Final segmentation map: the final decoder's foreground probability."""
-    return getattr(outputs, f"seg{FINAL_DECODER}")
-
-
 class DualDecoderNet:
     def __init__(self, config):
         self.config = config

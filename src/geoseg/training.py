@@ -121,13 +121,12 @@ def check_config_keys(doc):
 
 
 def config_from_dict(doc):
+    """The TrainConfig of a config document; absent keys take defaults."""
     check_config_keys(doc)
-    doc = dict(doc)
     try:
-        doc["crop"] = tuple(doc["crop"])
-        doc["loss"] = LossConfig(**doc["loss"])
-        doc["network"] = NetworkConfig(**doc["network"])
-        return TrainConfig(**doc)
+        return TrainConfig(**{**doc,
+                              "loss": LossConfig(**doc.get("loss", {})),
+                              "network": NetworkConfig(**doc.get("network", {}))})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid config value: {e}") from None
 
@@ -308,16 +307,8 @@ def resume_state(path, cfg, rng):
     return net, step
 
 
-def _open_loss_csv(path, t_start=None):
-    """Open a run's loss.csv, the one file not written whole through
-    ``_write_atomic``, as an append stream: a new log with its header, or
-    the log of a run resumed at step ``t_start``, whose header and rows of
-    steps 0..t_start-1 stay byte for byte and whose later rows are cut off.
-    """
-    if t_start is None:
-        csv_file = open(path, "w", newline="")
-        csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
-        return csv_file
+def _kept_loss_csv(path, t_start):
+    """The length of the header and rows 0..t_start-1 of a loss.csv."""
     try:
         lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
     except FileNotFoundError:
@@ -334,8 +325,19 @@ def _open_loss_csv(path, t_start=None):
             not all(line.endswith("\n") for line in kept):
         raise FileFormatError(f"cannot resume at step {t_start}: {path} does "
                               f"not log steps 0..{t_start - 1} in order")
+    return sum(len(line) for line in lines[:1 + t_start])
+
+
+def _open_loss_csv(path, kept=None):
+    """Open a run's loss.csv, the one file not written whole through
+    ``_write_atomic``, as an append stream: a new log with its header, or a
+    resumed one cut to its first ``kept`` bytes (``_kept_loss_csv``)."""
+    if kept is None:
+        csv_file = open(path, "w", newline="")
+        csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
+        return csv_file
     csv_file = open(path, "a", newline="")
-    csv_file.truncate(sum(len(line) for line in lines[:1 + t_start]))
+    csv_file.truncate(kept)
     return csv_file
 
 
@@ -346,6 +348,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     per-step loss CSV, cadenced checkpoints, and a final summary.  With
     ``resume_from`` too, ``out_dir`` must be the run's own directory: its
     loss CSV keeps the rows before the checkpoint's step and continues.
+    Both are checked before ``out_dir`` is made or written.
     """
     check_pools(split, cfg)
     cfg_hash = config_hash(cfg)
@@ -357,18 +360,17 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
         t_start = 0
     opt = SGD(net.parameters(), lr=cfg.base_lr, momentum=cfg.momentum)
 
-    writer = None
-    csv_file = None
-    ckpt_dir = None
+    writer = csv_file = ckpt_dir = None
     if out_dir is not None:
         out_dir = Path(out_dir)
+        kept = (None if resume_from is None
+                else _kept_loss_csv(out_dir / "loss.csv", t_start))
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_atomic({out_dir / "config.json":
                        json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n"})
         ckpt_dir = out_dir / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
-        csv_file = _open_loss_csv(out_dir / "loss.csv",
-                                  None if resume_from is None else t_start)
+        csv_file = _open_loss_csv(out_dir / "loss.csv", kept)
         writer = csv.writer(csv_file)
 
     rows = []

@@ -1,17 +1,21 @@
 """Command-line surface: every subcommand end to end on tiny runs."""
 
+import argparse
 import csv
 import json
 import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from geoseg.cli import main, weights_to_pixels
+from geoseg.cli import CONFIG_FLAGS, build_parser, main, weights_to_pixels
 from geoseg.data import read_array, write_array
+from geoseg.losses import LossConfig
 from geoseg.network import DualDecoderNet, NetworkConfig, \
     net_from_checkpoint, save_checkpoint
 from geoseg.tensor import Tensor, no_grad
+from geoseg.training import TrainConfig
 from helpers import random_blob_mask
 
 rng = np.random.default_rng(71)
@@ -282,6 +286,34 @@ def test_unusable_resume_point_is_a_one_line_error(dataset, four_step_run,
     assert err.count("\n") == 1
     # nothing in the run dir was written
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+# (id, checkpoint, extra flags, error category, error text): each resume
+# into an --out that does not exist fails before --out is made
+FAILED_FRESH_RESUMES = [
+    ("missing-checkpoint", None, [], "io", "nope.ckpt"),
+    ("other-config", "step_000002", ["--lr", "0.5"], "config",
+     "different config"),
+    ("no-loss-csv", "step_000002", [], "io", "loss.csv is missing"),
+]
+
+
+@pytest.mark.parametrize("name, flags, category, message",
+                         [case[1:] for case in FAILED_FRESH_RESUMES],
+                         ids=[case[0] for case in FAILED_FRESH_RESUMES])
+def test_failed_resume_leaves_no_out(dataset, four_step_run, tmp_path, capsys,
+                                     name, flags, category, message):
+    ckpt = (tmp_path / "nope.ckpt" if name is None
+            else four_step_run / "checkpoints" / f"{name}.ckpt")
+    out = tmp_path / "fresh"
+    capsys.readouterr()
+    assert _train_four_steps(dataset, out, "--resume-from", str(ckpt),
+                             *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error category={category} message=")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def _edit_volume_entry(edit):
@@ -612,7 +644,7 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text,
     config.write_text(text)
     code = run([command, "--manifest", str(tmp_path / "absent"),
                 "--out", str(tmp_path / "out"), "--config", str(config),
-                "--rho", "2.0", "--width", "4"])
+                "--beta", "0.5", "--width", "4"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error category=config message=")
@@ -777,6 +809,11 @@ UNREAD_FLAGS = [
     ("export-maps", ["--mask", "m.vol"], "--seed", "9"),
     ("ablate", ["--manifest", "m"], "--seed", "9"),
     ("sweep-rho", ["--manifest", "m"], "--seed", "9"),
+    # every ablate member sets the consistency term, and every sweep-rho
+    # member it and rho
+    ("ablate", ["--manifest", "m"], "--mode", "gc"),
+    ("sweep-rho", ["--manifest", "m"], "--mode", "gc"),
+    ("sweep-rho", ["--manifest", "m"], "--rho", "9"),
 ]
 
 
@@ -791,6 +828,64 @@ def test_flags_a_command_does_not_read_fail_to_parse(tmp_path, capsys,
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+TRAIN_CONFIG_FLAGS = [
+    "--t-max", "--crop", "--lr", "--lr-decay-every", "--momentum",
+    "--labeled-per-batch", "--unlabeled-per-batch", "--checkpoint-every",
+    "--mode", "--rho", "--k", "--beta", "--lambda-max", "--ramp-power",
+    "--width", "--depth"]
+COMMAND_OPTIONS = {
+    "train": ["-h", "--help", "--out", "--force", "--seed", "--resume-from",
+              "--manifest", "--config"] + TRAIN_CONFIG_FLAGS,
+    "ablate": ["-h", "--help", "--out", "--force", "--seeds", "--manifest",
+               "--config"] + [f for f in TRAIN_CONFIG_FLAGS if f != "--mode"],
+    "sweep-rho": ["-h", "--help", "--out", "--force", "--values", "--seeds",
+                  "--manifest", "--config"]
+    + [f for f in TRAIN_CONFIG_FLAGS if f not in ("--mode", "--rho")],
+}
+
+
+def test_each_config_flag_names_a_config_field():
+    sections = {"": TrainConfig, "loss": LossConfig, "network": NetworkConfig}
+    for flag, _, path in CONFIG_FLAGS:
+        section, _, name = path.rpartition(".")
+        assert name in {f.name for f in fields(sections[section])}, flag
+    assert [row[0] for row in CONFIG_FLAGS] == TRAIN_CONFIG_FLAGS
+    assert len({row[2] for row in CONFIG_FLAGS}) == len(CONFIG_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_option_strings(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [s for a in sub.choices[command]._actions
+               for s in a.option_strings]
+    assert options == COMMAND_OPTIONS[command]
+    assert len([f for f in options if f in TRAIN_CONFIG_FLAGS]) == {
+        "train": 16, "ablate": 15, "sweep-rho": 14}[command]
+
+
+def test_every_config_flag_sets_its_field(dataset, tmp_path):
+    out = tmp_path / "run"
+    code = run(["train", "--manifest", str(dataset), "--out", str(out),
+                "--seed", "6", "--t-max", "3", "--crop", "16x16",
+                "--lr", "0.02", "--lr-decay-every", "2", "--momentum", "0.5",
+                "--labeled-per-batch", "3", "--unlabeled-per-batch", "1",
+                "--checkpoint-every", "3", "--mode", "supervised-only",
+                "--rho", "1.5", "--k", "99", "--beta", "0.2",
+                "--lambda-max", "0.4", "--ramp-power", "2", "--width", "3",
+                "--depth", "2"])
+    assert code == 0
+    want = TrainConfig(
+        t_max=3, labeled_per_batch=3, unlabeled_per_batch=1, crop=(16, 16),
+        base_lr=0.02, lr_decay_every=2, momentum=0.5, seed=6,
+        checkpoint_every=3,
+        loss=LossConfig(rho=1.5, k=99.0, beta=0.2, lambda_max=0.4,
+                        ramp_power=2, consistency="none"),
+        network=NetworkConfig(width=3, depth=2, seed=6))
+    assert (out / "config.json").read_text() == json.dumps(
+        asdict(want), indent=1, sort_keys=True) + "\n"
 
 
 def test_config_file_sections_merge_with_flags(dataset, tmp_path):

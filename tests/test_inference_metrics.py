@@ -14,7 +14,7 @@ from geoseg.geometry import sdm_target
 from geoseg.inference import (HEADS, TILE_BATCH_VOXELS, evaluate,
                               sliding_window_infer, threshold_foreground)
 from geoseg.metrics import dice_jaccard, surface_distances
-from geoseg.network import DualDecoderNet, NetworkConfig, select_final
+from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD, Tensor
 from geoseg.training import Batch, TrainConfig, train_step
 from helpers import (assert_bitwise_equal, brute_force_surface_distances,
@@ -154,7 +154,7 @@ def test_window_covering_volume_equals_single_forward():
     net = real_net()
     vol = rng.standard_normal((16, 16))
     got = sliding_window_infer(net, vol, (16, 16), (16, 16))
-    want = select_final(net.forward(Tensor(vol[None, None]))).data[0, 0]
+    want = net.forward(Tensor(vol[None, None])).seg1.data[0, 0]
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -164,7 +164,7 @@ def test_window_larger_than_volume_pads_and_unpads():
     got = sliding_window_infer(net, vol, (16, 16), (16, 16))
     padded = np.zeros((16, 16))
     padded[:10, :12] = vol
-    want = select_final(net.forward(Tensor(padded[None, None]))).data[0, 0]
+    want = net.forward(Tensor(padded[None, None])).seg1.data[0, 0]
     np.testing.assert_allclose(got, want[:10, :12], atol=1e-6)
 
 
@@ -175,7 +175,7 @@ def test_non_overlapping_tiles_predicted_once():
     for i in (0, 16):
         for j in (0, 16):
             tile = vol[i:i + 16, j:j + 16]
-            want = select_final(net.forward(Tensor(tile[None, None]))).data[0, 0]
+            want = net.forward(Tensor(tile[None, None])).seg1.data[0, 0]
             np.testing.assert_allclose(got[i:i + 16, j:j + 16], want,
                                        atol=1e-12)
 
@@ -190,7 +190,7 @@ TILINGS = [
     ("overlapping-padded-3d", 3, (12, 6, 10), (8, 8, 8), (4, 4, 4),
      [(0, 0, 0), (0, 0, 2), (4, 0, 0), (4, 0, 2)]),
 ]
-FULL_NET_HEADS = {"seg": select_final, "sdm": lambda out: out.sdm1}
+FULL_NET_HEADS = {"seg": lambda out: out.seg1, "sdm": lambda out: out.sdm1}
 
 
 @pytest.mark.parametrize("head", sorted(FULL_NET_HEADS))

@@ -11,10 +11,10 @@ from geoseg.errors import FileFormatError, ShapeError
 from geoseg.geometry import sdm_target
 from geoseg.losses import LossConfig, total_loss
 from geoseg.network import (DualDecoderNet, NetworkConfig, load_checkpoint,
-                            net_from_checkpoint, save_checkpoint, select_final)
+                            net_from_checkpoint, save_checkpoint)
 from geoseg.tensor import SGD, Tensor, conv_nd, interp_upsample
 from geoseg.training import Batch, TrainConfig
-from helpers import assert_grads_match, fd_gradient
+from helpers import assert_bitwise_equal, assert_grads_match, fd_gradient
 
 rng = np.random.default_rng(31)
 
@@ -85,12 +85,14 @@ def test_divisibility_error_names_required_multiple():
         net.forward(Tensor(rng.standard_normal((1, 1, 10, 12))))
 
 
-def test_select_final_returns_decoder_one():
+def test_predict_returns_decoder_one():
     net = small_net(seed=4)
-    out = net.forward(Tensor(rng.standard_normal((1, 1, 16, 16))))
-    final = select_final(out)
-    assert final is out.seg1
-    assert not np.array_equal(final.data, out.seg2.data)
+    x = Tensor(rng.standard_normal((1, 1, 16, 16)))
+    out = net.forward(x)
+    pred = net.predict(x)
+    assert_bitwise_equal(pred["seg"].data, out.seg1.data)
+    assert_bitwise_equal(pred["sdm"].data, out.sdm1.data)
+    assert not np.array_equal(pred["seg"].data, out.seg2.data)
 
 
 def test_gradient_step_touches_every_branch():

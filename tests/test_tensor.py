@@ -7,6 +7,7 @@ h=1e-6 in double precision, relative tolerance 1e-4.
 import numpy as np
 import pytest
 
+from geoseg import tensor
 from geoseg.errors import ConfigError, ShapeError, TrainingAbort
 from geoseg.tensor import (SGD, Parameter, Tensor, concat, conv_nd,
                            conv_transpose_nd, instance_norm_relu,
@@ -369,6 +370,19 @@ def test_sgd_rejects_non_finite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingAbort, match="w"):
         SGD([p], lr=0.1).step()
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["on", "off"])
+def test_check_finite_stops_a_forward_op_that_overflows(monkeypatch, check):
+    # GEOSEG_CHECK_FINITE=1 sets the flag when the module is imported
+    monkeypatch.setattr(tensor, "_CHECK_FINITE", check)
+    x = Parameter([1e300, 1.0])
+    with np.errstate(over="ignore"):
+        if check:
+            with pytest.raises(TrainingAbort, match="non-finite"):
+                x * 1e10
+        else:
+            assert np.isinf((x * 1e10).data[0])
 
 
 def test_mse_helper():
