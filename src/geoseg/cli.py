@@ -67,7 +67,6 @@ CONFIG_FLAGS = (
     ("--crop", _parse_extents, "crop"),
     ("--lr", float, "base_lr"),
     ("--lr-decay-every", int, "lr_decay_every"),
-    ("--momentum", float, "momentum"),
     ("--labeled-per-batch", int, "labeled_per_batch"),
     ("--unlabeled-per-batch", int, "unlabeled_per_batch"),
     ("--checkpoint-every", int, "checkpoint_every"),
@@ -76,7 +75,6 @@ CONFIG_FLAGS = (
     ("--k", float, "loss.k"),
     ("--beta", float, "loss.beta"),
     ("--lambda-max", float, "loss.lambda_max"),
-    ("--ramp-power", int, "loss.ramp_power"),
     ("--width", int, "network.width"),
     ("--depth", int, "network.depth"),
 )

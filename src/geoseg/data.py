@@ -303,7 +303,7 @@ def check_build(n_labeled, n_unlabeled, n_test, shape, seed):
 
 
 def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
-                  params=PhantomParams(), spacing=None):
+                  params=PhantomParams()):
     """Generate a split dataset on disk and return its manifest.
 
     Unlabeled-train masks are withheld from the manifest; they go to the
@@ -315,7 +315,7 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     audit = out_dir / "audit"
     volumes_dir.mkdir(parents=True, exist_ok=True)
     audit.mkdir(parents=True, exist_ok=True)
-    spacing = list(spacing) if spacing is not None else [1.0] * len(shape)
+    spacing = [1.0] * len(shape)
 
     plan = ([("labeled-train", True)] * n_labeled
             + [("unlabeled-train", False)] * n_unlabeled

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
-from .tensor import Tensor
 
 
 def _as_binary(mask):
@@ -145,13 +144,12 @@ def approx_inverse(z, k):
 def boundary_weights(sdm_pred, rho):
     """Exponential boundary emphasis exp(-rho * |predicted distance|).
 
-    The result is a constant: no gradient flows through it, so the
-    optimizer cannot shrink a weighted loss by inflating the predicted
-    distances instead of improving agreement.
+    Takes and returns an ndarray: the weights are a constant, so no
+    gradient flows through them and the optimizer cannot shrink a weighted
+    loss by inflating the predicted distances instead of improving
+    agreement.
     """
     if not 0 < rho < np.inf:
         raise ConfigError(f"boundary weight rho must be positive and finite, "
                           f"got {rho}")
-    arr = sdm_pred.data if isinstance(sdm_pred, Tensor) else np.asarray(sdm_pred)
-    w = np.exp(-float(rho) * np.abs(arr))
-    return Tensor(w) if isinstance(sdm_pred, Tensor) else w
+    return np.exp(-float(rho) * np.abs(sdm_pred))

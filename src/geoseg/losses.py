@@ -6,7 +6,7 @@ the normalized signed-distance target.  Consistency part (all items): the
 cross-decoder, cross-task disagreement between each segmentation map and
 the distance-derived segmentation map of the other decoder, optionally
 weighted by the exponential boundary emphasis.  A ramp-up schedule grows
-the consistency weight over training.
+the consistency weight over training, as lambda_max * exp(-5 * (1 - t/t_max)).
 
 All means are per-voxel so the mixing coefficients stay crop-size free.
 """
@@ -28,7 +28,6 @@ class LossConfig:
     k: float = 1500.0           # distance-to-probability sharpness
     beta: float = 0.3           # distance-task weight in the supervised loss
     lambda_max: float = 0.1     # consistency weight at the end of ramp-up
-    ramp_power: int = 1         # exponent on (1 - t/t_max) in the ramp
     consistency: str = "wgc"    # none | mc | gc | wgc
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class LossConfig:
         if not 0 <= self.beta < np.inf:
             raise ConfigError(f"beta must be non-negative and finite, got "
                               f"{self.beta}")
-        if self.ramp_power not in (1, 2):
-            raise ConfigError(f"ramp_power must be 1 or 2, got {self.ramp_power}")
         if self.consistency not in CONSISTENCY_MODES:
             raise ConfigError(f"consistency must be one of {CONSISTENCY_MODES}, "
                               f"got {self.consistency!r}")
@@ -125,7 +122,7 @@ def geometry_consistency_loss(outputs, k=1500.0, weights=(1.0, 1.0)):
     operands of each term.  The default python-scalar unit weights give the
     unweighted (gc) loss exactly; the boundary-weighted (wgc) loss passes
     each decoder's ``boundary_weights`` of its own predicted distance map,
-    which are constants in the gradient.
+    computed from the map's values and so constants in the gradient.
     """
     w1, w2 = weights
     t1 = (outputs.seg1 - approx_inverse(outputs.sdm2, k)).square()
@@ -138,8 +135,8 @@ def mutual_consistency_loss(outputs):
     return mse(outputs.seg1, outputs.seg2) + mse(outputs.sdm1, outputs.sdm2)
 
 
-def ramp_up(t, t_max, lambda_max=0.1, power=1):
-    """Consistency weight lambda(t) = lambda_max * exp(-5 * (1 - t/t_max)^power).
+def ramp_up(t, t_max, lambda_max=0.1):
+    """Consistency weight lambda(t) = lambda_max * exp(-5 * (1 - t/t_max)).
 
     t beyond t_max clamps to t_max, so the weight never overshoots.
     """
@@ -148,7 +145,7 @@ def ramp_up(t, t_max, lambda_max=0.1, power=1):
     if t < 0:
         raise ConfigError(f"step index must be non-negative, got {t}")
     frac = min(float(t), float(t_max)) / float(t_max)
-    return float(lambda_max * np.exp(-5.0 * (1.0 - frac) ** power))
+    return float(lambda_max * np.exp(-5.0 * (1.0 - frac)))
 
 
 def consistency_loss(outputs, config):
@@ -159,8 +156,8 @@ def consistency_loss(outputs, config):
         return mutual_consistency_loss(outputs)
     if config.consistency == "gc":
         return geometry_consistency_loss(outputs, config.k)
-    weights = (boundary_weights(outputs.sdm1, config.rho),
-               boundary_weights(outputs.sdm2, config.rho))
+    weights = (Tensor(boundary_weights(outputs.sdm1.data, config.rho)),
+               Tensor(boundary_weights(outputs.sdm2.data, config.rho)))
     return geometry_consistency_loss(outputs, config.k, weights)
 
 
@@ -179,7 +176,7 @@ def total_loss(outputs, batch, t, t_max, config):
     l_seg = seg_supervised_loss(lab, batch.masks)
     l_sdf = sdf_supervised_loss(lab, batch.sdm_targets)
     l_sup = l_seg + l_sdf * config.beta
-    lam = ramp_up(t, t_max, config.lambda_max, config.ramp_power)
+    lam = ramp_up(t, t_max, config.lambda_max)
     l_cons = consistency_loss(outputs, config)
     if l_cons is None:
         total = l_sup

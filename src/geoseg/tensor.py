@@ -459,24 +459,19 @@ class Parameter(Tensor):
 
 
 class SGD:
-    """SGD with classical momentum: buf <- mu*buf + g; w <- w - lr*buf."""
+    """SGD with classical momentum 0.9: buf <- 0.9*buf + g; w <- w - lr*buf.
+    The rate is given per step; the schedule lives with the caller."""
 
-    def __init__(self, params, lr, momentum=0.9):
-        if not 0 < lr < np.inf:
-            raise ConfigError(f"learning rate must be positive and finite, "
-                              f"got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    mu = 0.9
+
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = float(lr)
-        self.mu = float(momentum)
 
     def zero_grad(self):
         for p in self.params:
             p.grad = np.zeros_like(p.data)
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else float(lr)
+    def step(self, lr):
         for p in self.params:
             g = p.grad
             if not np.all(np.isfinite(g)):

@@ -1,5 +1,9 @@
 """End-to-end training: batch assembly, augmentation, optimization, logging.
 
+The optimizer recipe is fixed: SGD with momentum 0.9 (``tensor.SGD``),
+the rate divided by 10 every ``lr_decay_every`` steps, and every drawn
+crop randomly flipped and rotated.
+
 One training run is a single logical writer: step t's parameter update is
 applied before step t+1's forward pass.  The tuple (seed, config, data)
 fully determines the loss trace; the batch RNG state is checkpointed so a
@@ -45,12 +49,9 @@ class TrainConfig:
     unlabeled_per_batch: int = 2
     crop: tuple = (64, 64)
     base_lr: float = 0.01
-    lr_decay: float = 0.1
     lr_decay_every: int = 125
-    momentum: float = 0.9
     seed: int = 0
     checkpoint_every: int = 100
-    augment: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
@@ -77,22 +78,17 @@ class TrainConfig:
         if not 0 < self.base_lr < np.inf:
             raise ConfigError(f"base_lr must be positive and finite, got "
                               f"{self.base_lr}")
-        if not 0 < self.lr_decay <= 1:
-            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.lr_decay_every < 1:
             raise ConfigError("lr_decay_every must be >= 1")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
 
 
 # the JSON values a config field accepts, by the type of its default: an int
 # field takes no float (NaN and Infinity are floats) or bool, a float field
-# an int, a bool field a bool, the crop a list (or asdict's tuple) of ints
+# an int, the crop a list (or asdict's tuple) of ints
 _JSON_TYPES = {int: (lambda v: type(v) is int, "an int"),
                float: (lambda v: type(v) in (int, float), "a number"),
-               bool: (lambda v: type(v) is bool, "a bool"),
                tuple: (lambda v: type(v) in (list, tuple)
                        and all(type(c) is int for c in v), "a list of ints")}
 
@@ -113,7 +109,7 @@ def _check_keys(doc, cls, where):
 
 def check_config_keys(doc):
     """Reject a config document that is not an object, has unknown keys or
-    has a number, bool or crop value of the wrong JSON type."""
+    has a number or crop value of the wrong JSON type."""
     _check_keys(doc, TrainConfig, "config")
     for name, cls in (("loss", LossConfig), ("network", NetworkConfig)):
         if name in doc:
@@ -137,8 +133,8 @@ def config_hash(cfg):
 
 
 def lr_schedule(t, cfg):
-    """Stepwise decay: base_lr * lr_decay^(t // lr_decay_every)."""
-    return cfg.base_lr * cfg.lr_decay ** (t // cfg.lr_decay_every)
+    """Stepwise decay: base_lr * 0.1^(t // lr_decay_every)."""
+    return cfg.base_lr * 0.1 ** (t // cfg.lr_decay_every)
 
 
 # -- batch assembly -----------------------------------------------------------
@@ -216,9 +212,7 @@ def _draw_item(pool, cfg, rng):
     mask None for an unlabeled record."""
     record = pool[int(rng.integers(len(pool)))]
     img, msk = random_crop(record.image, record.mask, cfg.crop, rng)
-    if cfg.augment:
-        img, msk = augment(img, msk, rng)
-    return img, msk
+    return augment(img, msk, rng)
 
 
 def sample_batch(split, cfg, rng):
@@ -253,7 +247,7 @@ def train_step(net, opt, batch, t, cfg):
             raise TrainingAbort(f"{name} became non-finite at step {t}")
     opt.zero_grad()
     breakdown.total.backward()
-    opt.step(lr=lr_schedule(t, cfg))
+    opt.step(lr_schedule(t, cfg))
     return breakdown
 
 
@@ -299,11 +293,12 @@ def resume_state(path, cfg, rng):
                           f"(t_max {cfg.t_max}); nothing to resume")
     for p in net.parameters():
         mom = tensors.get(f"momentum/{p.name}")
-        if mom is not None:
-            if mom.shape != p.data.shape:
-                raise FileFormatError(f"{path}: momentum/{p.name} has shape "
-                                      f"{mom.shape}, expected {p.data.shape}")
-            p.momentum = np.ascontiguousarray(mom, dtype=np.float64)
+        if mom is None:
+            raise FileFormatError(f"{path}: momentum/{p.name} is missing")
+        if mom.shape != p.data.shape:
+            raise FileFormatError(f"{path}: momentum/{p.name} has shape "
+                                  f"{mom.shape}, expected {p.data.shape}")
+        p.momentum = np.ascontiguousarray(mom, dtype=np.float64)
     return net, step
 
 
@@ -358,7 +353,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
     else:
         net = DualDecoderNet(cfg.network)
         t_start = 0
-    opt = SGD(net.parameters(), lr=cfg.base_lr, momentum=cfg.momentum)
+    opt = SGD(net.parameters())
 
     writer = csv_file = ckpt_dir = None
     if out_dir is not None:
@@ -394,7 +389,7 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
 
     wall = time.perf_counter() - started
     summary = {"schema": "summary_v1", "seed": cfg.seed,
-               "config_hash": cfg_hash, "momentum": cfg.momentum,
+               "config_hash": cfg_hash,
                "backend": kernels.BACKEND, "steps_run": cfg.t_max - t_start,
                "wall_seconds": wall,
                "final": dict(zip(LOSS_CSV_HEADER[1:-1], rows[-1][1:])) if rows

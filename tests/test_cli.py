@@ -179,6 +179,12 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _without_tensors(header, prefix):
+    return {**header, "tensors": {name: entry for name, entry
+                                  in header["tensors"].items()
+                                  if not name.startswith(prefix)}}
+
+
 def _with_removed_network_keys(header):
     # the network config of a checkpoint written while these keys existed
     return {**header, "network": {**header["network"], "in_channels": 1,
@@ -262,6 +268,8 @@ BAD_RESUME_POINTS = [
     ("step-past-t-max", "step_000002", _edit_meta(lambda m: {**m, "step": 5}), "io"),
     ("momentum-flattened", "step_000002",
      lambda h: _flatten_entry(h, "momentum/enc.stem.kernel"), "io"),
+    ("momentum-missing", "step_000002",
+     lambda h: _without_tensors(h, "momentum/"), "io"),
     ("removed-network-keys", "step_000002", _with_removed_network_keys, "io"),
     ("run-already-finished", "final", lambda h: h, "config"),
 ]
@@ -617,8 +625,6 @@ BAD_CONFIGS = [
     ("mistyped-crop", '{"crop": 5}', "config.crop must be a list of ints"),
     ("crop-float", '{"crop": [32.7, 32]}', "config.crop must be a list of ints"),
     ("crop-string", '{"crop": ["32", 32]}', "config.crop must be a list of ints"),
-    ("bool-field-string", '{"augment": "false"}', "config.augment must be a bool"),
-    ("bool-field-int", '{"augment": 1}', "config.augment must be a bool"),
     ("negative-seed", '{"seed": -1}', "seed must be >= 0"),
     ("negative-network-seed", '{"network": {"seed": -3}}', "seed must be >= 0"),
     ("removed-sign-mode-key", '{"loss": {"sign_mode": "inside-negative"}}',
@@ -631,6 +637,14 @@ BAD_CONFIGS = [
      "unknown config.network key(s): in_channels"),
     ("in-channels-not-one", '{"network": {"in_channels": 2}}',
      "unknown config.network key(s): in_channels"),
+    ("removed-lr-decay-key", '{"lr_decay": 0.1}',
+     "unknown config key(s): lr_decay"),
+    ("removed-momentum-key", '{"momentum": 0.9}',
+     "unknown config key(s): momentum"),
+    ("removed-augment-key", '{"augment": true}',
+     "unknown config key(s): augment"),
+    ("removed-ramp-power-key", '{"loss": {"ramp_power": 1}}',
+     "unknown config.loss key(s): ramp_power"),
 ]
 
 
@@ -704,8 +718,7 @@ def test_nonpositive_crop_is_a_config_error(tmp_path, capsys, crop):
 
 
 # every float field of TrainConfig and LossConfig, with its flag if it has one
-FLOAT_FIELDS = [("base_lr", "--lr"), ("lr_decay", None),
-                ("momentum", "--momentum"), ("loss.rho", "--rho"),
+FLOAT_FIELDS = [("base_lr", "--lr"), ("loss.rho", "--rho"),
                 ("loss.k", "--k"), ("loss.beta", "--beta"),
                 ("loss.lambda_max", "--lambda-max")]
 NON_FINITE = [(f"{field}-{value}-{via}", field, flag, value, via)
@@ -814,6 +827,13 @@ UNREAD_FLAGS = [
     ("ablate", ["--manifest", "m"], "--mode", "gc"),
     ("sweep-rho", ["--manifest", "m"], "--mode", "gc"),
     ("sweep-rho", ["--manifest", "m"], "--rho", "9"),
+    # the momentum and the ramp exponent are fixed
+    ("train", ["--manifest", "m"], "--momentum", "0.5"),
+    ("ablate", ["--manifest", "m"], "--momentum", "0.5"),
+    ("sweep-rho", ["--manifest", "m"], "--momentum", "0.5"),
+    ("train", ["--manifest", "m"], "--ramp-power", "2"),
+    ("ablate", ["--manifest", "m"], "--ramp-power", "2"),
+    ("sweep-rho", ["--manifest", "m"], "--ramp-power", "2"),
 ]
 
 
@@ -831,10 +851,9 @@ def test_flags_a_command_does_not_read_fail_to_parse(tmp_path, capsys,
 
 
 TRAIN_CONFIG_FLAGS = [
-    "--t-max", "--crop", "--lr", "--lr-decay-every", "--momentum",
-    "--labeled-per-batch", "--unlabeled-per-batch", "--checkpoint-every",
-    "--mode", "--rho", "--k", "--beta", "--lambda-max", "--ramp-power",
-    "--width", "--depth"]
+    "--t-max", "--crop", "--lr", "--lr-decay-every", "--labeled-per-batch",
+    "--unlabeled-per-batch", "--checkpoint-every", "--mode", "--rho", "--k",
+    "--beta", "--lambda-max", "--width", "--depth"]
 COMMAND_OPTIONS = {
     "train": ["-h", "--help", "--out", "--force", "--seed", "--resume-from",
               "--manifest", "--config"] + TRAIN_CONFIG_FLAGS,
@@ -863,26 +882,26 @@ def test_command_option_strings(command):
                for s in a.option_strings]
     assert options == COMMAND_OPTIONS[command]
     assert len([f for f in options if f in TRAIN_CONFIG_FLAGS]) == {
-        "train": 16, "ablate": 15, "sweep-rho": 14}[command]
+        "train": 14, "ablate": 13, "sweep-rho": 12}[command]
 
 
 def test_every_config_flag_sets_its_field(dataset, tmp_path):
     out = tmp_path / "run"
     code = run(["train", "--manifest", str(dataset), "--out", str(out),
                 "--seed", "6", "--t-max", "3", "--crop", "16x16",
-                "--lr", "0.02", "--lr-decay-every", "2", "--momentum", "0.5",
+                "--lr", "0.02", "--lr-decay-every", "2",
                 "--labeled-per-batch", "3", "--unlabeled-per-batch", "1",
                 "--checkpoint-every", "3", "--mode", "supervised-only",
                 "--rho", "1.5", "--k", "99", "--beta", "0.2",
-                "--lambda-max", "0.4", "--ramp-power", "2", "--width", "3",
+                "--lambda-max", "0.4", "--width", "3",
                 "--depth", "2"])
     assert code == 0
     want = TrainConfig(
         t_max=3, labeled_per_batch=3, unlabeled_per_batch=1, crop=(16, 16),
-        base_lr=0.02, lr_decay_every=2, momentum=0.5, seed=6,
+        base_lr=0.02, lr_decay_every=2, seed=6,
         checkpoint_every=3,
         loss=LossConfig(rho=1.5, k=99.0, beta=0.2, lambda_max=0.4,
-                        ramp_power=2, consistency="none"),
+                        consistency="none"),
         network=NetworkConfig(width=3, depth=2, seed=6))
     assert (out / "config.json").read_text() == json.dumps(
         asdict(want), indent=1, sort_keys=True) + "\n"

@@ -303,7 +303,7 @@ def test_evaluate_runs_no_decoder_2_layer(monkeypatch):
     masks = (rng.random((1, 16, 16)) < 0.4) * 1.0
     batch = Batch(images=rng.standard_normal((2, 1, 16, 16)), masks=masks,
                   sdm_targets=np.stack([sdm_target(m) for m in masks]))
-    train_step(net, SGD(net.parameters(), lr=0.01), batch, 0, cfg)
+    train_step(net, SGD(net.parameters()), batch, 0, cfg)
     assert set(names) == layers
 
 

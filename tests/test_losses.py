@@ -160,7 +160,8 @@ def test_sdf_supervised_random_hand_value():
 
 def _wgc(out, rho, k):
     # the boundary-weighted loss, weighted as the wgc mode weights it
-    weights = (boundary_weights(out.sdm1, rho), boundary_weights(out.sdm2, rho))
+    weights = (Tensor(boundary_weights(out.sdm1.data, rho)),
+               Tensor(boundary_weights(out.sdm2.data, rho)))
     return geometry_consistency_loss(out, k=k, weights=weights)
 
 
@@ -257,10 +258,9 @@ def test_ramp_endpoints():
     assert abs(ramp_up(0, 600) - 6.737946999085467e-4) < 1e-9
 
 
-def test_ramp_monotone_both_powers():
-    for power in (1, 2):
-        values = [ramp_up(t, 999, power=power) for t in range(1000)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+def test_ramp_monotone():
+    values = [ramp_up(t, 999) for t in range(1000)]
+    assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_ramp_clamps_beyond_t_max():

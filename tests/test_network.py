@@ -97,7 +97,7 @@ def test_predict_returns_decoder_one():
 
 def test_gradient_step_touches_every_branch():
     net = small_net(seed=6)
-    opt = SGD(net.parameters(), lr=0.05, momentum=0.0)
+    opt = SGD(net.parameters())
     spatial = (16, 16)
     masks = (rng.random((2,) + spatial) < 0.4).astype(np.float64)
     targets = np.stack([sdm_target(m) for m in masks])
@@ -108,7 +108,7 @@ def test_gradient_step_touches_every_branch():
     bd = total_loss(out, batch, 50, 100, LossConfig(k=9.0))
     opt.zero_grad()
     bd.total.backward()
-    opt.step()
+    opt.step(0.05)
     for prefix in ("enc.", "dec1.", "dec2."):
         changed = any(not np.array_equal(before[n], p.data)
                       for n, p in net.params.items() if n.startswith(prefix))

@@ -341,27 +341,28 @@ def test_upsample_is_bitwise_the_gather_formula(rank):
 
 
 def test_sgd_step_no_momentum():
+    # the first step has no momentum yet: a plain gradient step
     p = Parameter([1.0])
     p.grad = np.array([0.5])
-    SGD([p], lr=0.1, momentum=0.0).step()
+    SGD([p]).step(0.1)
     np.testing.assert_allclose(p.data, [0.95])
 
 
 def test_sgd_momentum_recurrence():
     # two steps of g=1 at lr=1 from w=0 with mu=0.9: w -> -1 -> -2.9
     p = Parameter([0.0])
-    opt = SGD([p], lr=1.0, momentum=0.9)
+    opt = SGD([p])
     for _ in range(2):
         p.grad = np.array([1.0])
-        opt.step()
+        opt.step(1.0)
     np.testing.assert_allclose(p.data, [-2.9])
 
 
 def test_sgd_zero_gradient_keeps_parameters():
     p = Parameter([1.5])
-    opt = SGD([p], lr=0.1, momentum=0.0)
+    opt = SGD([p])
     opt.zero_grad()
-    opt.step()
+    opt.step(0.1)
     np.testing.assert_allclose(p.data, [1.5])
 
 
@@ -369,7 +370,7 @@ def test_sgd_rejects_non_finite_gradient():
     p = Parameter([1.0], name="w")
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingAbort, match="w"):
-        SGD([p], lr=0.1).step()
+        SGD([p]).step(0.1)
 
 
 @pytest.mark.parametrize("check", [True, False], ids=["on", "off"])

@@ -1,6 +1,6 @@
 """Batch assembly, augmentation, schedules, and the training loop."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -143,7 +143,7 @@ def test_degenerate_crop_flagged():
     split = type("S", (), {})()
     split.labeled = [record]
     split.unlabeled = []
-    cfg = tiny_config(labeled_per_batch=1, unlabeled_per_batch=0, augment=False)
+    cfg = tiny_config(labeled_per_batch=1, unlabeled_per_batch=0)
     batch = sample_batch(split, cfg, np.random.default_rng(0))
     # the +grid-diagonal sentinel normalizes to exactly 1
     np.testing.assert_array_equal(batch.sdm_targets, 1.0)
@@ -191,6 +191,25 @@ def test_config_round_trip():
     assert config_from_dict(asdict(cfg)) == cfg
 
 
+# every config field, by section: a new knob must edit this list, and
+# should come with a caller outside the tests that sets a second value
+CONFIG_SURFACE = {
+    TrainConfig: ["t_max", "labeled_per_batch", "unlabeled_per_batch", "crop",
+                  "base_lr", "lr_decay_every", "seed", "checkpoint_every",
+                  "loss", "network"],
+    LossConfig: ["rho", "k", "beta", "lambda_max", "consistency"],
+    NetworkConfig: ["rank", "width", "depth", "seed"],
+}
+
+
+def test_config_surface_is_pinned():
+    for cls, names in CONFIG_SURFACE.items():
+        assert [f.name for f in fields(cls)] == names, cls.__name__
+    leaves = [name for names in CONFIG_SURFACE.values() for name in names
+              if name not in ("loss", "network")]
+    assert len(leaves) == 17
+
+
 # -- the loop ----------------------------------------------------------------------
 
 
@@ -200,8 +219,7 @@ def test_train_loop_row_count_and_lambda_column(split, tmp_path):
     assert len(result.rows) == 10
     for t, *vals in result.rows:
         lam = vals[4]
-        assert lam == ramp_up(t, cfg.t_max, cfg.loss.lambda_max,
-                              cfg.loss.ramp_power)
+        assert lam == ramp_up(t, cfg.t_max, cfg.loss.lambda_max)
     csv_lines = (tmp_path / "run" / "loss.csv").read_text().splitlines()
     assert len(csv_lines) == 11  # header + rows
     assert csv_lines[0].startswith("step,loss_seg")
@@ -243,7 +261,7 @@ def test_supervised_overfit_sanity(split):
     # one labeled item, supervised-only: the segmentation loss must at least
     # halve over 200 steps on this tiny net
     cfg = tiny_config(t_max=200, labeled_per_batch=1, unlabeled_per_batch=0,
-                      checkpoint_every=1000, augment=False,
+                      checkpoint_every=1000,
                       loss=LossConfig(consistency="none", k=20.0))
     one = type("S", (), {"labeled": split.labeled[:1], "unlabeled": [],
                          "test": []})()
@@ -277,7 +295,7 @@ def _full_batch_step(net, opt, batch, t, cfg):
     breakdown = total_loss(outputs, batch, t, cfg.t_max, cfg.loss)
     opt.zero_grad()
     breakdown.total.backward()
-    opt.step(lr=lr_schedule(t, cfg))
+    opt.step(lr_schedule(t, cfg))
     return breakdown
 
 
@@ -292,8 +310,7 @@ def test_supervised_step_forwards_only_labeled_items(rank, tmp_path):
     cfg = tiny_config(crop=shape, loss=LossConfig(consistency="none", k=20.0),
                       network=NetworkConfig(rank=rank, width=2, depth=2, seed=5))
     nets = [DualDecoderNet(cfg.network) for _ in range(2)]
-    opts = [SGD(n.parameters(), lr=cfg.base_lr, momentum=cfg.momentum)
-            for n in nets]
+    opts = [SGD(n.parameters()) for n in nets]
     seen = []
     forward = nets[0].forward
     nets[0].forward = lambda x: seen.append(x.data.shape[0]) or forward(x)
