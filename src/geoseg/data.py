@@ -17,7 +17,8 @@ reference their masks, unlabeled-train masks are written to a sealed
 ``audit/`` directory that the manifest never mentions.  Loading a dataset
 checks the whole manifest, then reads and digest-checks every volume it
 lists once; each loaded record carries its arrays, and ``load_split`` only
-groups the records by split.
+groups the records by split.  scipy is imported on the first phantom, so
+the commands that build none do not load it.
 """
 
 import csv
@@ -29,7 +30,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigError, DataError, FileFormatError
 
@@ -261,6 +261,9 @@ def _ellipsoid_field(shape, rng, params):
 
 def generate_phantom(shape, rng, params=PhantomParams()):
     """One phantom (image float32, mask uint8) from a dedicated RNG stream."""
+    # importing scipy.ndimage is most of geoseg start-up, and only phantom
+    # building needs it
+    from scipy.ndimage import gaussian_filter
     if any(n < 16 for n in shape):
         raise ConfigError(f"phantom shape {shape} must be >= 16 per axis")
     lo, hi = params.fg_frac

@@ -11,7 +11,7 @@ the consistency weight over training, as lambda_max * exp(-5 * (1 - t/t_max)).
 All means are per-voxel so the mixing coefficients stay crop-size free.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,15 @@ from .geometry import approx_inverse, boundary_weights
 from .tensor import Tensor, logsumexp_channel, mse
 
 CONSISTENCY_MODES = ("none", "mc", "gc", "wgc")
+
+
+def coerce_float_fields(cfg):
+    """Store each field of the config dataclass ``cfg`` whose default is a
+    float as a float, so equal configs (a rate of 1 and of 1.0) also write
+    the same config.json and hash equal."""
+    for f in fields(cfg):
+        if type(f.default) is float:
+            object.__setattr__(cfg, f.name, float(getattr(cfg, f.name)))
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class LossConfig:
         if self.consistency not in CONSISTENCY_MODES:
             raise ConfigError(f"consistency must be one of {CONSISTENCY_MODES}, "
                               f"got {self.consistency!r}")
+        coerce_float_fields(self)
 
 
 @dataclass

@@ -178,10 +178,11 @@ class Tensor:
                             lambda g: (g * (1.0 - out_data * out_data),))
 
     def sigmoid(self):
-        # stable two-branch logistic
+        # stable two-branch logistic, one exponential for both branches
         a = self.data
-        out_data = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                            np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+        e = np.exp(-np.abs(a))
+        d = 1.0 + e
+        out_data = np.where(a >= 0, 1.0 / d, e / d)
         return Tensor._make(out_data, (self,),
                             lambda g: (g * out_data * (1.0 - out_data),))
 

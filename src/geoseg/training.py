@@ -31,7 +31,7 @@ from . import kernels
 from .data import _write_atomic
 from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
-from .losses import LossConfig, total_loss
+from .losses import LossConfig, coerce_float_fields, total_loss
 from .network import DualDecoderNet, NetworkConfig, net_from_checkpoint, \
     save_checkpoint
 from .tensor import SGD, Tensor
@@ -82,6 +82,7 @@ class TrainConfig:
             raise ConfigError("lr_decay_every must be >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
+        coerce_float_fields(self)
 
 
 # the JSON values a config field accepts, by the type of its default: an int

@@ -296,6 +296,25 @@ def test_unusable_resume_point_is_a_one_line_error(dataset, four_step_run,
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("first", ["config-int", "flag-float"])
+def test_int_and_float_spellings_resume_each_other(dataset, tmp_path, first):
+    # the same loss values as JSON ints in a config file and as float flags
+    config = tmp_path / "ints.json"
+    config.write_text('{"loss": {"rho": 2, "lambda_max": 1}}')
+    spellings = {"config-int": ["--config", str(config)],
+                 "flag-float": ["--rho", "2", "--lambda-max", "1"]}
+    (second,) = set(spellings) - {first}
+    out = tmp_path / "run"
+    assert _train_four_steps(dataset, out, *spellings[first]) == 0
+    unbroken = (out / "loss.csv").read_bytes()
+    snapshot = json.loads((out / "config.json").read_text())
+    assert type(snapshot["loss"]["rho"]) is float
+    assert _train_four_steps(dataset, out, "--force", "--resume-from",
+                             str(out / "checkpoints" / "step_000002.ckpt"),
+                             *spellings[second]) == 0
+    assert (out / "loss.csv").read_bytes() == unbroken
+
+
 # (id, checkpoint, extra flags, error category, error text): each resume
 # into an --out that does not exist fails before --out is made
 FAILED_FRESH_RESUMES = [

@@ -372,6 +372,38 @@ def test_rebuild_same_seed_identical_digests(tmp_path, dataset):
     assert _manifest_doc(tmp_path / "rebuild")["digests"] == digests
 
 
+# the manifest digests of build_dataset(out, 2, 1, 1, shape, 3) with the
+# default phantom parameters: every dataset built from the defaults, and so
+# every benchmark dice and loss.csv row, depends on these bytes
+DEFAULT_DIGESTS = {
+    (64, 64): {
+        "case_0000.image.vol": "b229be3088a605284570fb6eca76cfc53fe6cd6eddbf77411188e3400e0af5fd",
+        "case_0000.mask.vol": "419e59520b79b50f630ff7257c1b88aa849bd626befc2602dca4888486b4ca67",
+        "case_0001.image.vol": "bad502d4e84bea4625fd20f3aba7b3491297adceaa42f040c6845adf65834dce",
+        "case_0001.mask.vol": "c7c288d997c9019a369d67c1fcdb61d242e13e60939aaa95e51ceb1d80242932",
+        "case_0002.image.vol": "3a76061f3ca37e93d2d9691b9621cea75b05b7cb57b744d83e174a31ac258d60",
+        "case_0003.image.vol": "6e84cd482ca935b06f3f73cb7c5295f4a633cbda523ffa9c9d30d17fdac8f98f",
+        "case_0003.mask.vol": "c2371c2c9beb732a8ff12c24b0e0544fea0bd5522ccc965e7b9b380267b01dac",
+    },
+    (24, 24, 24): {
+        "case_0000.image.vol": "05c5ce7f0dd0ef0c460cceec38e4c814c68ed48459bf1650f2f6c309408a274a",
+        "case_0000.mask.vol": "7d2d5da395a92db026dd8f322210a9833e9c566dea14ceb27e9128635cb0e1f9",
+        "case_0001.image.vol": "361a09e3f4e424592eacbb9acc5f2c98a79ae7e382d4660094f5d6493ff8fed3",
+        "case_0001.mask.vol": "df1d83d5b5cfd36ee315abb66487cfe3f4c758c10a59e8e4b6fe16089aedbcea",
+        "case_0002.image.vol": "1a28c45543a42138b37bac3dec64ada667b55665818e2a0bbbd1ac4b82b57f5e",
+        "case_0003.image.vol": "b8e186385dc4821971582b2ee0362c52091cb0b206eed0c51e054337ac188200",
+        "case_0003.mask.vol": "285c29d7d0b40fc0a021b32d6e58f98e89fdc369ec0236c1392f307732751e08",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", DEFAULT_DIGESTS,
+                         ids=["x".join(map(str, s)) for s in DEFAULT_DIGESTS])
+def test_default_phantoms_reproduce_the_committed_digests(tmp_path, shape):
+    build_dataset(tmp_path, 2, 1, 1, shape, 3)
+    assert _manifest_doc(tmp_path)["digests"] == DEFAULT_DIGESTS[shape]
+
+
 def test_dataset_load_reads_each_volume_once(tmp_path, monkeypatch):
     build_dataset(tmp_path, n_labeled=2, n_unlabeled=2, n_test=2,
                   shape=(16, 16), seed=5)

@@ -1,6 +1,11 @@
-"""Every imported name is used in the module that imports it."""
+"""Every imported name is used in the module that imports it, and
+``geoseg`` loads scipy only inside the functions that call it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +93,24 @@ def test_scanner_sees_unread_and_read_private_names():
 
 def test_no_unread_private_names_in_src():
     assert unread_private_names({p.name: p.read_text() for p in SRC}) == []
+
+
+def test_cli_import_loads_scipy_only_for_the_first_phantom():
+    # importing scipy.ndimage is most of the CLI's start-up time; the CLI
+    # imports every geoseg module, so none may import scipy at module level
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "import geoseg.cli\n"
+            "from geoseg.data import generate_phantom\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "before = scipy_modules()\n"
+            "generate_phantom((16, 16), np.random.default_rng(0))\n"
+            "print(json.dumps([before, scipy_modules()]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(geoseg.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    before, after = json.loads(done.stdout)
+    assert before == []
+    assert "scipy.ndimage" in after

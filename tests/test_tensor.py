@@ -4,6 +4,8 @@ Every differentiable operation gets a central-finite-difference check at
 h=1e-6 in double precision, relative tolerance 1e-4.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,21 @@ def test_elementwise_values():
     assert t.sum().item() == 6.0
     assert Tensor(0.0).tanh().item() == 0.0
     assert Tensor(0.0).sigmoid().item() == 0.5
+
+
+def test_sigmoid_equals_the_three_exponential_form_bitwise():
+    # approx_inverse feeds it -k*sdm with k = 1500, so |a| reaches 1e3..1e4
+    # where the exponential underflows
+    a = np.concatenate([rng.uniform(-1e4, 1e4, 2000),
+                        40.0 * rng.standard_normal(2000),
+                        [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2,
+                         -745.2, 1e4, -1e4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = Tensor(a).sigmoid().data
+    want = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                    np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+    assert_bitwise_equal(got, want)
 
 
 def test_shape_mismatch_rejected():

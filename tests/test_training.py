@@ -12,7 +12,7 @@ from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
 from geoseg.tensor import SGD, Tensor
 from geoseg.training import (Batch, TrainConfig, apply_augment, augment,
-                             config_from_dict, lr_schedule,
+                             config_from_dict, config_hash, lr_schedule,
                              random_crop, sample_batch, train_loop)
 
 rng = np.random.default_rng(53)
@@ -189,6 +189,26 @@ def test_numpy_int_crop_becomes_python_ints():
 def test_config_round_trip():
     cfg = tiny_config()
     assert config_from_dict(asdict(cfg)) == cfg
+
+
+def test_default_config_hash_is_pinned():
+    assert config_hash(TrainConfig()) == \
+        "ea6125c05aa828937a4ab71a38e0a49189d42726d5681afb18d2b1fc24090e2f"
+
+
+# each float field spelled as a JSON int, and the same value as a float
+INT_SPELLED_FLOATS = [({"base_lr": 1}, {"base_lr": 1.0}),
+                      ({"loss": {"rho": 2}}, {"loss": {"rho": 2.0}}),
+                      ({"loss": {"k": 20}}, {"loss": {"k": 20.0}}),
+                      ({"loss": {"beta": 0}}, {"loss": {"beta": 0.0}}),
+                      ({"loss": {"lambda_max": 1}}, {"loss": {"lambda_max": 1.0}})]
+
+
+@pytest.mark.parametrize("as_int, as_float", INT_SPELLED_FLOATS,
+                         ids=[str(a) for a, _ in INT_SPELLED_FLOATS])
+def test_int_and_float_spellings_hash_equal(as_int, as_float):
+    a, b = config_from_dict(as_int), config_from_dict(as_float)
+    assert a == b and config_hash(a) == config_hash(b)
 
 
 # every config field, by section: a new knob must edit this list, and
