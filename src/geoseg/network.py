@@ -12,10 +12,13 @@ positions.  Each decoder ends in a 2-channel segmentation head (softmax)
 and a 1-channel signed-distance head (tanh).  Skip connections from every
 encoder resolution feed both decoders.
 
-``forward`` runs the encoder and both decoders, as training needs.
-Decoder 1 (``FINAL_DECODER``) makes the test-time prediction; ``predict``
-runs the encoder and that decoder alone, since nothing reads decoder 2
-there.
+``forward`` runs the encoder and both decoders, as training needs.  The
+decoders read the same encoder features and never each other, so decoder
+2 runs on a second thread while decoder 1 runs on the caller's
+(``tensor.fork``); its nodes are lane 1, so ``Tensor.backward`` runs it
+concurrently too.  Decoder 1 (``FINAL_DECODER``) makes the test-time
+prediction; ``predict`` runs the encoder and that decoder alone, on the
+caller's thread, since nothing reads decoder 2 there.
 
 A checkpoint is one container file of ``data.encode_container`` whose
 header carries the network config and free-form metadata next to the
@@ -29,7 +32,8 @@ import numpy as np
 from .data import _write_atomic, encode_container, read_container
 from .errors import ConfigError, FileFormatError, ShapeError
 from .tensor import (Parameter, Tensor, concat, conv_nd, conv_transpose_nd,
-                     instance_norm_relu, interp_upsample, softmax_channel)
+                     fork, instance_norm_relu, interp_upsample,
+                     softmax_channel)
 
 CHECKPOINT_FORMAT = "geoseg-checkpoint"
 
@@ -168,10 +172,12 @@ class DualDecoderNet:
         return interp_upsample(self._conv(h, name))
 
     def forward(self, x):
-        """Run the encoder and both decoders on a [N,C,spatial...] batch."""
+        """Run the encoder and both decoders on a [N,C,spatial...] batch,
+        decoder 2 on the worker thread."""
         h, skips = self.encode(x)
-        seg1, logits1, sdm1 = self.decode(h, skips, "dec1")
-        seg2, logits2, sdm2 = self.decode(h, skips, "dec2")
+        (seg1, logits1, sdm1), (seg2, logits2, sdm2) = fork(
+            lambda: self.decode(h, skips, "dec1"),
+            lambda: self.decode(h, skips, "dec2"))
         return DualDecoderOutputs(seg1=seg1, seg2=seg2, sdm1=sdm1, sdm2=sdm2,
                                   logits1=logits1, logits2=logits2)
 

@@ -15,11 +15,24 @@ Deliberate restrictions:
   * the recorded graph belongs to one training step; ``backward`` walks it
     once in topological order.
 
+Two lanes.  ``fork`` runs one function on a second thread, the worker,
+while another runs on the caller's thread; every node recorded on the
+worker is in lane 1 and every other node in lane 0.  The network's
+decoder 2 is lane 1 in training (``DualDecoderNet.forward``), and
+``backward`` walks each lane on its own thread: the serial walk's reverse
+postorder, restricted to the lane.  A node waits only for the gradients
+that the other lane delivers to it.  The summation-order rule makes the
+result bit-identical to one thread's walk: every node adds its incoming
+gradients in the serial walk's order, whichever thread delivers them.
+Parameters add into their own gradient buffer, which ``SGD.zero_grad``
+zero-fills.
+
 Set ``GEOSEG_CHECK_FINITE=1`` to assert that every operation applied to
 finite inputs produced finite outputs (slow; for debugging NaN hunts).
 """
 
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,6 +43,76 @@ from .errors import ConfigError, ShapeError, TrainingAbort
 _CHECK_FINITE = os.environ.get("GEOSEG_CHECK_FINITE", "0") == "1"
 
 _grad_enabled = True
+
+# glibc malloc settings made before the worker starts, as (mallopt
+# parameter, value): at most one arena (M_ARENA_MAX), and fixed thresholds
+# for mapping a block (M_MMAP_THRESHOLD, 32 MB, the ceiling of glibc's own
+# adaptive value) and for trimming the heap top (M_TRIM_THRESHOLD, twice
+# that).  With two threads the adaptive thresholds keep handing pages back
+# and faulting them in again: 4,900-7,400 page faults and 15-29 ms of
+# system time per default training step, and a step about 9% slower than
+# with the fixed thresholds, which fault no page.  A second arena for the
+# worker slowed single-thread eval after training under the adaptive
+# thresholds, and raises the peak memory of training by about 1%.
+_MALLOPT = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
+
+
+class _Lane(threading.local):
+    # lane of the nodes this thread records: 1 inside fork's side function
+    index = 0
+
+
+_lane = _Lane()
+_worker = None
+
+
+class _LaneCancelled(Exception):
+    """A backward lane stopped because the other lane failed."""
+
+
+def _worker_pool():
+    """The worker thread, started on first use, after ``_MALLOPT``."""
+    global _worker
+    if _worker is None:
+        import ctypes
+        from concurrent.futures import ThreadPoolExecutor
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            pass  # not glibc
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            for param, value in _MALLOPT:
+                mallopt(param, value)
+        _worker = ThreadPoolExecutor(max_workers=1,
+                                     thread_name_prefix="geoseg-lane1")
+    return _worker
+
+
+def _in_lane1(fn):
+    _lane.index = 1
+    try:
+        return fn()
+    finally:
+        _lane.index = 0
+
+
+def fork(main_fn, side_fn):
+    """(main_fn(), side_fn()), with ``side_fn`` run on the worker thread
+    as lane 1 while ``main_fn`` runs on this thread.  ``side_fn`` must not
+    fork.  If either raises, the call raises once both have ended: the
+    side's error if the main function stopped only because of it, else the
+    main function's."""
+    future = _worker_pool().submit(_in_lane1, side_fn)
+    try:
+        main = main_fn()
+    except _LaneCancelled:
+        raise future.exception() from None
+    except BaseException:
+        future.exception()  # waits for the side function to end
+        raise
+    return main, future.result()
 
 
 @contextmanager
@@ -51,7 +134,8 @@ def _scalar(x):
 class Tensor:
     """Dense N-D array node; records its producer for reverse mode."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
+                 "_lane")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -59,6 +143,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._lane = 0
 
     # -- basics ------------------------------------------------------------
 
@@ -89,13 +174,15 @@ class Tensor:
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
+            out._lane = _lane.index
         return out
 
     def _accumulate(self, g):
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar; each graph node is visited once."""
+        """Backpropagate from a scalar; each graph node is visited once.
+        With lane-1 nodes in the graph, lane 1 runs on the worker thread."""
         if self.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
         if not np.isfinite(self.data):
@@ -116,13 +203,13 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
+        order.reverse()
         self._accumulate(np.ones((), dtype=np.float64))
-        for node in reversed(order):
-            if node._backward is None:
-                continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is not None and parent.requires_grad:
-                    parent._accumulate(g)
+        walk = _Walk(order)
+        if walk.lanes[1]:
+            fork(lambda: walk.run(0), lambda: walk.run(1))
+        else:
+            walk.run(0)
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -217,6 +304,103 @@ class Tensor:
             return (full,)
 
         return Tensor._make(np.ascontiguousarray(self.data[index]), (self,), backward)
+
+
+class _Inbox:
+    """Gradients bound for a node that both lanes touch, added in the
+    serial walk's order: ``expected`` lists the (consumer position, operand
+    slot) of every edge into the node in that order."""
+
+    __slots__ = ("node", "expected", "arrived", "added")
+
+    def __init__(self, node):
+        self.node = node
+        self.expected = []
+        self.arrived = {}
+        self.added = 0
+
+
+class _Walk:
+    """One backward pass over ``order``, a graph's nodes in reverse
+    postorder.  ``run(lane)`` applies the backward of each of the lane's
+    operation nodes in that order.
+
+    A node that one lane delivers gradients to and the other lane reads or
+    also delivers to gets an inbox; the lane that reads it waits until its
+    gradient is complete.  Every other node is written and read by one
+    thread only, in the serial order.  A lane that raises stops the other
+    one at its next wait."""
+
+    def __init__(self, order):
+        ops = [(i, node) for i, node in enumerate(order)
+               if node._backward is not None]
+        touched = {}  # id(node) -> bit mask of the lanes that touch its grad
+        for _, node in ops:
+            for t in (node,) + node._parents:
+                if t.requires_grad:
+                    touched[id(t)] = touched.get(id(t), 0) | 1 << node._lane
+        # per lane, (node, [(operand, inbox or None, edge key) or None per
+        # operand]) in walk order
+        self.lanes = ([], [])
+        self.inboxes = {}
+        for i, node in ops:
+            targets = []
+            for j, p in enumerate(node._parents):
+                if not p.requires_grad:
+                    targets.append(None)
+                    continue
+                inbox = None
+                if touched[id(p)] == 3:
+                    inbox = self.inboxes.get(id(p))
+                    if inbox is None:
+                        inbox = self.inboxes[id(p)] = _Inbox(p)
+                    inbox.expected.append((i, j))
+                targets.append((p, inbox, (i, j)))
+            self.lanes[node._lane].append((node, targets))
+        self.cond = threading.Condition()
+        self.failed = False
+
+    def run(self, lane):
+        try:
+            for node, targets in self.lanes[lane]:
+                inbox = self.inboxes.get(id(node))
+                if inbox is not None:
+                    self._wait(inbox)
+                for target, g in zip(targets, node._backward(node.grad)):
+                    if target is None:
+                        continue
+                    parent, inbox, key = target
+                    if inbox is not None:
+                        self._deliver(inbox, key, g)
+                    elif g is not None:
+                        parent._accumulate(g)
+        except BaseException:
+            with self.cond:
+                self.failed = True
+                self.cond.notify_all()
+            raise
+
+    def _deliver(self, inbox, key, g):
+        with self.cond:
+            inbox.arrived[key] = g
+            for key in inbox.expected[inbox.added:]:
+                if key not in inbox.arrived:
+                    break
+                g = inbox.arrived.pop(key)
+                if g is not None:
+                    inbox.node._accumulate(g)
+                inbox.added += 1
+            else:  # the node's gradient is complete
+                self.cond.notify_all()
+
+    def _wait(self, inbox):
+        with self.cond:
+            while True:
+                if self.failed:
+                    raise _LaneCancelled
+                if inbox.added == len(inbox.expected):
+                    return
+                self.cond.wait()
 
 
 def concat(tensors, axis):
@@ -447,7 +631,8 @@ class Parameter(Tensor):
     """Trainable tensor with a same-shaped momentum buffer.
 
     ``grad`` is pre-allocated to zeros so parameters untouched by a backward
-    pass report an exactly-zero gradient.
+    pass report an exactly-zero gradient; a backward pass adds into that
+    buffer in place.
     """
 
     __slots__ = ("momentum", "name")
@@ -457,6 +642,9 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
         self.momentum = np.zeros_like(self.data)
         self.name = name
+
+    def _accumulate(self, g):
+        self.grad += g
 
 
 class SGD:
@@ -470,7 +658,7 @@ class SGD:
 
     def zero_grad(self):
         for p in self.params:
-            p.grad = np.zeros_like(p.data)
+            p.grad.fill(0.0)
 
     def step(self, lr):
         for p in self.params:

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 from scipy.ndimage import binary_erosion, generate_binary_structure
 
-from geoseg.tensor import Tensor
+from geoseg.tensor import Parameter, Tensor
 
 
 def fd_gradient(loss_fn, array, h=1e-6):
@@ -151,6 +151,42 @@ def upsample_reference(x, g):
         gx[n - 1] += odd[n - 1]
         g = np.moveaxis(gx, 0, axis)
     return y, g
+
+
+def serial_backward(root):
+    """Gradients of the scalar ``root`` from one thread's reverse walk, as
+    {id(node): gradient}; node ``grad`` fields are left alone.
+
+    The walk visits the nodes in reverse of an iterative postorder from the
+    root, which pushes each node's operands in order.  Each operation node
+    applies its backward once to its summed gradient, and each operand's
+    sum takes the contributions in walk order, ``a + b`` at a time.  A
+    parameter's sum starts from zeros, as a ``Parameter``'s gradient does.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    grads = {id(root): np.ones(())}
+    for node in order[::-1]:
+        if node._backward is None:
+            continue
+        for operand, g in zip(node._parents, node._backward(grads[id(node)])):
+            if g is None or not operand.requires_grad:
+                continue
+            if id(operand) in grads:
+                grads[id(operand)] = grads[id(operand)] + g
+            elif isinstance(operand, Parameter):
+                grads[id(operand)] = np.zeros_like(operand.data) + g
+            else:
+                grads[id(operand)] = g
+    return grads
 
 
 def assert_bitwise_equal(got, want):

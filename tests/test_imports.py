@@ -1,5 +1,6 @@
-"""Every imported name is used in the module that imports it, and
-``geoseg`` loads scipy only inside the functions that call it."""
+"""Every imported name is used in the module that imports it, ``geoseg``
+loads scipy only inside the functions that call it, and the training
+worker thread starts only when training needs it."""
 
 import ast
 import json
@@ -114,3 +115,28 @@ def test_cli_import_loads_scipy_only_for_the_first_phantom():
     before, after = json.loads(done.stdout)
     assert before == []
     assert "scipy.ndimage" in after
+
+
+def test_cli_import_starts_no_thread_and_only_training_starts_the_worker():
+    # the worker and concurrent.futures, 9 ms of import, wait for the first
+    # two-decoder forward; inference runs decoder 1 on the caller's thread
+    code = ("import json, sys, threading\n"
+            "import numpy as np\n"
+            "import geoseg.cli\n"
+            "from geoseg.inference import sliding_window_infer\n"
+            "from geoseg.network import DualDecoderNet, NetworkConfig\n"
+            "from geoseg.tensor import Tensor\n"
+            "def state():\n"
+            "    return [threading.active_count(),\n"
+            "            'concurrent.futures' in sys.modules]\n"
+            "states = [state()]\n"
+            "net = DualDecoderNet(NetworkConfig(width=2, depth=2))\n"
+            "sliding_window_infer(net, np.zeros((24, 24)), (16, 16), (8, 8))\n"
+            "states.append(state())\n"
+            "net.forward(Tensor(np.zeros((1, 1, 16, 16))))\n"
+            "states.append(state())\n"
+            "print(json.dumps(states))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(geoseg.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[1, False], [1, False], [2, True]]
