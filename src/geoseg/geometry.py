@@ -8,11 +8,9 @@ background voxel inside the grid.  Masks without such a boundary
 (all-foreground or all-background) are degenerate: they receive the
 sentinel +-grid-diagonal instead of an error.
 
-Every transform is ``_edt_squared_from``: the linear seed scan
-(``kernels.seed_pass``) along the last axis, then the generic
-``kernels.edt_pass`` along each other axis.  The full field serves
-``exact_edt`` and the signed distance maps; the surface metrics ask for
-the last pass, along axis 0, only at the voxels they read.
+Every transform is ``kernels.edt_pass``, exact in integer arithmetic.  The
+full field serves ``exact_edt`` and the signed distance maps; the surface
+metrics read it at one surface's voxels.
 """
 
 import numpy as np
@@ -28,49 +26,12 @@ def _as_binary(mask):
     return arr.astype(bool)
 
 
-def _along(g, axis, pass_fn):
-    # apply a row kernel to every 1-D line of g along `axis`
-    moved = np.ascontiguousarray(np.moveaxis(g, axis, -1))
-    rows = pass_fn(moved.reshape(-1, moved.shape[-1]))
-    return np.moveaxis(rows.reshape(moved.shape), -1, axis)
-
-
-def _edt_squared_from(seeds, at=None):
-    """Exact squared distance to the nearest seed voxel, one pass per axis.
-
-    The last axis takes the linear seed scan, every other axis the generic
-    ``edt_pass``.  Given a bool mask ``at``, axis 0's pass is evaluated only
-    at its voxels, and their values come back in ``np.nonzero`` (C) order,
-    equal to the full field's ``[at]``.
-    """
-    if at is None or seeds.ndim > 1:
-        g = _along(seeds, seeds.ndim - 1, kernels.seed_pass)
-    else:  # a 1-D query: axis 0 is the only axis, and it is queried
-        g = np.where(seeds, 0.0, kernels.INF_SQ)
-    for axis in range(0 if at is None else 1, g.ndim - 1):
-        g = _along(g, axis, kernels.edt_pass)
-    if at is None:
-        return np.ascontiguousarray(g)
-    # each query voxel's axis-0 line of g is a column of g as [n0, rest]
-    n0 = g.shape[0]
-    lines = np.ascontiguousarray(g).reshape(n0, -1)
-    p0, col = np.nonzero(at.reshape(n0, -1))
-    q = np.arange(n0, dtype=np.float64)[:, None]
-    out = np.empty(len(p0))
-    step = max(1, kernels.EDT_BLOCK_ELEMENTS // n0)
-    for lo in range(0, len(p0), step):
-        cost = (q - p0[lo:lo + step]) ** 2
-        out[lo:lo + step] = (lines[:, col[lo:lo + step]] + cost).min(axis=0)
-    return out
-
-
 def exact_edt_squared(mask):
     """Squared Euclidean distance to the nearest foreground voxel (int64)."""
     fg = _as_binary(mask)
     if not fg.any():
         raise DataError("exact_edt requires at least one foreground voxel")
-    # finite winners are exact integers carried in float64
-    return np.rint(_edt_squared_from(fg)).astype(np.int64)
+    return kernels.edt_pass(fg)
 
 
 def exact_edt(mask):
@@ -109,7 +70,7 @@ def signed_distance_map(mask):
     if not bnd.any():
         diag = grid_diagonal(fg.shape)
         return np.where(fg, -diag, diag).astype(np.float64)
-    d = np.sqrt(np.rint(_edt_squared_from(bnd)))
+    d = np.sqrt(kernels.edt_pass(bnd))
     sdm = np.where(fg, -d, d)
     sdm[bnd] = 0.0
     return sdm

@@ -124,7 +124,7 @@ def sdf_supervised_loss(outputs, sdm_target):
     return (mse(outputs.sdm1, t) + mse(outputs.sdm2, t)) * 0.5
 
 
-def geometry_consistency_loss(outputs, k=1500.0, weights=(1.0, 1.0)):
+def geometry_consistency_loss(outputs, k, weights=(1.0, 1.0)):
     """Cross-decoder, cross-task consistency.
 
     Mean over voxels of w1 * (seg1 - inv(sdm2))^2 + w2 * (seg2 - inv(sdm1))^2,
@@ -145,7 +145,7 @@ def mutual_consistency_loss(outputs):
     return mse(outputs.seg1, outputs.seg2) + mse(outputs.sdm1, outputs.sdm2)
 
 
-def ramp_up(t, t_max, lambda_max=0.1):
+def ramp_up(t, t_max, lambda_max):
     """Consistency weight lambda(t) = lambda_max * exp(-5 * (1 - t/t_max)).
 
     t beyond t_max clamps to t_max, so the weight never overshoots.

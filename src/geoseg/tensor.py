@@ -571,7 +571,7 @@ def conv_transpose_nd(x, kernel, bias=None, stride=1):
     return _conv_node(y, x, kernel, bias, grads)
 
 
-def _along(axis, start=None, stop=None, step=None):
+def _on_axis(axis, start=None, stop=None, step=None):
     # index taking slice(start, stop, step) of `axis` and all of the others
     return (slice(None),) * axis + (slice(start, stop, step),)
 
@@ -582,28 +582,28 @@ def _upsample_axis(x, axis):
     # clamped at the edges, where the first and last outputs copy x[0] and
     # x[n-1]
     out = np.empty(x.shape[:axis] + (2 * x.shape[axis],) + x.shape[axis + 1:])
-    even, odd = out[_along(axis, 0, None, 2)], out[_along(axis, 1, None, 2)]
+    even, odd = out[_on_axis(axis, 0, None, 2)], out[_on_axis(axis, 1, None, 2)]
     near, far = 0.75 * x, 0.25 * x
-    head, tail = _along(axis, None, -1), _along(axis, 1, None)
+    head, tail = _on_axis(axis, None, -1), _on_axis(axis, 1, None)
     np.add(far[head], near[tail], out=even[tail])
     np.add(near[head], far[tail], out=odd[head])
-    even[_along(axis, 0, 1)] = x[_along(axis, 0, 1)]
-    odd[_along(axis, -1, None)] = x[_along(axis, -1, None)]
+    even[_on_axis(axis, 0, 1)] = x[_on_axis(axis, 0, 1)]
+    odd[_on_axis(axis, -1, None)] = x[_on_axis(axis, -1, None)]
     return out
 
 
 def _upsample_axis_backward(g, axis):
     # adjoint of _upsample_axis: each input sums the weighted outputs that
     # read it, in a fixed order that sets the rounding
-    even, odd = g[_along(axis, 0, None, 2)], g[_along(axis, 1, None, 2)]
-    head, tail = _along(axis, None, -1), _along(axis, 1, None)
+    even, odd = g[_on_axis(axis, 0, None, 2)], g[_on_axis(axis, 1, None, 2)]
+    head, tail = _on_axis(axis, None, -1), _on_axis(axis, 1, None)
     gx = np.zeros(even.shape)
-    gx[_along(axis, 0, 1)] += even[_along(axis, 0, 1)]
+    gx[_on_axis(axis, 0, 1)] += even[_on_axis(axis, 0, 1)]
     gx[tail] += 0.75 * even[tail]
     gx[head] += 0.25 * even[tail]
     gx[head] += 0.75 * odd[head]
     gx[tail] += 0.25 * odd[head]
-    gx[_along(axis, -1, None)] += odd[_along(axis, -1, None)]
+    gx[_on_axis(axis, -1, None)] += odd[_on_axis(axis, -1, None)]
     return gx
 
 

@@ -90,6 +90,25 @@ def test_surface_matches_brute_force(shape):
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+def _mask_with_surface(shape):
+    # neither empty nor full, so some foreground voxel has a face-adjacent
+    # background voxel: the grid is face-connected
+    mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+    on, off = rng.choice(mask.size, 2, replace=False)
+    mask.flat[on], mask.flat[off] = True, False
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(1, 13), (11, 1), (1, 9, 7), (6, 1, 5),
+                                   (8, 1, 1)])
+def test_surface_matches_brute_force_with_length_one_axes(shape):
+    for _ in range(6):
+        a, b = _mask_with_surface(shape), _mask_with_surface(shape)
+        got = surface_distances(a, b)
+        want = brute_force_surface_distances(a, b)
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
+
 @pytest.mark.parametrize("shape", [(40, 36), (24, 20, 22)])
 def test_surface_spurious_blob_far_from_truth(shape):
     # a stray blob in the far corner: its surface voxels lie far from every

@@ -251,25 +251,27 @@ def test_mc_random_hand_value():
 
 # -- ramp-up --------------------------------------------------------------------
 
+LAMBDA_MAX = LossConfig().lambda_max
+
 
 def test_ramp_endpoints():
-    assert abs(ramp_up(600, 600) - 0.1) < 1e-9
-    assert abs(ramp_up(0, 600) - 0.1 * np.exp(-5.0)) < 1e-9
-    assert abs(ramp_up(0, 600) - 6.737946999085467e-4) < 1e-9
+    assert abs(ramp_up(600, 600, LAMBDA_MAX) - 0.1) < 1e-9
+    assert abs(ramp_up(0, 600, LAMBDA_MAX) - 0.1 * np.exp(-5.0)) < 1e-9
+    assert abs(ramp_up(0, 600, LAMBDA_MAX) - 6.737946999085467e-4) < 1e-9
 
 
 def test_ramp_monotone():
-    values = [ramp_up(t, 999) for t in range(1000)]
+    values = [ramp_up(t, 999, LAMBDA_MAX) for t in range(1000)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_ramp_clamps_beyond_t_max():
-    assert ramp_up(750, 600) == ramp_up(600, 600)
+    assert ramp_up(750, 600, LAMBDA_MAX) == ramp_up(600, 600, LAMBDA_MAX)
 
 
 def test_ramp_rejects_negative_step():
     with pytest.raises(ConfigError):
-        ramp_up(-1, 100)
+        ramp_up(-1, 100, LAMBDA_MAX)
 
 
 # -- assembly ---------------------------------------------------------------------
