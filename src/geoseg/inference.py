@@ -17,11 +17,26 @@ forward's activations grow with its batch, and one batch of all nine
 64x64 tiles of a 128x128 case raised peak RSS by about a quarter.  Every
 sample of a batch is computed on its own, so each map is byte-identical
 to a one-tile forward, and tiles are summed in the same corner order.
+
+A case of two or more batches runs them in two lanes (``tensor.fork``):
+batches 0, 2, ... on the caller's thread and 1, 3, ... on the worker,
+each lane in order.  A lane that raises stops the other before its next
+batch.  Only the caller's thread sums maps into the average, and a
+batch's maps only once every earlier batch's are summed, so the tiles
+are summed in corner order and the maps stay byte-identical to one
+lane's; a batch's maps are kept until then, which in two threads is
+about the batches the worker runs ahead.  At most two batches are in
+flight, one per lane, so a case holds two forwards' activations at once
+instead of one.  ``DualDecoderNet.predict`` pays for part of that: it
+frees each skip once decoder 1 has merged it and each merge's input
+before its norm.  A one-batch case, such as a window that covers the
+whole volume, never starts the worker.
 """
 
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +45,7 @@ import numpy as np
 from .data import _write_atomic, _write_csv
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import dice_jaccard, surface_distances
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, fork, no_grad
 
 METRICS_SCHEMA = "metrics_v1"
 METRICS = ("dice", "jaccard", "asd", "hd95")
@@ -101,14 +116,41 @@ def sliding_window_infer(net, volume, window, stride, head="seg"):
              for corner in itertools.product(*axes_starts)]
     # the fewest batches within the budget, their sizes differing by <= 1
     per_batch = max(1, TILE_BATCH_VOXELS // math.prod(window))
-    n_batches = -(-len(tiles) // per_batch)
-    with no_grad():
-        for batch in np.array_split(np.arange(len(tiles)), n_batches):
-            x = Tensor(np.stack([volume[tiles[i]] for i in batch])[:, None])
-            out = net.predict(x)[head].data
-            for i, tile_out in zip(batch, out):
+    batches = np.array_split(np.arange(len(tiles)),
+                             -(-len(tiles) // per_batch))
+    outs = [None] * len(batches)  # a batch's maps until they are summed
+    summed = 0  # batches summed into prob/count, in order
+    stop = []  # not empty once a lane has raised
+    caller = threading.get_ident()
+
+    def add_ready():
+        nonlocal summed
+        while summed < len(batches) and outs[summed] is not None:
+            for i, tile_out in zip(batches[summed], outs[summed]):
                 prob[tiles[i]] += tile_out[0]
                 count[tiles[i]] += 1.0
+            outs[summed] = None
+            summed += 1
+
+    def run(lane):
+        try:
+            for k in range(lane, len(batches), 2):
+                if stop:
+                    break
+                x = Tensor(np.stack([volume[tiles[i]] for i in batches[k]])[:, None])
+                outs[k] = net.predict(x)[head].data
+                if threading.get_ident() == caller:
+                    add_ready()
+        except BaseException:
+            stop.append(True)
+            raise
+
+    with no_grad():
+        if len(batches) > 1:
+            fork(lambda: run(0), lambda: run(1))
+        else:
+            run(0)
+    add_ready()
     prob /= count
     return prob[tuple(slice(0, n) for n in original)]
 

@@ -5,8 +5,11 @@ distance maps, and distances are exact (integer squared arithmetic under
 the square root), so desk-scale results can be checked against brute-force
 all-pairs computation with no tolerance games.
 
-Each direction reads the full transform of one surface
-(``kernels.edt_pass``) at the other surface's voxels.
+Each direction reads the transform of one surface (``kernels.edt_pass``)
+at the other surface's voxels.  Both transforms run on the bounding box
+of the two surfaces only: every seed and every query voxel lies inside
+it, so each nearest-seed distance is the same as on the whole grid, and
+the box's C order of the query voxels is the grid's.
 """
 
 import numpy as np
@@ -51,6 +54,8 @@ def surface_distances(pred_mask, true_mask, percentile=95.0):
     sa, sb = boundary_voxels(a), boundary_voxels(b)
     if not sa.any() or not sb.any():
         raise UndefinedMetricError("mask has no face-adjacency surface")
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(sa | sb))
+    sa, sb = sa[box], sb[box]
     d_ab = np.sqrt(kernels.edt_pass(sb)[sa])
     d_ba = np.sqrt(kernels.edt_pass(sa)[sb])
     pooled = np.concatenate([d_ab, d_ba])

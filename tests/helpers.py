@@ -245,12 +245,12 @@ def brute_force_surface_distances(a, b, percentile=95.0):
     return float(pooled.mean()), float(np.percentile(pooled, percentile))
 
 
-def per_tile_sliding_window(net, volume, window, stride, head="seg"):
-    """Sliding-window inference with one ``net.predict`` call per tile.
+def sliding_tiles(volume, window, stride):
+    """(padded volume, its window slices in corner order).
 
     The volume is zero-padded at its trailing edges up to the window; tiles
     start at every multiple of the stride, plus one clamped to each axis's
-    end; the maps are summed in corner order and divided by visit counts.
+    end.
     """
     shape = np.shape(volume)
     padded = np.zeros([max(n, w) for n, w in zip(shape, window)])
@@ -261,13 +261,21 @@ def per_tile_sliding_window(net, volume, window, stride, head="seg"):
         if starts[-1] != n - w:
             starts.append(n - w)
         axes.append(starts)
+    return padded, [tuple(slice(o, o + w) for o, w in zip(corner, window))
+                    for corner in itertools.product(*axes)]
+
+
+def per_tile_sliding_window(net, volume, window, stride, head="seg"):
+    """Sliding-window inference with one ``net.predict`` call per tile of
+    ``sliding_tiles``; the maps are summed in corner order and divided by
+    visit counts."""
+    padded, tiles = sliding_tiles(volume, window, stride)
     total, count = np.zeros(padded.shape), np.zeros(padded.shape)
-    for corner in itertools.product(*axes):
-        sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
+    for sl in tiles:
         total[sl] += net.predict(Tensor(padded[sl][None, None]))[head].data[0, 0]
         count[sl] += 1.0
     total /= count
-    return total[tuple(slice(0, n) for n in shape)]
+    return total[tuple(slice(0, n) for n in np.shape(volume))]
 
 
 def random_mask(rng, shape, p=None):

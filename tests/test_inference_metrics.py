@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD, Tensor
 from geoseg.training import Batch, TrainConfig, train_step
 from helpers import (assert_bitwise_equal, brute_force_surface_distances,
-                     per_tile_sliding_window, random_blob_mask)
+                     per_tile_sliding_window, random_blob_mask,
+                     sliding_tiles)
 
 rng = np.random.default_rng(61)
 
@@ -121,6 +123,47 @@ def test_surface_spurious_blob_far_from_truth(shape):
     want = brute_force_surface_distances(pred, truth)
     np.testing.assert_allclose(got, want, atol=1e-9)
     assert got[1] > 0.5 * np.sqrt(sum(n * n for n in shape))
+
+
+def _box_mask(shape, lo, hi, holes):
+    # the box [lo, hi) with a random fraction ``holes`` of its voxels
+    # unset, except its low corner; no box fills its grid, so each mask
+    # has a surface
+    mask = np.zeros(shape, bool)
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    mask &= rng.random(shape) >= holes
+    mask[tuple(lo)] = True
+    return mask
+
+
+# (id, shape, the boxes of masks a and b as (low corner, high corner)):
+# surfaces on the grid's edges, surfaces far apart inside the grid, and
+# grids with length-1 axes, each a bounding box of the two surfaces that
+# the transforms are cropped to
+CROP_LAYOUTS = [
+    ("edges-2d", (20, 17), ((0, 0), (6, 17)), ((12, 9), (20, 17))),
+    ("edges-3d", (9, 12, 10), ((0, 0, 0), (9, 4, 3)),
+     ((5, 8, 6), (9, 12, 10))),
+    ("far-apart-2d", (40, 36), ((3, 4), (7, 9)), ((29, 26), (34, 31))),
+    ("far-apart-3d", (24, 20, 22), ((2, 3, 2), (6, 7, 5)),
+     ((17, 13, 16), (21, 17, 20))),
+    ("length-one-2d", (1, 30), ((0, 2), (1, 6)), ((0, 19), (1, 30))),
+    ("length-one-3d", (7, 1, 25), ((1, 0, 0), (3, 1, 5)),
+     ((4, 0, 18), (7, 1, 23))),
+]
+
+
+@pytest.mark.parametrize("holes", [0.0, 0.3])
+@pytest.mark.parametrize("shape, box_a, box_b",
+                         [case[1:] for case in CROP_LAYOUTS],
+                         ids=[case[0] for case in CROP_LAYOUTS])
+def test_cropped_transforms_match_brute_force(shape, box_a, box_b, holes):
+    for _ in range(3):
+        a, b = _box_mask(shape, *box_a, holes), _box_mask(shape, *box_b, holes)
+        for percentile in (95.0, 100.0):
+            got = surface_distances(a, b, percentile)
+            want = brute_force_surface_distances(a, b, percentile)
+            np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_percentile_100_is_exact_hausdorff():
@@ -237,14 +280,34 @@ def test_sliding_window_is_the_tile_average_of_the_full_forward(
 
 
 class _CountingNet:
-    """A real network that logs the batch size of each ``predict`` call."""
+    """A real network that logs the thread and the input batch of each
+    ``predict`` call."""
 
     def __init__(self, net):
-        self.net, self.config, self.batches = net, net.config, []
+        self.net, self.config, self.calls = net, net.config, []
 
     def predict(self, x):
-        self.batches.append(x.shape[0])
+        self.calls.append((threading.get_ident(), x.data.copy()))
         return self.net.predict(x)
+
+
+def assert_lanes_took_turns(calls, volume, window, stride, sizes):
+    """Batch k stacks the next ``sizes[k]`` tiles in corner order; this
+    thread ran batches 0, 2, ... and one other thread 1, 3, ..., each
+    lane in order."""
+    padded, tiles = sliding_tiles(volume, window, stride)
+    ends = np.cumsum(sizes)
+    assert ends[-1] == len(tiles)
+    batches = [np.stack([padded[sl] for sl in tiles[end - n:end]])[:, None]
+               for n, end in zip(sizes, ends)]
+    caller = threading.get_ident()
+    lanes = ([x for t, x in calls if t == caller],
+             [x for t, x in calls if t != caller])
+    assert len({t for t, _ in calls if t != caller}) == int(len(sizes) > 1)
+    for got, want in zip(lanes, (batches[0::2], batches[1::2])):
+        assert len(got) == len(want)
+        for x, batch in zip(got, want):
+            assert_bitwise_equal(x, batch)
 
 
 # (id, rank, volume, window, stride, the batch sizes TILE_BATCH_VOXELS
@@ -270,7 +333,7 @@ def test_batched_tiles_match_per_tile_inference(head, rank, shape, window,
                                                     depth=2, seed=5)))
     vol = rng.standard_normal(shape)
     got = sliding_window_infer(net, vol, window, stride, head=head)
-    assert net.batches == batches
+    assert_lanes_took_turns(net.calls, vol, window, stride, batches)
     tile = math.prod(window)
     assert max(batches) * tile <= max(tile, TILE_BATCH_VOXELS)
     assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, window,
@@ -283,7 +346,7 @@ def test_tiles_split_into_the_fewest_near_equal_batches(monkeypatch):
     net = _CountingNet(real_net())
     vol = rng.standard_normal((16, 88))
     got = sliding_window_infer(net, vol, (16, 16), (16, 8))
-    assert net.batches == [3, 3, 2, 2]
+    assert_lanes_took_turns(net.calls, vol, (16, 16), (16, 8), [3, 3, 2, 2])
     assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, (16, 16),
                                                       (16, 8)))
 

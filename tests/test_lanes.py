@@ -1,6 +1,8 @@
 """The two lanes: decoder 2 runs on the worker thread in forward and in
-backward, with gradients bit-identical to one thread's walk, and a failure
-in either lane ends both and reaches the caller."""
+backward, with gradients bit-identical to one thread's walk, every other
+tile batch of an eval case runs there too, a failure in either lane ends
+both and reaches the caller, and a process on one CPU runs both lanes on
+its own thread."""
 
 import os
 import subprocess
@@ -13,15 +15,18 @@ import numpy as np
 import pytest
 
 import geoseg
-from geoseg import network, tensor
+from geoseg import inference, network, tensor
 from geoseg.cli import main
+from geoseg.data import VolumeRecord
 from geoseg.errors import TrainingAbort
 from geoseg.geometry import sdm_target
+from geoseg.inference import evaluate, sliding_window_infer
 from geoseg.losses import CONSISTENCY_MODES, LossConfig, total_loss
 from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD, Parameter, Tensor, fork
 from geoseg.training import Batch, TrainConfig, train_step
-from helpers import assert_bitwise_equal, serial_backward
+from helpers import (assert_bitwise_equal, per_tile_sliding_window,
+                     serial_backward)
 
 rng = np.random.default_rng(53)
 
@@ -288,6 +293,7 @@ import os, signal, threading, time
 import numpy as np
 from geoseg import network
 from geoseg.geometry import sdm_target
+from geoseg.inference import evaluate, sliding_window_infer
 from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD
 from geoseg.training import Batch, TrainConfig, train_step
@@ -326,3 +332,153 @@ except KeyboardInterrupt:
 """
     done = _python(code, tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (0, "interrupted\n", "")
+
+
+# -- sliding-window inference ---------------------------------------------------
+
+
+class _HookedNet:
+    """A real 2D network whose ``predict`` first calls ``hook(lane)``: lane
+    0 on the thread named ``caller``, 1 on any other.  It logs each call's
+    lane and counts the calls still running."""
+
+    def __init__(self, hook):
+        self.net = DualDecoderNet(NetworkConfig(width=2, depth=2, seed=5))
+        self.config = self.net.config
+        self.hook, self.caller, self.lanes, self.running = hook, None, [], 0
+        self.lock = threading.Lock()
+
+    def predict(self, x):
+        lane = int(threading.get_ident() != self.caller)
+        with self.lock:
+            self.lanes.append(lane)
+            self.running += 1
+        try:
+            self.hook(lane)
+            return self.net.predict(x)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def _evaluate_five_batches(net):
+    """``evaluate`` on one 16x80 case, one 16x16 tile per batch: lane 0
+    runs batches 0, 2, 4 and lane 1 batches 1, 3.  Returns what it
+    raised, if anything, and the calls still running when it ended."""
+    record = VolumeRecord("c0", "test", rng.standard_normal((16, 80)),
+                          (rng.random((16, 80)) < 0.5).astype(np.uint8))
+
+    def run():
+        net.caller = threading.get_ident()
+        try:
+            evaluate(net, [record], (16, 16), (16, 16))
+        finally:
+            running.append(net.running)
+
+    running = []
+    return run_bounded(run), running[0]
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+@pytest.mark.parametrize("error_type", [Boom, KeyboardInterrupt],
+                         ids=["error", "interrupt"])
+def test_a_failing_eval_lane_ends_evaluate_once_both_lanes_stopped(
+        monkeypatch, lane, error_type):
+    # the failing lane raises in its first batch while the other lane's
+    # first batch is still running; the other lane runs no further batch
+    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 256)
+    error = error_type(f"eval lane {lane} failed")
+    other_started = threading.Event()
+
+    def hook(this_lane):
+        if this_lane == lane:
+            other_started.wait(TIMEOUT_S)
+            raise error
+        other_started.set()
+        time.sleep(0.2)
+
+    net = _HookedNet(hook)
+    raised, running = _evaluate_five_batches(net)
+    assert raised is error
+    assert running == 0
+    assert sorted(net.lanes) == [0, 1]
+    # the worker is free again: the next case runs all five batches
+    net.hook, net.lanes = lambda lane: None, []
+    assert _evaluate_five_batches(net) == (None, 0)
+    assert sorted(net.lanes) == [0, 0, 0, 1, 1]
+
+
+def test_cli_eval_reports_a_worker_abort_in_one_line(tmp_path, monkeypatch,
+                                                     capsys):
+    # 25 windows of 32x32 on a 64x64 case make two batches, the second on
+    # the worker, whose first transposed conv turns non-finite
+    assert main(["build-data", "--labeled", "2", "--unlabeled", "2", "--test",
+                 "1", "--shape", "64x64", "--seed", "3", "--out",
+                 str(tmp_path / "data")]) == 0
+    checkpoint = tmp_path / "net.ckpt"
+    network.save_checkpoint(checkpoint, DualDecoderNet(
+        NetworkConfig(width=2, depth=2)))
+    caller = threading.get_ident()
+    upsample = network.conv_transpose_nd
+
+    def nan_on_the_worker(*args, **kwargs):
+        out = upsample(*args, **kwargs)
+        return out if threading.get_ident() == caller else out * np.nan
+
+    monkeypatch.setattr(network, "conv_transpose_nd", nan_on_the_worker)
+    monkeypatch.setattr(tensor, "_CHECK_FINITE", True)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(checkpoint), "--manifest",
+                 str(tmp_path / "data" / "manifest.json"), "--window",
+                 "32x32", "--stride", "8x8", "--out", str(tmp_path / "ev")])
+    assert code != 0
+    assert capsys.readouterr().err.splitlines() == [
+        "error category=training message=non-finite values produced by a "
+        "forward operation"]
+
+
+# -- one CPU ----------------------------------------------------------------------
+
+
+def test_on_one_cpu_both_lanes_run_in_order_on_the_caller_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    net = DualDecoderNet(NetworkConfig(width=4, depth=2, seed=3))
+    batch = make_batch(2, 16)
+    out = net.forward(Tensor(batch.images))
+    assert (out.seg1._lane, out.seg2._lane) == (0, 0)
+    loss = total_loss(out, batch, 60, 100, LossConfig(k=20.0)).total
+    want = serial_backward(loss)
+    SGD(net.parameters()).zero_grad()
+    loss.backward()
+    for p in net.parameters():
+        assert_bitwise_equal(p.grad, want[id(p)])
+
+    threads = []
+
+    class Logged:
+        config = net.config
+
+        def predict(self, x):
+            threads.append(threading.get_ident())
+            return net.predict(x)
+
+    vol = rng.standard_normal((64, 64))
+    got = sliding_window_infer(Logged(), vol, (32, 32), (8, 8))
+    assert threads == [threading.get_ident()] * 2
+    assert_bitwise_equal(got, per_tile_sliding_window(net, vol, (32, 32),
+                                                      (8, 8)))
+
+
+def test_a_two_lane_graph_walks_on_two_threads_after_the_cpus_shrink(
+        monkeypatch):
+    # the lanes of a backward wait for each other, so one run after the
+    # other would hang; a graph recorded on two CPUs keeps both threads
+    net = DualDecoderNet(NetworkConfig(width=4, depth=2, seed=3))
+    batch = make_batch(2, 16)
+    loss = total_loss(net.forward(Tensor(batch.images)), batch, 60, 100,
+                      LossConfig(k=20.0)).total
+    want = serial_backward(loss)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_bounded(loss.backward) is None
+    for p in net.parameters():
+        assert_bitwise_equal(p.grad, want[id(p)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from geoseg.geometry import sdm_target
 from geoseg.losses import LossConfig, total_loss
 from geoseg.network import (DualDecoderNet, NetworkConfig, load_checkpoint,
                             net_from_checkpoint, save_checkpoint)
-from geoseg.tensor import SGD, Tensor, conv_nd, interp_upsample
+from geoseg.tensor import SGD, Tensor, conv_nd, interp_upsample, no_grad
 from geoseg.training import Batch, TrainConfig
 from helpers import assert_bitwise_equal, assert_grads_match, fd_gradient
 
@@ -264,3 +265,18 @@ def test_checkpoint_header_longer_than_file_rejected(tmp_path):
     path.write_bytes((1 << 20).to_bytes(8, "little") + b"xx")
     with pytest.raises(FileFormatError):
         load_checkpoint(path)
+
+
+def test_predict_frees_each_skip_once_merged():
+    # one 3x64x64 predict at the default config peaked at 6.34 MiB while
+    # every skip lived until decoder 1 returned
+    net = DualDecoderNet(NetworkConfig())
+    x = Tensor(rng.standard_normal((3, 1, 64, 64)))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (6.34 - 1.0) * 2**20

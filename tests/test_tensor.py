@@ -135,6 +135,29 @@ def test_grad_narrow_concat():
              + x.narrow(0, 1, 2).sum(), a, b)
 
 
+@pytest.mark.parametrize("shapes", [((2, 3, 5, 4), (2, 2, 5, 4)),
+                                    ((1, 2, 3, 4, 2), (1, 1, 3, 4, 2))],
+                         ids=["2d", "3d"])
+def test_padded_concat_is_the_padded_conv_input_bitwise(shapes):
+    # a 3x3 conv at padding 0 over the padded concatenation equals the conv
+    # at padding 1 over the plain one, in its output and every gradient
+    a, b = (rng.standard_normal(s) for s in shapes)
+    k = rng.standard_normal((3, shapes[0][1] + shapes[1][1])
+                            + (3,) * (len(shapes[0]) - 2))
+    bias = rng.standard_normal(3)
+    g = rng.standard_normal(shapes[0][:1] + (3,) + shapes[0][2:])
+    runs = []
+    for pad, padding in ((1, 0), (0, 1)):
+        params = [Parameter(v.copy()) for v in (a, b, k, bias)]
+        y = conv_nd(concat(params[:2], axis=1, pad=pad), params[2], params[3],
+                    padding=padding)
+        (y * Tensor(g)).sum().backward()
+        runs.append([y.data] + [p.grad for p in params])
+    for got, want in zip(*runs):
+        assert_bitwise_equal(got, want)
+    check_op(lambda x, z: concat([x, z], axis=1, pad=1).square().mean(), a, b)
+
+
 def test_grad_softmax_logsumexp():
     z = rng.standard_normal((2, 3, 3, 2))
     w = rng.standard_normal((2, 1, 3, 2))
