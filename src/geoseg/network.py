@@ -26,7 +26,7 @@ sliding-window inference calls it from both lanes at once
 is merged, so without a graph (``predict`` under ``no_grad``) each skip is
 freed as soon as it is used.  ``forward`` hands each decoder its own copy
 of the list; in training the graph still holds every skip.  A merge's
-concatenation is zero-padded as it is built (``concat(..., pad=1)``), so
+concatenation is zero-padded as it is built (``tensor.concat_padded``), so
 its 3x3 convolution makes no padded copy of it, and without a graph it is
 freed before the merge's norm.  One 3-tile 64x64 ``predict`` at the
 default config peaks at about 3.5 MiB of arrays, against 6.3 MiB when it
@@ -43,9 +43,9 @@ import numpy as np
 
 from .data import _write_atomic, encode_container, read_container
 from .errors import ConfigError, FileFormatError, ShapeError
-from .tensor import (Parameter, Tensor, concat, conv_nd, conv_transpose_nd,
-                     fork, instance_norm_relu, interp_upsample,
-                     softmax_channel)
+from .tensor import (Parameter, Tensor, concat_padded, conv_nd,
+                     conv_transpose_nd, fork, instance_norm_relu,
+                     interp_upsample, softmax_channel)
 
 CHECKPOINT_FORMAT = "geoseg-checkpoint"
 
@@ -168,7 +168,7 @@ class DualDecoderNet:
         Pops each skip from ``skips`` once it is merged, coarsest first."""
         for level in range(self.config.depth, 0, -1):
             h = instance_norm_relu(self._up(h, dec, level))
-            h = concat([h, skips.pop()], axis=1, pad=1)
+            h = concat_padded([h, skips.pop()])
             # two statements, so that without a graph the concat is freed
             # before the norm runs
             h = self._conv(h, f"{dec}.merge{level}")

@@ -17,17 +17,16 @@ Deliberate restrictions:
 
 Two lanes.  ``fork`` runs one function on a second thread, the worker,
 while another runs on the caller's thread; every node recorded on the
-worker is in lane 1 and every other node in lane 0.  On a process limited
-to one CPU, ``fork`` runs both functions on the caller's thread, so every
-node is lane 0.  The network's decoder 2 is lane 1 in training
-(``DualDecoderNet.forward``), as is every other tile batch of a case in
-sliding-window inference.  ``backward`` walks each lane on its own
-thread: the serial walk's reverse postorder, restricted to the lane.  A
-node waits only for the gradients that the other lane delivers to it.
-The summation-order rule makes the result bit-identical to one thread's
-walk: every node adds its incoming gradients in the serial walk's order,
-whichever thread delivers them.  Parameters add into their own gradient
-buffer, which ``SGD.zero_grad`` zero-fills.
+worker is in lane 1 and every other node in lane 0.  The network's
+decoder 2 is lane 1 in training (``DualDecoderNet.forward``), as is every
+other tile batch of a case in sliding-window inference.  ``backward``
+walks each lane on its own thread: the serial walk's reverse postorder,
+restricted to the lane.  A node waits only for the gradients that the
+other lane delivers to it.  The summation-order rule makes the result
+bit-identical to one thread's walk: every node adds its incoming
+gradients in the serial walk's order, whichever thread delivers them.
+Parameters add into their own gradient buffer, which ``SGD.zero_grad``
+zero-fills.
 
 Set ``GEOSEG_CHECK_FINITE=1`` to assert that every operation applied to
 finite inputs produced finite outputs (slow; for debugging NaN hunts).
@@ -46,21 +45,17 @@ _CHECK_FINITE = os.environ.get("GEOSEG_CHECK_FINITE", "0") == "1"
 
 _grad_enabled = True
 
-# glibc malloc settings made at the first fork, as (mallopt parameter,
-# value): at most one arena (M_ARENA_MAX), and fixed thresholds for mapping
-# a block (M_MMAP_THRESHOLD, 32 MB, the ceiling of glibc's own adaptive
-# value) and for trimming the heap top (M_TRIM_THRESHOLD, 512 MB).  With two
-# threads the adaptive thresholds keep handing pages back and faulting them
-# in again: 4,900-7,400 page faults and 15-29 ms of system time per default
-# training step, and a step about 9% slower than with the fixed
-# thresholds, which fault no page.  When both lanes run on one thread, a
-# default step can leave more than 64 MB free at the heap top, and a 64 MB
-# trim threshold then handed it back and faulted it in again every step
-# (about 23,400 page faults, a step 30-60% slower, in 4 of 6 runs).  A
-# second arena for the worker slowed single-thread eval after training
-# under the adaptive thresholds, and raises the peak memory of training by
-# about 1%.
-_MALLOPT = ((-8, 1), (-3, 32 << 20), (-1, 512 << 20))
+# glibc malloc settings made before the worker starts, as (mallopt
+# parameter, value): at most one arena (M_ARENA_MAX), and fixed thresholds
+# for mapping a block (M_MMAP_THRESHOLD, 32 MB, the ceiling of glibc's own
+# adaptive value) and for trimming the heap top (M_TRIM_THRESHOLD, twice
+# that).  With two threads the adaptive thresholds keep handing pages back
+# and faulting them in again: 4,900-7,400 page faults and 15-29 ms of
+# system time per default training step, and a step about 9% slower than
+# with the fixed thresholds, which fault no page.  A second arena for the
+# worker slowed single-thread eval after training under the adaptive
+# thresholds, and raises the peak memory of training by about 1%.
+_MALLOPT = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
 
 
 class _Lane(threading.local):
@@ -70,35 +65,27 @@ class _Lane(threading.local):
 
 _lane = _Lane()
 _worker = None
-_malloc_set = False
 
 
 class _LaneCancelled(Exception):
     """A backward lane stopped because the other lane failed."""
 
 
-def _set_malloc():
-    """Apply ``_MALLOPT`` once."""
-    global _malloc_set
-    if _malloc_set:
-        return
-    _malloc_set = True
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return  # not glibc
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _MALLOPT:
-        mallopt(param, value)
-
-
 def _worker_pool():
-    """The worker thread, started on first use."""
+    """The worker thread, started on first use, after ``_MALLOPT``."""
     global _worker
     if _worker is None:
+        import ctypes
         from concurrent.futures import ThreadPoolExecutor
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            pass  # not glibc
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            for param, value in _MALLOPT:
+                mallopt(param, value)
         _worker = ThreadPoolExecutor(max_workers=1,
                                      thread_name_prefix="geoseg-lane1")
     return _worker
@@ -112,35 +99,12 @@ def _in_lane1(fn):
         _lane.index = 0
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def fork(main_fn, side_fn):
     """(main_fn(), side_fn()), with ``side_fn`` run on the worker thread
     as lane 1 while ``main_fn`` runs on this thread.  ``side_fn`` must not
-    fork.  If either raises, the call raises once both have ended.
-
-    When this process may use only one CPU, two threads would only take
-    turns on it (a default training step ran about 3% slower), so both
-    functions run in order on this thread, every node they record is lane
-    0, and the worker is not started.  Either way the first fork applies
-    ``_MALLOPT``."""
-    _set_malloc()
-    if _usable_cpus() < 2:
-        return main_fn(), side_fn()
-    return _two_threads(main_fn, side_fn)
-
-
-def _two_threads(main_fn, side_fn):
-    # fork's two-thread case.  A backward pass over lane-1 nodes calls it
-    # whatever the CPU count is now: its lanes wait for each other, so
-    # they cannot run one after the other.  On failure it raises the
-    # side's error if the main function stopped only because of it, else
-    # the main function's.
+    fork.  If either raises, the call raises once both have ended: the
+    side's error if the main function stopped only because of it, else the
+    main function's."""
     future = _worker_pool().submit(_in_lane1, side_fn)
     try:
         main = main_fn()
@@ -244,7 +208,7 @@ class Tensor:
         self._accumulate(np.ones((), dtype=np.float64))
         walk = _Walk(order)
         if walk.lanes[1]:
-            _two_threads(lambda: walk.run(0), lambda: walk.run(1))
+            fork(lambda: walk.run(0), lambda: walk.run(1))
         else:
             walk.run(0)
 
@@ -440,31 +404,27 @@ class _Walk:
                 self.cond.wait()
 
 
-def concat(tensors, axis, pad=0):
-    """Concatenate along ``axis``; gradient splits back to the operands.
-
-    With ``pad``, every spatial axis of the result is zero-padded by
-    ``pad`` on both sides, as ``conv_nd`` pads its input: a convolution
-    with ``padding=0`` then reads the result itself instead of a padded
-    copy of it.
-    """
+def concat_padded(tensors):
+    """Concatenate [N, C, spatial...] tensors along the channel axis into a
+    result zero-padded by one voxel on both sides of every spatial axis, as
+    ``conv_nd`` pads its input at ``padding=1``: a 3x3 convolution at
+    ``padding=0`` then reads the result itself instead of a padded copy of
+    it.  The gradient's interior splits back to the operands."""
     datas = [t.data for t in tensors]
     base = list(datas[0].shape)
     for d in datas[1:]:
-        other = list(d.shape)
-        if base[:axis] + base[axis + 1:] != other[:axis] + other[axis + 1:]:
-            raise ShapeError(f"concat: shapes {datas[0].shape} and {d.shape} "
-                             f"differ off axis {axis}")
-    sizes = [d.shape[axis] for d in datas]
+        if base[:1] + base[2:] != list(d.shape[:1] + d.shape[2:]):
+            raise ShapeError(f"concat_padded: shapes {datas[0].shape} and "
+                             f"{d.shape} differ off the channel axis")
+    sizes = [d.shape[1] for d in datas]
     splits = np.cumsum(sizes)[:-1]
-    base[axis] = sum(sizes)
-    inner = (slice(None),) * 2 + tuple(slice(pad, n + pad) for n in base[2:])
-    out = np.zeros(base[:2] + [n + 2 * pad for n in base[2:]])
-    np.concatenate(datas, axis=axis, out=out[inner])
+    inner = (slice(None),) * 2 + tuple(slice(1, n + 1) for n in base[2:])
+    out = np.zeros([base[0], sum(sizes)] + [n + 2 for n in base[2:]])
+    np.concatenate(datas, axis=1, out=out[inner])
 
     def backward(g):
         return tuple(np.ascontiguousarray(p)
-                     for p in np.split(g[inner], splits, axis=axis))
+                     for p in np.split(g[inner], splits, axis=1))
 
     return Tensor._make(out, tuple(tensors), backward)
 

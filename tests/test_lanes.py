@@ -1,14 +1,14 @@
 """The two lanes: decoder 2 runs on the worker thread in forward and in
 backward, with gradients bit-identical to one thread's walk, every other
 tile batch of an eval case runs there too, a failure in either lane ends
-both and reaches the caller, and a process on one CPU runs both lanes on
-its own thread."""
+both and reaches the caller."""
 
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +293,6 @@ import os, signal, threading, time
 import numpy as np
 from geoseg import network
 from geoseg.geometry import sdm_target
-from geoseg.inference import evaluate, sliding_window_infer
 from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD
 from geoseg.training import Batch, TrainConfig, train_step
@@ -338,12 +337,14 @@ except KeyboardInterrupt:
 
 
 class _HookedNet:
-    """A real 2D network whose ``predict`` first calls ``hook(lane)``: lane
-    0 on the thread named ``caller``, 1 on any other.  It logs each call's
-    lane and counts the calls still running."""
+    """A real network (2D unless ``rank`` says otherwise) whose ``predict``
+    first calls ``hook(lane)``: lane 0 on the thread named ``caller``, 1 on
+    any other.  It logs each call's lane and counts the calls still
+    running."""
 
-    def __init__(self, hook):
-        self.net = DualDecoderNet(NetworkConfig(width=2, depth=2, seed=5))
+    def __init__(self, hook, rank=2):
+        self.net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2,
+                                                seed=5))
         self.config = self.net.config
         self.hook, self.caller, self.lanes, self.running = hook, None, [], 0
         self.lock = threading.Lock()
@@ -437,48 +438,61 @@ def test_cli_eval_reports_a_worker_abort_in_one_line(tmp_path, monkeypatch,
         "forward operation"]
 
 
-# -- one CPU ----------------------------------------------------------------------
+def test_a_lane_that_falls_behind_holds_the_other_back(monkeypatch):
+    # 64 one-tile 3D batches, the worker's each 10 ms slower: the caller's
+    # lane starts its batch j only once the worker has finished j - 2, so
+    # it keeps at most two finished maps instead of most of its 32
+    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 12 ** 3)
+    finished = []  # the lanes of the finished batches, in order
+    slow = []  # not empty once the worker's batches are slowed down
+
+    def hook(lane):
+        if lane and slow:
+            time.sleep(0.01)
+        else:
+            assert finished.count(1) >= net.lanes.count(0) - 3
+
+    net = _HookedNet(hook, rank=3)
+    predict = net.predict
+
+    def logged(x):
+        out = predict(x)
+        finished.append(int(threading.get_ident() != net.caller))
+        return out
+
+    net.predict = logged
+    net.caller = threading.get_ident()
+    vol = rng.standard_normal((24, 24, 24))
+    sliding_window_infer(net, vol, (12,) * 3, (4,) * 3)
+    finished.clear()
+    net.lanes.clear()
+    slow.append(True)
+    tracemalloc.start()
+    try:
+        sliding_window_infer(net, vol, (12,) * 3, (4,) * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(finished) == [0] * 32 + [1] * 32
+    # against the case's 64 maps: 0.92 of them, and 1.23-1.39 when the
+    # caller's lane ran ahead unchecked
+    assert peak < 1.1 * 64 * 12 ** 3 * 8
 
 
-def test_on_one_cpu_both_lanes_run_in_order_on_the_caller_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    net = DualDecoderNet(NetworkConfig(width=4, depth=2, seed=3))
-    batch = make_batch(2, 16)
-    out = net.forward(Tensor(batch.images))
-    assert (out.seg1._lane, out.seg2._lane) == (0, 0)
-    loss = total_loss(out, batch, 60, 100, LossConfig(k=20.0)).total
-    want = serial_backward(loss)
-    SGD(net.parameters()).zero_grad()
-    loss.backward()
-    for p in net.parameters():
-        assert_bitwise_equal(p.grad, want[id(p)])
-
-    threads = []
-
-    class Logged:
-        config = net.config
-
-        def predict(self, x):
-            threads.append(threading.get_ident())
-            return net.predict(x)
-
-    vol = rng.standard_normal((64, 64))
-    got = sliding_window_infer(Logged(), vol, (32, 32), (8, 8))
-    assert threads == [threading.get_ident()] * 2
-    assert_bitwise_equal(got, per_tile_sliding_window(net, vol, (32, 32),
-                                                      (8, 8)))
-
-
-def test_a_two_lane_graph_walks_on_two_threads_after_the_cpus_shrink(
+def test_one_tile_batches_match_per_tile_inference_under_frequent_switches(
         monkeypatch):
-    # the lanes of a backward wait for each other, so one run after the
-    # other would hang; a graph recorded on two CPUs keeps both threads
-    net = DualDecoderNet(NetworkConfig(width=4, depth=2, seed=3))
-    batch = make_batch(2, 16)
-    loss = total_loss(net.forward(Tensor(batch.images)), batch, 60, 100,
-                      LossConfig(k=20.0)).total
-    want = serial_backward(loss)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert run_bounded(loss.backward) is None
-    for p in net.parameters():
-        assert_bitwise_equal(p.grad, want[id(p)])
+    # 64 one-tile batches, both lanes summing into one average while the
+    # interpreter switches threads every microsecond
+    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 16 * 16)
+    net = DualDecoderNet(NetworkConfig(width=2, depth=2, seed=5))
+    vol = rng.standard_normal((72, 72))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_bounded(lambda: got.append(sliding_window_infer(
+            net, vol, (16, 16), (8, 8)))) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bitwise_equal(got[0], per_tile_sliding_window(net, vol, (16, 16),
+                                                         (8, 8)))

@@ -11,8 +11,8 @@ import pytest
 
 from geoseg import tensor
 from geoseg.errors import ConfigError, ShapeError, TrainingAbort
-from geoseg.tensor import (SGD, Parameter, Tensor, concat, conv_nd,
-                           conv_transpose_nd, instance_norm_relu,
+from geoseg.tensor import (SGD, Parameter, Tensor, concat_padded,
+                           conv_nd, conv_transpose_nd, instance_norm_relu,
                            interp_upsample, logsumexp_channel, mse, no_grad,
                            softmax_channel)
 from helpers import (assert_bitwise_equal, assert_grads_match, fd_gradient,
@@ -131,8 +131,10 @@ def test_grad_unary():
 def test_grad_narrow_concat():
     a = rng.standard_normal((4, 3, 2))
     b = rng.standard_normal((4, 2, 2))
-    check_op(lambda x, y: (concat([x, y], axis=1).square()).mean()
+    check_op(lambda x, y: (concat_padded([x, y]).square()).mean()
              + x.narrow(0, 1, 2).sum(), a, b)
+    with pytest.raises(ShapeError):
+        concat_padded([Tensor(a), Tensor(b[:, :, :1])])
 
 
 @pytest.mark.parametrize("shapes", [((2, 3, 5, 4), (2, 2, 5, 4)),
@@ -146,16 +148,18 @@ def test_padded_concat_is_the_padded_conv_input_bitwise(shapes):
                             + (3,) * (len(shapes[0]) - 2))
     bias = rng.standard_normal(3)
     g = rng.standard_normal(shapes[0][:1] + (3,) + shapes[0][2:])
-    runs = []
-    for pad, padding in ((1, 0), (0, 1)):
-        params = [Parameter(v.copy()) for v in (a, b, k, bias)]
-        y = conv_nd(concat(params[:2], axis=1, pad=pad), params[2], params[3],
-                    padding=padding)
-        (y * Tensor(g)).sum().backward()
-        runs.append([y.data] + [p.grad for p in params])
-    for got, want in zip(*runs):
-        assert_bitwise_equal(got, want)
-    check_op(lambda x, z: concat([x, z], axis=1, pad=1).square().mean(), a, b)
+    params = [Parameter(v.copy()) for v in (a, b, k, bias)]
+    y = conv_nd(concat_padded(params[:2]), params[2], params[3])
+    (y * Tensor(g)).sum().backward()
+    plain = [Parameter(np.concatenate([a, b], axis=1))] + [
+        Parameter(v.copy()) for v in (k, bias)]
+    want = conv_nd(plain[0], plain[1], plain[2], padding=1)
+    (want * Tensor(g)).sum().backward()
+    assert_bitwise_equal(y.data, want.data)
+    want_grads = (np.split(plain[0].grad, [shapes[0][1]], axis=1)
+                  + [p.grad for p in plain[1:]])
+    for p, want_grad in zip(params, want_grads):
+        assert_bitwise_equal(p.grad, want_grad)
 
 
 def test_grad_softmax_logsumexp():
