@@ -62,7 +62,9 @@ class LossBreakdown:
     loss_cons: float
     lam: float
     loss_total: float
-    total: Tensor = field(repr=False)
+    # the scalar graph, whose backward releases it; None once
+    # ``training.train_step`` has run that backward
+    total: Tensor | None = field(repr=False)
 
     def csv_values(self):
         return (self.loss_seg, self.loss_sdf, self.loss_sup, self.loss_cons,

@@ -25,12 +25,13 @@ sliding-window inference calls it from both lanes at once
 ``decode`` consumes the skip list it is handed, popping each skip once it
 is merged, so without a graph (``predict`` under ``no_grad``) each skip is
 freed as soon as it is used.  ``forward`` hands each decoder its own copy
-of the list; in training the graph still holds every skip.  A merge's
-concatenation is zero-padded as it is built (``tensor.concat_padded``), so
-its 3x3 convolution makes no padded copy of it, and without a graph it is
-freed before the merge's norm.  One 3-tile 64x64 ``predict`` at the
-default config peaks at about 3.5 MiB of arrays, against 6.3 MiB when it
-kept every skip and copied each merge input.
+of the list; in training the graph holds each skip until the backward has
+run, and released, every layer that reads it (``Tensor.backward``).  A
+merge's concatenation is zero-padded as it is built
+(``tensor.concat_padded``), so its 3x3 convolution makes no padded copy of
+it, and without a graph it is freed before the merge's norm.  One 3-tile
+64x64 ``predict`` at the default config peaks at about 3.5 MiB of arrays,
+against 6.3 MiB when it kept every skip and copied each merge input.
 
 A checkpoint is one container file of ``data.encode_container`` whose
 header carries the network config and free-form metadata next to the

@@ -13,7 +13,15 @@ Deliberate restrictions:
   * reductions collapse to a scalar; per-axis statistics live inside the
     fused ops that need them,
   * the recorded graph belongs to one training step; ``backward`` walks it
-    once in topological order.
+    once in topological order and releases it as it goes.
+
+Release.  Right after an operation node's backward has run, the walk drops
+the node's backward closure, with the arrays it saved, and its links to
+its operands.  A node that nobody else holds is then freed, with its data
+and its gradient, so an activation lives only until the backward of its
+last consumer; a node the caller holds keeps its ``grad``.  A later
+backward that reaches a released node raises ``GeoSegError`` before it
+changes any gradient.
 
 Two lanes.  ``fork`` runs one function on a second thread, the worker,
 while another runs on the caller's thread; every node recorded on the
@@ -34,12 +42,13 @@ finite inputs produced finite outputs (slow; for debugging NaN hunts).
 
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError, TrainingAbort
+from .errors import ConfigError, GeoSegError, ShapeError, TrainingAbort
 
 _CHECK_FINITE = os.environ.get("GEOSEG_CHECK_FINITE", "0") == "1"
 
@@ -136,7 +145,7 @@ class Tensor:
     """Dense N-D array node; records its producer for reverse mode."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
-                 "_lane")
+                 "_lane", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -182,7 +191,8 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar; each graph node is visited once.
+        """Backpropagate from a scalar; each graph node is visited once and
+        released once its backward has run (see the module docstring).
         With lane-1 nodes in the graph, lane 1 runs on the worker thread."""
         if self.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -199,6 +209,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released(None)  # raises before any gradient changes
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -207,6 +219,7 @@ class Tensor:
         order.reverse()
         self._accumulate(np.ones((), dtype=np.float64))
         walk = _Walk(order)
+        del order  # the walk alone holds the nodes, and drops each when done
         if walk.lanes[1]:
             fork(lambda: walk.run(0), lambda: walk.run(1))
         else:
@@ -307,6 +320,12 @@ class Tensor:
         return Tensor._make(np.ascontiguousarray(self.data[index]), (self,), backward)
 
 
+def _released(g):
+    # the backward of a node that a walk has released
+    raise GeoSegError("backward reached a node that an earlier backward "
+                      "released")
+
+
 class _Inbox:
     """Gradients bound for a node that both lanes touch, added in the
     serial walk's order: ``expected`` lists the (consumer position, operand
@@ -324,7 +343,9 @@ class _Inbox:
 class _Walk:
     """One backward pass over ``order``, a graph's nodes in reverse
     postorder.  ``run(lane)`` applies the backward of each of the lane's
-    operation nodes in that order.
+    operation nodes in that order and releases the node right after; the
+    walk drops its own references to a node, its lane entry and its inbox,
+    once the node is done.
 
     A node that one lane delivers gradients to and the other lane reads or
     also delivers to gets an inbox; the lane that reads it waits until its
@@ -342,7 +363,7 @@ class _Walk:
                     touched[id(t)] = touched.get(id(t), 0) | 1 << node._lane
         # per lane, (node, [(operand, inbox or None, edge key) or None per
         # operand]) in walk order
-        self.lanes = ([], [])
+        self.lanes = (deque(), deque())
         self.inboxes = {}
         for i, node in ops:
             targets = []
@@ -362,9 +383,11 @@ class _Walk:
         self.failed = False
 
     def run(self, lane):
+        entries = self.lanes[lane]
         try:
-            for node, targets in self.lanes[lane]:
-                inbox = self.inboxes.get(id(node))
+            while entries:
+                node, targets = entries.popleft()
+                inbox = self.inboxes.pop(id(node), None)
                 if inbox is not None:
                     self._wait(inbox)
                 for target, g in zip(targets, node._backward(node.grad)):
@@ -375,6 +398,8 @@ class _Walk:
                         self._deliver(inbox, key, g)
                     elif g is not None:
                         parent._accumulate(g)
+                node._backward = _released
+                node._parents = ()
         except BaseException:
             with self.cond:
                 self.failed = True

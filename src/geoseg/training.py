@@ -235,19 +235,25 @@ def sample_batch(split, cfg, rng):
 
 
 def train_step(net, opt, batch, t, cfg):
-    """Forward, loss, backward, SGD update with the scheduled rate.  With no
-    consistency term no loss reads the unlabeled items, so only the labeled
-    ones are forwarded."""
+    """Forward, loss, backward, SGD update with the scheduled rate; returns
+    the loss breakdown with ``total`` None.  With no consistency term no
+    loss reads the unlabeled items, so only the labeled ones are forwarded.
+
+    The step holds its graph only through the loss root: the backward
+    releases every node as it goes, so an activation is freed once the
+    backward of its last consumer has run, and nothing the step returns
+    refers to a node."""
     images = batch.images
     if cfg.loss.consistency == "none":
         images = images[:batch.n_labeled]
-    outputs = net.forward(Tensor(images))
-    breakdown = total_loss(outputs, batch, t, cfg.t_max, cfg.loss)
+    breakdown = total_loss(net.forward(Tensor(images)), batch, t, cfg.t_max,
+                           cfg.loss)
     for name in ("loss_seg", "loss_sdf", "loss_sup", "loss_cons", "loss_total"):
         if not np.isfinite(getattr(breakdown, name)):
             raise TrainingAbort(f"{name} became non-finite at step {t}")
     opt.zero_grad()
-    breakdown.total.backward()
+    root, breakdown.total = breakdown.total, None
+    root.backward()
     opt.step(lr_schedule(t, cfg))
     return breakdown
 
