@@ -25,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -114,7 +115,8 @@ def _is_count(value):
 def _check_header(path, header, tag, payload_len):
     """Raise FileFormatError unless the header is a ``tag`` container's and
     each tensor entry spans exactly its shape's bytes inside a payload of
-    ``payload_len`` bytes."""
+    ``payload_len`` bytes, and numpy can hold an array of that shape: the
+    product of its nonzero extents, in bytes, fits in ``np.intp``."""
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: header is not a JSON object")
     if header.get("format") != tag:
@@ -133,8 +135,11 @@ def _check_header(path, header, tag, payload_len):
         dtype = entry.get("dtype")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
-        expect = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(dtype).itemsize
-        if entry["nbytes"] != expect or \
+        shape, itemsize = entry["shape"], np.dtype(dtype).itemsize
+        if math.prod(n for n in shape if n) * itemsize > np.iinfo(np.intp).max:
+            raise FileFormatError(f"{path}: tensor {name!r} shape {shape} "
+                                  "is too large")
+        if entry["nbytes"] != math.prod(shape) * itemsize or \
                 entry["offset"] + entry["nbytes"] > payload_len:
             raise FileFormatError(f"{path}: payload size mismatch for {name}")
 

@@ -18,27 +18,25 @@ forward's activations grow with its batch, and one batch of all nine
 sample of a batch is computed on its own, so each map is byte-identical
 to a one-tile forward, and tiles are summed in the same corner order.
 
-A case of two or more batches runs them in two lanes (``tensor.fork``):
-batches 0, 2, ... on the caller's thread and 1, 3, ... on the worker,
-each lane in order.  A lane that raises stops the other before its next
-batch.  Whichever lane finishes a batch sums, under one lock, every
-finished batch whose earlier batches are all summed, so the tiles are
-summed in corner order and the maps stay byte-identical to one lane's.
-A lane starts batch k only once batches 0 to k-4 are summed, so it runs
-at most two of its batches ahead of the other: a case holds two
-forwards' activations at once instead of one, plus at most two finished
-batches' maps that wait for the other lane.  A tighter bound of one
-batch made a case of 125 one-tile 3D batches 13% slower.
-``DualDecoderNet.predict`` pays for part of that: it frees each skip
-once decoder 1 has merged it and each merge's input before its norm.  A
-one-batch case, such as a window that covers the whole volume, never
-starts the worker.
+The batches run in pairs, the two batches of a pair in two lanes
+(``tensor.fork``): batch 2k on the caller's thread and batch 2k+1 on the
+worker.  Once both have ended, the caller sums the pair's maps, in corner
+order, so the maps stay byte-identical to one lane's; the next pair
+starts after that.  A failure in either batch ends the case once the
+other batch has ended.  An odd case's last batch joins the last pair on
+the caller's thread, right after the caller's batch of that pair: the
+worker's batch tends to end last, and waiting for it before the last
+batch made the benchmark's three-batch 128x128 cases 17% slower on two
+vCPUs.  A one-batch case, such as a window that covers the whole volume,
+never starts the worker.  A case holds two forwards' activations at once
+instead of one, or at most three batches' maps; ``DualDecoderNet.predict``
+pays for part of that: it frees each skip once decoder 1 has merged it
+and each merge's input before its norm.
 """
 
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,42 +118,30 @@ def sliding_window_infer(net, volume, window, stride, head="seg"):
     per_batch = max(1, TILE_BATCH_VOXELS // math.prod(window))
     batches = np.array_split(np.arange(len(tiles)),
                              -(-len(tiles) // per_batch))
-    outs = [None] * len(batches)  # a batch's maps until they are summed
-    summed = 0  # batches summed into prob/count, in order
-    failed = False  # set once a lane has raised
-    turn = threading.Condition()
 
-    def run(lane):
-        nonlocal summed, failed
-        try:
-            for k in range(lane, len(batches), 2):
-                with turn:
-                    # the other lane is at most two batches behind
-                    turn.wait_for(lambda: failed or summed >= k - 3)
-                    if failed:
-                        return
-                x = Tensor(np.stack([volume[tiles[i]] for i in batches[k]])[:, None])
-                out = net.predict(x)[head].data
-                with turn:
-                    outs[k] = out
-                    while summed < len(batches) and outs[summed] is not None:
-                        for i, tile_out in zip(batches[summed], outs[summed]):
-                            prob[tiles[i]] += tile_out[0]
-                            count[tiles[i]] += 1.0
-                        outs[summed] = None
-                        summed += 1
-                    turn.notify()
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify()
-            raise
+    def run(batch):
+        x = Tensor(np.stack([volume[tiles[i]] for i in batch])[:, None])
+        return net.predict(x)[head].data
 
-    with no_grad():
-        if len(batches) > 1:
-            fork(lambda: run(0), lambda: run(1))
+    def run_group(group):
+        # group[0] and group[2], if any, on this thread and group[1] on the
+        # worker; the group's maps die on return
+        if len(group) == 1:
+            outs = [run(group[0])]
         else:
-            run(0)
+            mine, theirs = fork(lambda: [run(b) for b in group[::2]],
+                                lambda: run(group[1]))
+            outs = [mine[0], theirs] + mine[1:]
+        for batch, out in zip(group, outs):
+            for i, tile_out in zip(batch, out):
+                prob[tiles[i]] += tile_out[0]
+                count[tiles[i]] += 1.0
+
+    # pairs of batches, the last group taking what is left: one to three
+    starts = list(range(0, max(len(batches) - 1, 1), 2))
+    with no_grad():
+        for a, b in zip(starts, starts[1:] + [len(batches)]):
+            run_group(batches[a:b])
     prob /= count
     return prob[tuple(slice(0, n) for n in original)]
 

@@ -19,8 +19,8 @@ decoders read the same encoder features and never each other, so decoder
 concurrently too.  Decoder 1 (``FINAL_DECODER``) makes the test-time
 prediction; ``predict`` runs the encoder and that decoder alone, since
 nothing reads decoder 2 there.  It runs on whichever thread calls it:
-sliding-window inference calls it from both lanes at once
-(``inference.sliding_window_infer``).
+sliding-window inference runs a pair of tile batches through it at once,
+one in each lane (``inference.sliding_window_infer``).
 
 ``decode`` consumes the skip list it is handed, popping each skip once it
 is merged, so without a graph (``predict`` under ``no_grad``) each skip is

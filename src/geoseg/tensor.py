@@ -24,17 +24,19 @@ backward that reaches a released node raises ``GeoSegError`` before it
 changes any gradient.
 
 Two lanes.  ``fork`` runs one function on a second thread, the worker,
-while another runs on the caller's thread; every node recorded on the
-worker is in lane 1 and every other node in lane 0.  The network's
-decoder 2 is lane 1 in training (``DualDecoderNet.forward``), as is every
-other tile batch of a case in sliding-window inference.  ``backward``
+while another runs on the caller's thread, and returns once both have
+ended; it is the one way the two threads join.  Every node recorded on
+the worker is in lane 1 and every other node in lane 0.  The network's
+decoder 2 is lane 1 in training (``DualDecoderNet.forward``), as is the
+second tile batch of each pair in sliding-window inference.  ``backward``
 walks each lane on its own thread: the serial walk's reverse postorder,
 restricted to the lane.  A node waits only for the gradients that the
-other lane delivers to it.  The summation-order rule makes the result
-bit-identical to one thread's walk: every node adds its incoming
-gradients in the serial walk's order, whichever thread delivers them.
-Parameters add into their own gradient buffer, which ``SGD.zero_grad``
-zero-fills.
+other lane delivers to it; a lane that raises ends the other at its next
+wait, and ``fork`` raises the failing lane's exception.  The
+summation-order rule makes the result bit-identical to one thread's walk:
+every node adds its incoming gradients in the serial walk's order,
+whichever thread delivers them.  Parameters add into their own gradient
+buffer, which ``SGD.zero_grad`` zero-fills.
 
 Set ``GEOSEG_CHECK_FINITE=1`` to assert that every operation applied to
 finite inputs produced finite outputs (slow; for debugging NaN hunts).
@@ -76,10 +78,6 @@ _lane = _Lane()
 _worker = None
 
 
-class _LaneCancelled(Exception):
-    """A backward lane stopped because the other lane failed."""
-
-
 def _worker_pool():
     """The worker thread, started on first use, after ``_MALLOPT``."""
     global _worker
@@ -111,18 +109,16 @@ def _in_lane1(fn):
 def fork(main_fn, side_fn):
     """(main_fn(), side_fn()), with ``side_fn`` run on the worker thread
     as lane 1 while ``main_fn`` runs on this thread.  ``side_fn`` must not
-    fork.  If either raises, the call raises once both have ended: the
-    side's error if the main function stopped only because of it, else the
-    main function's."""
+    fork.  If either raises, or this thread is interrupted while it waits
+    for the side function, the call raises once both have ended: the main
+    function's error if it raised, else the side function's or the
+    interrupt."""
     future = _worker_pool().submit(_in_lane1, side_fn)
     try:
-        main = main_fn()
-    except _LaneCancelled:
-        raise future.exception() from None
+        return main_fn(), future.result()
     except BaseException:
         future.exception()  # waits for the side function to end
         raise
-    return main, future.result()
 
 
 @contextmanager
@@ -351,7 +347,8 @@ class _Walk:
     also delivers to gets an inbox; the lane that reads it waits until its
     gradient is complete.  Every other node is written and read by one
     thread only, in the serial order.  A lane that raises stops the other
-    one at its next wait."""
+    one at its next wait: ``run`` returns there, and ``fork`` raises the
+    failing lane's exception."""
 
     def __init__(self, order):
         ops = [(i, node) for i, node in enumerate(order)
@@ -388,8 +385,8 @@ class _Walk:
             while entries:
                 node, targets = entries.popleft()
                 inbox = self.inboxes.pop(id(node), None)
-                if inbox is not None:
-                    self._wait(inbox)
+                if inbox is not None and not self._wait(inbox):
+                    return
                 for target, g in zip(targets, node._backward(node.grad)):
                     if target is None:
                         continue
@@ -420,13 +417,12 @@ class _Walk:
                 self.cond.notify_all()
 
     def _wait(self, inbox):
+        """True once the inbox's node has its whole gradient, False once
+        the other lane has failed."""
         with self.cond:
-            while True:
-                if self.failed:
-                    raise _LaneCancelled
-                if inbox.added == len(inbox.expected):
-                    return
-                self.cond.wait()
+            self.cond.wait_for(lambda: self.failed
+                               or inbox.added == len(inbox.expected))
+            return not self.failed
 
 
 def concat_padded(tensors):

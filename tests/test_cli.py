@@ -356,6 +356,12 @@ BAD_VOLUME_HEADERS = [
     ("shape-not-list", _edit_volume_entry(lambda e: {**e, "shape": 576})),
     ("shape-negative", _edit_volume_entry(lambda e: {**e, "shape": [-24, -24]})),
     ("shape-float", _edit_volume_entry(lambda e: {**e, "shape": [24.0, 24]})),
+    # 2**64 bytes, which a product in int64 wraps to the 0 of nbytes
+    ("shape-wraps-int64", _edit_volume_entry(
+        lambda e: {**e, "shape": [2**32, 2**32], "nbytes": 0})),
+    # no voxels, but an extent that no numpy shape can hold
+    ("shape-beyond-intp", _edit_volume_entry(
+        lambda e: {**e, "shape": [0, 2**70], "nbytes": 0})),
     ("tensor-renamed", lambda h: {**h, "tensors": {"mask": h["tensors"]["volume"]}}),
     ("no-spacing", lambda h: _without(h, "spacing")),
     ("spacing-not-list", lambda h: {**h, "spacing": 1.0}),

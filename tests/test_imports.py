@@ -1,6 +1,7 @@
 """Every imported name is used in the module that imports it, ``geoseg``
-loads scipy only inside the functions that call it, and the worker thread
-starts only when training or a multi-batch inference needs it."""
+loads scipy only inside the functions that call it, ``tensor`` is the one
+module that imports thread synchronisation, and the worker thread starts
+only when training or a multi-batch inference needs it."""
 
 import ast
 import json
@@ -94,6 +95,30 @@ def test_scanner_sees_unread_and_read_private_names():
 
 def test_no_unread_private_names_in_src():
     assert unread_private_names({p.name: p.read_text() for p in SRC}) == []
+
+
+def imported_packages(source):
+    """The top-level package of every absolute import in ``source``."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_scanner_sees_imported_packages():
+    source = ("import os.path, json as j\nfrom concurrent import futures\n"
+              "from . import data\ndef f():\n    import threading\n")
+    assert imported_packages(source) == {"os", "json", "concurrent",
+                                         "threading"}
+
+
+def test_only_tensor_synchronises_threads():
+    # the lanes join through tensor.fork alone
+    assert [p.name for p in SRC if imported_packages(p.read_text())
+            & {"threading", "concurrent"}] == ["tensor.py"]
 
 
 def test_cli_import_loads_scipy_only_for_the_first_phantom():
