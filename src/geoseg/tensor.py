@@ -21,7 +21,9 @@ its operands.  A node that nobody else holds is then freed, with its data
 and its gradient, so an activation lives only until the backward of its
 last consumer; a node the caller holds keeps its ``grad``.  A later
 backward that reaches a released node raises ``GeoSegError`` before it
-changes any gradient.
+changes any gradient.  An instance-norm node saves no normalized copy:
+it holds its operand's data, which the operand's node holds anyway, and
+two numbers per (item, channel), and its backward rebuilds the rest.
 
 Two lanes.  ``fork`` runs one function on a second thread, the worker,
 while another runs on the caller's thread, and returns once both have
@@ -164,7 +166,7 @@ class Tensor:
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -479,23 +481,33 @@ def logsumexp_channel(t):
     return Tensor._make(m + np.log(s), (t,), backward)
 
 
-def instance_norm_relu(t, eps=1e-5):
+# added to each (item, channel) variance, so a constant slice normalizes to 0
+_NORM_EPS = 1e-5
+
+
+def instance_norm_relu(t):
     """ReLU of the instance normalization of [N, C, spatial...]: each
     (item, channel) slice is normalized over its spatial extent.
 
-    One node: the backward masks the upstream gradient with the ReLU and
-    applies the normalization's closed-form gradient in place.
+    One node.  It saves the operand's data, and the mean and inverse
+    deviation per slice, not the normalized values: the backward rebuilds
+    them with the forward's operations, bit for bit, masks the upstream
+    gradient with the ReLU and applies the normalization's closed-form
+    gradient in place.
     """
     if t.ndim < 3:
         raise ShapeError(f"instance_norm_relu needs [N, C, spatial...], "
                          f"got {t.shape}")
     shape = t.shape
     x = t.data.reshape(shape[:2] + (-1,))
-    y = x - x.mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt((y * y).mean(axis=2, keepdims=True) + eps)
+    mu = x.mean(axis=2, keepdims=True)
+    y = x - mu
+    inv = 1.0 / np.sqrt((y * y).mean(axis=2, keepdims=True) + _NORM_EPS)
     y *= inv
 
     def backward(g):
+        y = x - mu
+        y *= inv
         gr = g.reshape(y.shape) * (y > 0.0)
         tmp = gr * y
         gym = tmp.mean(axis=2, keepdims=True)
@@ -504,7 +516,8 @@ def instance_norm_relu(t, eps=1e-5):
         gr *= inv
         return (gr.reshape(shape),)
 
-    return Tensor._make(np.maximum(y, 0.0).reshape(shape), (t,), backward)
+    return Tensor._make(np.maximum(y, 0.0, out=y).reshape(shape), (t,),
+                        backward)
 
 
 # -- convolution ----------------------------------------------------------------

@@ -226,7 +226,9 @@ def test_a_step_keeps_no_node_once_it_returns(monkeypatch):
 def test_a_default_step_frees_its_graph_as_its_backward_runs():
     # a default 2+2, 64x64 step, after one warm-up step: with its whole graph
     # alive until the walk ended and the next step began, it peaked at
-    # 77.1 MiB of arrays and held 75.8 MiB after it returned
+    # 77.1 MiB of arrays and held 75.8 MiB after it returned; released node
+    # by node it peaked at 45.3-45.5 MiB, and at 36.8 MiB once the norm
+    # nodes saved no normalized copy
     cfg = TrainConfig()
     net = DualDecoderNet(cfg.network)
     opt, batch = SGD(net.parameters()), make_batch(2, 64)
@@ -239,7 +241,7 @@ def test_a_default_step_frees_its_graph_as_its_backward_runs():
         tracemalloc.stop()
     assert breakdown.total is None
     assert held < 2**20
-    assert peak <= 55 * 2**20
+    assert peak <= 41 * 2**20
 
 
 def test_a_backward_that_reaches_a_released_node_changes_no_gradient():

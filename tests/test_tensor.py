@@ -4,6 +4,7 @@ Every differentiable operation gets a central-finite-difference check at
 h=1e-6 in double precision, relative tolerance 1e-4.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,14 @@ def test_elementwise_values():
     assert t.sum().item() == 6.0
     assert Tensor(0.0).tanh().item() == 0.0
     assert Tensor(0.0).sigmoid().item() == 0.5
+
+
+def test_item_takes_any_one_element_tensor():
+    for shape in [(), (1,), (1, 1), (1, 1, 1, 1)]:
+        got = Tensor(np.full(shape, -2.5)).item()
+        assert type(got) is float and got == -2.5
+    with pytest.raises(ShapeError, match=r"\(2, 1\)"):
+        Tensor(np.zeros((2, 1))).item()
 
 
 def test_sigmoid_equals_the_three_exponential_form_bitwise():
@@ -204,6 +213,22 @@ def test_instance_norm_relu_is_bitwise_the_two_node_formula(shape):
     assert_bitwise_equal(out.data, want_y)
     assert_bitwise_equal(t.grad, want_gx)
     assert not out.data[1, 0].any()
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 64, 64), (2, 4, 16, 16, 16)],
+                         ids=["2d", "3d"])
+def test_a_norm_node_keeps_no_second_full_size_array(shape):
+    # the node holds its output, a view of its operand's data and two
+    # numbers per (item, channel); a saved normalized copy would double it
+    t = Tensor(rng.standard_normal(shape), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = instance_norm_relu(t)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= 1.1 * t.data.nbytes
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
