@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import PhantomParams, _write_atomic, _write_csv, build_dataset, \
     check_build, load_manifest, load_split, read_array, write_array
-from .errors import ConfigError, DataError, GeoSegError
+from .errors import ConfigError, DataError, GeoSegError, ShapeError
 from .geometry import boundary_weights, sdm_target
 from .inference import METRICS, check_window, evaluate, mean_defined, \
     sliding_window_infer
@@ -289,6 +289,9 @@ def cmd_export_maps(args):
     rhos = _parse_list(args.rho, float)
     if args.mask:
         mask, spacing = read_array(args.mask)
+        if mask.ndim not in (2, 3):
+            raise ShapeError(f"{args.mask}: a mask must be 2D or 3D, got "
+                             f"shape {mask.shape}")
         sdm = sdm_target(mask)
     else:
         sdm, spacing = _predicted_sdm(args.checkpoint, args.image)

@@ -184,7 +184,8 @@ def write_array(path, arr, spacing):
 
 def read_array(path, digest=None):
     """Read a volume container back; returns (array, spacing).  With a
-    ``digest``, the file's bytes must have that SHA-256 hex digest."""
+    ``digest``, the file's bytes must have that SHA-256 hex digest.  A float
+    volume must hold finite values only."""
     header, tensors = read_container(path, VOLUME_FORMAT, digest)
     if list(tensors) != ["volume"]:
         raise FileFormatError(f"{path}: a volume holds one tensor named "
@@ -194,6 +195,8 @@ def read_array(path, digest=None):
             and all(type(v) in (int, float) for v in spacing)):
         raise FileFormatError(f"{path}: header 'spacing' must be a list of "
                               f"{arr.ndim} numbers, got {spacing!r}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise DataError(f"{path}: volume holds a non-finite value")
     return arr, tuple(spacing)
 
 
@@ -416,7 +419,8 @@ def _check_manifest(path, doc):
 def load_manifest(path):
     """The dataset at ``path`` (its directory or its manifest.json): the
     manifest is checked whole, then each volume it lists is read once; a
-    volume must exist and its bytes must match the manifest's digest."""
+    volume must exist, its bytes must match the manifest's digest and its
+    shape must be the manifest's."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -425,6 +429,7 @@ def load_manifest(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{path}: unreadable manifest ({e})") from None
     _check_manifest(path, doc)
+    shape = tuple(doc["shape"])
 
     def read(name):
         file = path.parent / "volumes" / name
@@ -432,12 +437,15 @@ def load_manifest(path):
             raise DataError(f"manifest references missing file {file}")
         if name not in doc["digests"]:
             raise DataError(f"manifest has no digest for {name}")
-        return read_array(file, doc["digests"][name])[0]
+        arr = read_array(file, doc["digests"][name])[0]
+        if arr.shape != shape:
+            raise DataError(f"{file} has shape {arr.shape}, not {shape}")
+        return arr
 
     records = [VolumeRecord(r["case_id"], r["split"], read(r["image"]),
                             None if r["mask"] is None else read(r["mask"]))
                for r in doc["records"]]
-    return Manifest(shape=tuple(doc["shape"]), records=records)
+    return Manifest(shape=shape, records=records)
 
 
 @dataclass

@@ -34,8 +34,8 @@ it, and without a graph it is freed before the merge's norm.  One 3-tile
 against 6.3 MiB when it kept every skip and copied each merge input.
 
 A checkpoint is one container file of ``data.encode_container`` whose
-header carries the network config and free-form metadata next to the
-parameter (and optional extra) tensors.
+header carries the network config and free-form metadata next to every
+parameter and its momentum buffer (``state_tensors``).
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -49,6 +49,8 @@ from .tensor import (Parameter, Tensor, concat_padded, conv_nd,
                      interp_upsample, softmax_channel)
 
 CHECKPOINT_FORMAT = "geoseg-checkpoint"
+# (name prefix, Parameter attribute) of each kind of checkpointed tensor
+_STATE = (("param/", "data"), ("momentum/", "momentum"))
 
 
 @dataclass(frozen=True)
@@ -205,31 +207,35 @@ class DualDecoderNet:
         return {"seg": seg, "sdm": sdm}
 
     def state_tensors(self):
-        return {f"param/{name}": p.data for name, p in self.params.items()}
+        """(name, array) of every parameter as ``param/<name>``, then every
+        momentum buffer as ``momentum/<name>``, in ``params`` order."""
+        for prefix, attr in _STATE:
+            for name, p in self.params.items():
+                yield prefix + name, getattr(p, attr)
 
     def load_state(self, tensors):
+        """Restore every tensor ``state_tensors`` names from a checkpoint's
+        ``tensors``; zero each grad."""
         for name, p in self.params.items():
-            arr = tensors.get(f"param/{name}")
-            if arr is None:
-                raise FileFormatError(f"checkpoint is missing parameter {name}")
-            if arr.shape != p.data.shape:
-                raise FileFormatError(f"checkpoint parameter {name} has shape "
-                                      f"{arr.shape}, expected {p.data.shape}")
-            p.data = np.ascontiguousarray(arr, dtype=np.float64)
+            for prefix, attr in _STATE:
+                arr = tensors.get(prefix + name)
+                if arr is None or arr.shape != p.data.shape:
+                    found = "missing" if arr is None else f"shape {arr.shape}"
+                    raise FileFormatError(f"checkpoint tensor {prefix}{name} "
+                                          f"is {found}, expected shape "
+                                          f"{p.data.shape}")
+                setattr(p, attr, np.ascontiguousarray(arr, dtype=np.float64))
             p.grad = np.zeros_like(p.data)
-            p.momentum = np.zeros_like(p.data)
 
 
 # -- checkpoint container ---------------------------------------------------
 
 
-def save_checkpoint(path, net, extra_tensors=None, meta=None):
-    """Write the network (plus optional extra arrays) as one container file."""
-    tensors = dict(net.state_tensors())
-    if extra_tensors:
-        tensors.update(extra_tensors)
+def save_checkpoint(path, net, meta=None):
+    """Write the network, its momentum buffers and ``meta`` as one
+    container file."""
     _write_atomic({path: encode_container(
-        CHECKPOINT_FORMAT, tensors,
+        CHECKPOINT_FORMAT, dict(net.state_tensors()),
         {"network": asdict(net.config), "meta": meta or {}})})
 
 

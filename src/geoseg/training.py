@@ -9,7 +9,7 @@ applied before step t+1's forward pass.  The tuple (seed, config, data)
 fully determines the loss trace; the batch RNG state is checkpointed so a
 resumed run continues bit-for-bit like an unbroken one.
 
-Run directory layout:
+Every run writes its directory, laid out as:
     config.json      resolved config snapshot, written before any compute
     loss.csv         one row per step (see LOSS_CSV_HEADER)
     checkpoints/     step-tagged checkpoints plus final.ckpt
@@ -262,8 +262,6 @@ def train_step(net, opt, batch, t, cfg):
 class TrainResult:
     net: DualDecoderNet
     rows: list
-    out_dir: Path | None
-    summary: dict
 
 
 def _format_row(step, breakdown):
@@ -271,18 +269,18 @@ def _format_row(step, breakdown):
         + [LOSS_SCHEMA]
 
 
-def _save_training_checkpoint(path, net, opt, rng, next_step, cfg_hash):
-    extras = {f"momentum/{p.name}": p.momentum for p in opt.params}
+def _save_training_checkpoint(path, net, rng, next_step, cfg_hash):
     meta = {"step": next_step, "rng_state": rng.bit_generator.state,
             "config_hash": cfg_hash}
-    save_checkpoint(path, net, extra_tensors=extras, meta=meta)
+    save_checkpoint(path, net, meta=meta)
 
 
 def resume_state(path, cfg, rng):
-    """Load a checkpoint to resume from; returns (net, next step) and sets
-    ``rng`` to the checkpointed batch RNG state.  Enforces matching config
-    and checks the step and RNG state before anything is written."""
-    net, tensors, meta = net_from_checkpoint(path)
+    """Load a checkpoint to resume from, momentum buffers included; returns
+    (net, next step) and sets ``rng`` to the checkpointed batch RNG state.
+    Enforces matching config and checks the step and RNG state before
+    anything is written."""
+    net, _, meta = net_from_checkpoint(path)
     if meta.get("config_hash") != config_hash(cfg):
         raise ConfigError("checkpoint was produced by a different config; "
                           "refusing to resume")
@@ -298,14 +296,6 @@ def resume_state(path, cfg, rng):
     if step == cfg.t_max:
         raise ConfigError(f"{path}: run already finished at step {step} "
                           f"(t_max {cfg.t_max}); nothing to resume")
-    for p in net.parameters():
-        mom = tensors.get(f"momentum/{p.name}")
-        if mom is None:
-            raise FileFormatError(f"{path}: momentum/{p.name} is missing")
-        if mom.shape != p.data.shape:
-            raise FileFormatError(f"{path}: momentum/{p.name} has shape "
-                                  f"{mom.shape}, expected {p.data.shape}")
-        p.momentum = np.ascontiguousarray(mom, dtype=np.float64)
     return net, step
 
 
@@ -330,7 +320,7 @@ def _kept_loss_csv(path, t_start):
     return sum(len(line) for line in lines[:1 + t_start])
 
 
-def _open_loss_csv(path, kept=None):
+def _open_loss_csv(path, kept):
     """Open a run's loss.csv, the one file not written whole through
     ``_write_atomic``, as an append stream: a new log with its header, or a
     resumed one cut to its first ``kept`` bytes (``_kept_loss_csv``)."""
@@ -343,14 +333,15 @@ def _open_loss_csv(path, kept=None):
     return csv_file
 
 
-def train_loop(split, cfg, out_dir=None, resume_from=None):
-    """Run cfg.t_max optimization steps; returns the trained network.
+def train_loop(split, cfg, out_dir, resume_from=None):
+    """Run cfg.t_max optimization steps into the run directory ``out_dir``;
+    returns the trained network and its loss rows.
 
-    With ``out_dir`` set, writes the config snapshot first, then the
-    per-step loss CSV, cadenced checkpoints, and a final summary.  With
-    ``resume_from`` too, ``out_dir`` must be the run's own directory: its
-    loss CSV keeps the rows before the checkpoint's step and continues.
-    Both are checked before ``out_dir`` is made or written.
+    Writes the config snapshot first, then the per-step loss CSV, cadenced
+    checkpoints, and the final checkpoint and summary.  With
+    ``resume_from``, ``out_dir`` must be the run's own directory: its loss
+    CSV keeps the rows before the checkpoint's step and continues.  Both
+    are checked before ``out_dir`` is made or written.
     """
     check_pools(split, cfg)
     cfg_hash = config_hash(cfg)
@@ -362,48 +353,39 @@ def train_loop(split, cfg, out_dir=None, resume_from=None):
         t_start = 0
     opt = SGD(net.parameters())
 
-    writer = csv_file = ckpt_dir = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        kept = (None if resume_from is None
-                else _kept_loss_csv(out_dir / "loss.csv", t_start))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic({out_dir / "config.json":
-                       json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n"})
-        ckpt_dir = out_dir / "checkpoints"
-        ckpt_dir.mkdir(exist_ok=True)
-        csv_file = _open_loss_csv(out_dir / "loss.csv", kept)
-        writer = csv.writer(csv_file)
+    out_dir = Path(out_dir)
+    kept = (None if resume_from is None
+            else _kept_loss_csv(out_dir / "loss.csv", t_start))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic({out_dir / "config.json":
+                   json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n"})
+    ckpt_dir = out_dir / "checkpoints"
+    ckpt_dir.mkdir(exist_ok=True)
 
     rows = []
     started = time.perf_counter()
-    try:
+    with _open_loss_csv(out_dir / "loss.csv", kept) as csv_file:
+        writer = csv.writer(csv_file)
         for t in range(t_start, cfg.t_max):
             batch = sample_batch(split, cfg, rng)
             breakdown = train_step(net, opt, batch, t, cfg)
             rows.append((t,) + breakdown.csv_values())
-            if writer is not None:
-                writer.writerow(_format_row(t, breakdown))
-            if ckpt_dir is not None and (t + 1) % cfg.checkpoint_every == 0:
+            writer.writerow(_format_row(t, breakdown))
+            if (t + 1) % cfg.checkpoint_every == 0:
                 # a resume from this checkpoint needs every earlier row on disk
                 csv_file.flush()
                 os.fsync(csv_file.fileno())
                 _save_training_checkpoint(ckpt_dir / f"step_{t + 1:06d}.ckpt",
-                                          net, opt, rng, t + 1, cfg_hash)
-    finally:
-        if csv_file is not None:
-            csv_file.close()
+                                          net, rng, t + 1, cfg_hash)
 
     wall = time.perf_counter() - started
     summary = {"schema": "summary_v1", "seed": cfg.seed,
                "config_hash": cfg_hash,
                "backend": kernels.BACKEND, "steps_run": cfg.t_max - t_start,
                "wall_seconds": wall,
-               "final": dict(zip(LOSS_CSV_HEADER[1:-1], rows[-1][1:])) if rows
-               else None}
-    if out_dir is not None:
-        _save_training_checkpoint(ckpt_dir / "final.ckpt", net, opt, rng,
-                                  cfg.t_max, cfg_hash)
-        _write_atomic({out_dir / "summary.json":
-                       json.dumps(summary, indent=1) + "\n"})
-    return TrainResult(net=net, rows=rows, out_dir=out_dir, summary=summary)
+               "final": dict(zip(LOSS_CSV_HEADER[1:-1], rows[-1][1:]))}
+    _save_training_checkpoint(ckpt_dir / "final.ckpt", net, rng, cfg.t_max,
+                              cfg_hash)
+    _write_atomic({out_dir / "summary.json":
+                   json.dumps(summary, indent=1) + "\n"})
+    return TrainResult(net=net, rows=rows)

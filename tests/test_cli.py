@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import shutil
 from dataclasses import asdict, fields
@@ -208,6 +209,10 @@ BAD_CHECKPOINT_HEADERS = [
     ("invalid-network-value", lambda h: {**h, "network": {**h["network"], "rank": 4}}),
     ("meta-not-object", lambda h: {**h, "meta": []}),
     ("removed-network-keys", _with_removed_network_keys),
+    ("no-params", lambda h: _without_tensors(h, "param/")),
+    ("no-momentum", lambda h: _without_tensors(h, "momentum/")),
+    ("momentum-flattened",
+     lambda h: _flatten_entry(h, "momentum/enc.stem.kernel")),
 ]
 
 
@@ -472,6 +477,25 @@ def _flip_last_byte(path):
     path.write_bytes(bytes(blob))
 
 
+def _replace_volume(name, arr):
+    """Rewrite the dataset's volume ``name`` as ``arr``, with its manifest
+    digest updated, so that only the volume's content is at fault."""
+    def apply(image):
+        volume = image.with_name(name)
+        write_array(volume, arr, (1.0,) * arr.ndim)
+        manifest = image.parents[1] / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["digests"][name] = hashlib.sha256(volume.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(doc))
+    return apply
+
+
+def _with_nan(shape):
+    arr = np.zeros(shape, np.float32)
+    arr[(1,) * len(shape)] = np.nan
+    return arr
+
+
 ALL_COMMANDS = ("train", "eval", "ablate", "sweep-rho")
 # (id, manifest edit, volume damage, category, commands the defect stops);
 # a command left out does not use the pool the defect empties
@@ -492,6 +516,13 @@ DATASET_DEFECTS = [
      None, "io", ALL_COMMANDS),
     ("digest-mismatch", None, _flip_last_byte, "data", ALL_COMMANDS),
     ("missing-volume", None, lambda path: path.unlink(), "data", ALL_COMMANDS),
+    # case_0000 is labeled; the dataset's volumes are 16x16
+    ("mask-not-the-image-shape", None,
+     _replace_volume("case_0000.mask.vol", np.zeros((8, 8), np.uint8)), "data",
+     ALL_COMMANDS),
+    ("image-not-finite", None,
+     _replace_volume("case_0000.image.vol", _with_nan((16, 16))), "data",
+     ALL_COMMANDS),
 ]
 DEFECT_CASES = [(f"{defect}-{command}", command, *case)
                 for defect, *case, commands in DATASET_DEFECTS
@@ -999,6 +1030,22 @@ def test_export_maps_mask_with_image_is_a_config_error(tmp_path, capsys):
     _assert_config_error_before_out(capsys, code, out)
 
 
+@pytest.mark.parametrize("shape", [(24,), (4, 4, 4, 4)], ids=["1d", "4d"])
+def test_export_maps_mask_not_2d_or_3d_stops_before_out(tmp_path, capsys,
+                                                        shape):
+    write_array(tmp_path / "mask.vol", np.ones(shape, np.uint8),
+                (1.0,) * len(shape))
+    out = tmp_path / "maps"
+    capsys.readouterr()
+    code = run(["export-maps", "--mask", str(tmp_path / "mask.vol"),
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=shape message=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_export_maps_requires_one_source(tmp_path, capsys):
     code = run(["export-maps", "--out", str(tmp_path / "m")])
     assert code != 0
@@ -1017,6 +1064,22 @@ def test_export_maps_from_checkpoint(dataset, tmp_path):
     assert code == 0
     assert (out / "weights_rho2.vol").exists()
     assert (out / "sdm_slice.pgm").exists()
+
+
+def test_export_maps_of_a_non_finite_image_stops_before_out(
+        four_step_run, tmp_path, capsys):
+    write_array(tmp_path / "image.vol", _with_nan((16, 16)), (1.0, 1.0))
+    out = tmp_path / "maps"
+    capsys.readouterr()
+    code = run(["export-maps", "--checkpoint",
+                str(four_step_run / "checkpoints" / "final.ckpt"), "--image",
+                str(tmp_path / "image.vol"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=data message=")
+    assert "non-finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_export_maps_from_checkpoint_is_decoder_one_sdm(dataset, tmp_path):

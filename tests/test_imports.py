@@ -1,7 +1,8 @@
 """Every imported name is used in the module that imports it, ``geoseg``
 loads scipy only inside the functions that call it, ``tensor`` is the one
-module that imports thread synchronisation, and the worker thread starts
-only when training or a multi-batch inference needs it."""
+module that imports thread synchronisation, ``network`` the one that names
+a checkpoint's tensors, and the worker thread starts only when training or
+a multi-batch inference needs it."""
 
 import ast
 import json
@@ -119,6 +120,30 @@ def test_only_tensor_synchronises_threads():
     # the lanes join through tensor.fork alone
     assert [p.name for p in SRC if imported_packages(p.read_text())
             & {"threading", "concurrent"}] == ["tensor.py"]
+
+
+def string_prefixes(source, prefixes):
+    """(line, text) of each string literal in ``source``, the constant
+    parts of f-strings included, that starts with one of ``prefixes``."""
+    return sorted((node.lineno, node.value)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.startswith(prefixes))
+
+
+def test_scanner_sees_string_prefixes():
+    # an f-string's constant parts are scanned wherever they stand
+    source = ('a = "param/x"\nb = f"momentum/{a}"\nc = "x param/"\n'
+              'd = f"{a}param/"\n')
+    assert string_prefixes(source, ("param/", "momentum/")) == \
+        [(1, "param/x"), (2, "momentum/"), (4, "param/")]
+
+
+def test_only_network_names_checkpoint_tensors():
+    # network.state_tensors and load_state own a checkpoint's tensor names
+    assert [p.name for p in SRC if string_prefixes(
+        p.read_text(), ("param/", "momentum/"))] == ["network.py"]
 
 
 def test_cli_import_loads_scipy_only_for_the_first_phantom():

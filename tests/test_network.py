@@ -199,38 +199,41 @@ def test_default_train_step_records_125_graph_nodes():
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
+    # parameters and non-zero momentum buffers come back bit for bit
     net = small_net(seed=12)
+    for p in net.parameters():
+        p.momentum = rng.standard_normal(p.data.shape)
     path = tmp_path / "net.ckpt"
-    save_checkpoint(path, net, extra_tensors={"extra/rngish": np.arange(4)},
-                    meta={"step": 3})
-    config, tensors, meta = load_checkpoint(path)
+    save_checkpoint(path, net, meta={"step": 3})
+    config, _, meta = load_checkpoint(path)
     assert config == net.config
     assert meta["step"] == 3
-    np.testing.assert_array_equal(tensors["extra/rngish"], np.arange(4))
     restored, _, _ = net_from_checkpoint(path)
-    for name in net.params:
-        np.testing.assert_array_equal(restored.params[name].data,
-                                      net.params[name].data)
+    for name, p in net.params.items():
+        q = restored.params[name]
+        assert q.data.tobytes() == p.data.tobytes()
+        assert q.momentum.tobytes() == p.momentum.tobytes()
+        assert not q.grad.any()
 
 
 def test_checkpoint_bytes_keep_the_version_1_layout(tmp_path):
     # the version-1 container layout stands: the header keys come in the
     # same order and the payload bytes are what earlier versions wrote; the
     # digest also pins the header's network config, which no longer has
-    # in_channels or normalization, so checkpoints that do fail to load
+    # in_channels or normalization, so checkpoints that do fail to load;
+    # the payload is every parameter, then every momentum buffer
     net = DualDecoderNet(NetworkConfig(width=2, depth=1))
     path = tmp_path / "n.ckpt"
-    save_checkpoint(path, net, meta={"step": 3},
-                    extra_tensors={"extra/u8": np.arange(3, dtype=np.uint8)})
+    save_checkpoint(path, net, meta={"step": 3})
     blob = path.read_bytes()
     hlen = int.from_bytes(blob[:8], "little")
     assert hashlib.sha256(blob[:8 + hlen]).hexdigest() == \
-        "ab3232578403ab7b36adb23f144dfe41c37ba34a3d8632ca2229af9a2b8d6814"
+        "d2ec4f27ff4c131975c7ede16ef2f9e398560ad0d46d8dcf2ab0e80bb7286dc0"
     assert list(json.loads(blob[8:8 + hlen])) == \
         ["format", "version", "network", "meta", "tensors"]
-    tensors = [p.data.astype("<f8") for p in net.params.values()]
-    assert blob[8 + hlen:] == b"".join(t.tobytes() for t in tensors) + \
-        bytes([0, 1, 2])
+    tensors = [p.data.astype("<f8") for p in net.params.values()] + \
+        [p.momentum.astype("<f8") for p in net.params.values()]
+    assert blob[8 + hlen:] == b"".join(t.tobytes() for t in tensors)
 
 
 def test_checkpoint_restored_net_same_forward(tmp_path):

@@ -1,5 +1,6 @@
 """Batch assembly, augmentation, schedules, and the training loop."""
 
+import shutil
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -247,19 +248,25 @@ def test_train_loop_row_count_and_lambda_column(split, tmp_path):
     assert (tmp_path / "run" / "summary.json").exists()
 
 
-def test_train_loop_deterministic_rows(split):
+def test_train_loop_deterministic_rows(split, tmp_path):
     cfg = tiny_config(t_max=4)
-    a = train_loop(split, cfg).rows
-    b = train_loop(split, cfg).rows
+    a = train_loop(split, cfg, tmp_path / "a").rows
+    b = train_loop(split, cfg, tmp_path / "b").rows
     assert a == b
 
 
 def test_resume_matches_unbroken_run(split, tmp_path):
+    # a copy of the run resumed from its step-4 checkpoint writes the same
+    # loss.csv and final checkpoint bytes as the unbroken run
     cfg = tiny_config(t_max=8, checkpoint_every=4)
-    full = train_loop(split, cfg, out_dir=tmp_path / "full")
-    ckpt = tmp_path / "full" / "checkpoints" / "step_000004.ckpt"
-    resumed = train_loop(split, cfg, resume_from=ckpt)
+    full = train_loop(split, cfg, tmp_path / "full")
+    shutil.copytree(tmp_path / "full", tmp_path / "resumed")
+    ckpt = tmp_path / "resumed" / "checkpoints" / "step_000004.ckpt"
+    resumed = train_loop(split, cfg, tmp_path / "resumed", resume_from=ckpt)
     assert resumed.rows == full.rows[4:]
+    for name in ("loss.csv", "checkpoints/final.ckpt"):
+        assert (tmp_path / "resumed" / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes()
 
 
 def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
@@ -267,7 +274,7 @@ def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
     # a crash after any checkpoint must leave the rows a resume from it needs
     on_disk = {}
 
-    def save(path, net, extra_tensors=None, meta=None):
+    def save(path, net, meta=None):
         lines = (tmp_path / "run" / "loss.csv").read_text().splitlines()
         on_disk[meta["step"]] = [line.split(",", 1)[0] for line in lines[1:]]
 
@@ -277,7 +284,7 @@ def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
     assert on_disk == {step: [str(t) for t in range(step)] for step in (2, 4)}
 
 
-def test_supervised_overfit_sanity(split):
+def test_supervised_overfit_sanity(split, tmp_path):
     # one labeled item, supervised-only: the segmentation loss must at least
     # halve over 200 steps on this tiny net
     cfg = tiny_config(t_max=200, labeled_per_batch=1, unlabeled_per_batch=0,
@@ -285,7 +292,7 @@ def test_supervised_overfit_sanity(split):
                       loss=LossConfig(consistency="none", k=20.0))
     one = type("S", (), {"labeled": split.labeled[:1], "unlabeled": [],
                          "test": []})()
-    result = train_loop(one, cfg)
+    result = train_loop(one, cfg, tmp_path / "run")
     first = np.mean([r[1] for r in result.rows[:10]])
     last = np.mean([r[1] for r in result.rows[-10:]])
     assert last < 0.5 * first, f"L_seg {first:.4f} -> {last:.4f}"
