@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PhantomParams, _write_atomic, _write_csv, build_dataset, \
-    check_build, load_manifest, load_split, read_array, write_array
+from .data import SPLITS, PhantomParams, _write_atomic, _write_csv, \
+    build_dataset, check_build, load_manifest, load_split, read_array, \
+    write_array
 from .errors import ConfigError, DataError, GeoSegError, ShapeError
 from .geometry import boundary_weights, sdm_target
 from .inference import METRICS, check_window, evaluate, mean_defined, \
@@ -113,8 +114,10 @@ def _resolve_train_config(args, seed=None):
 
 def _load_dataset(path, cfg=None, needs_test=False):
     """The dataset at ``path`` as (shape, split); its pools must fill
-    ``cfg``'s batches and, with ``needs_test``, it must have test records."""
-    manifest = load_manifest(path)
+    ``cfg``'s batches and, with ``needs_test``, it must have test records.
+    Without ``cfg`` nothing trains on it, so only its test volumes are
+    read."""
+    manifest = load_manifest(path, SPLITS if cfg is not None else ("test",))
     split = load_split(manifest)
     if cfg is not None:
         check_pools(split, cfg)

@@ -15,9 +15,10 @@ mid-write leaves the previous file in place.
 A dataset is a directory with a manifest: labeled-train and test records
 reference their masks, unlabeled-train masks are written to a sealed
 ``audit/`` directory that the manifest never mentions.  Loading a dataset
-checks the whole manifest, then reads and digest-checks every volume it
-lists once; each loaded record carries its arrays, and ``load_split`` only
-groups the records by split.  scipy is imported on the first phantom, so
+checks the whole manifest, then reads and digest-checks once every volume
+of the splits asked for (``eval`` asks for the test split alone); each
+loaded record carries its arrays, and ``load_split`` only groups the
+records by split.  scipy is imported on the first phantom, so
 the commands that build none do not load it.
 """
 
@@ -416,11 +417,12 @@ def _check_manifest(path, doc):
                               f"not match its records' split tags {counts}")
 
 
-def load_manifest(path):
+def load_manifest(path, splits=SPLITS):
     """The dataset at ``path`` (its directory or its manifest.json): the
-    manifest is checked whole, then each volume it lists is read once; a
-    volume must exist, its bytes must match the manifest's digest and its
-    shape must be the manifest's."""
+    manifest is checked whole, then each volume of the records of
+    ``splits`` is read once, and only those records are loaded; a volume
+    must exist, its bytes must match the manifest's digest and its shape
+    must be the manifest's."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -444,7 +446,7 @@ def load_manifest(path):
 
     records = [VolumeRecord(r["case_id"], r["split"], read(r["image"]),
                             None if r["mask"] is None else read(r["mask"]))
-               for r in doc["records"]]
+               for r in doc["records"] if r["split"] in splits]
     return Manifest(shape=shape, records=records)
 
 

@@ -24,6 +24,16 @@ backward that reaches a released node raises ``GeoSegError`` before it
 changes any gradient.  An instance-norm node saves no normalized copy:
 it holds its operand's data, which the operand's node holds anyway, and
 two numbers per (item, channel), and its backward rebuilds the rest.
+A padded copy adopts its source: once ``conv_nd`` has copied its input
+into its zero-padded array, or ``concat_padded`` its first operand into
+the concatenation, the source node's ``data`` becomes the view of that
+copy, which the graph holds anyway, so the two are one array.  Nothing
+writes into an operation node's data, so the view stays equal to the
+array it replaced.  Only an operation node of the caller's lane is
+rebound, and only while a graph is recorded: leaves, ``no_grad`` results
+and the other lane's nodes keep their arrays.  ``concat_padded`` leaves
+its later operands, the network's skips, alone: other layers read them,
+and a view would pin the concatenation until their backward.
 
 Two lanes.  ``fork`` runs one function on a second thread, the worker,
 while another runs on the caller's thread, and returns once both have
@@ -133,6 +143,13 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def _adopt(t, copy):
+    # rebind t's data to ``copy``, an equal array that the graph holds,
+    # when t is an operation node of this lane (see "Release")
+    if _grad_enabled and t._backward is not None and t._lane == _lane.index:
+        t.data = copy
 
 
 def _scalar(x):
@@ -432,7 +449,8 @@ def concat_padded(tensors):
     result zero-padded by one voxel on both sides of every spatial axis, as
     ``conv_nd`` pads its input at ``padding=1``: a 3x3 convolution at
     ``padding=0`` then reads the result itself instead of a padded copy of
-    it.  The gradient's interior splits back to the operands."""
+    it.  The gradient's interior splits back to the operands.  The first
+    operand adopts its copy (see "Release" above)."""
     datas = [t.data for t in tensors]
     base = list(datas[0].shape)
     for d in datas[1:]:
@@ -444,6 +462,7 @@ def concat_padded(tensors):
     inner = (slice(None),) * 2 + tuple(slice(1, n + 1) for n in base[2:])
     out = np.zeros([base[0], sum(sizes)] + [n + 2 for n in base[2:]])
     np.concatenate(datas, axis=1, out=out[inner])
+    _adopt(tensors[0], out[(slice(None), slice(0, sizes[0])) + inner[2:]])
 
     def backward(g):
         return tuple(np.ascontiguousarray(p)
@@ -502,7 +521,17 @@ def instance_norm_relu(t):
     x = t.data.reshape(shape[:2] + (-1,))
     mu = x.mean(axis=2, keepdims=True)
     y = x - mu
-    inv = 1.0 / np.sqrt((y * y).mean(axis=2, keepdims=True) + _NORM_EPS)
+    # the variance one item at a time, so that the square of one item, not
+    # of the batch, lives next to y; each row's sum, then its division by
+    # the row's length, are np.mean's own steps
+    var = np.empty(shape[:2] + (1,))
+    square = np.empty(y.shape[1:])
+    for yi, vi in zip(y, var):
+        np.add.reduce(np.multiply(yi, yi, out=square), axis=1, keepdims=True,
+                      out=vi)
+    del square  # gone before `y *= inv` allocates its broadcast buffer
+    var /= y.shape[2]
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     y *= inv
 
     def backward(g):
@@ -581,6 +610,7 @@ def conv_nd(x, kernel, bias=None, stride=1, padding=0):
     if any(padding):
         xp = np.zeros(x.shape[:2] + padded_spatial)
         xp[inner] = x.data
+        _adopt(x, xp[inner])
     kd = kernel.data
 
     def grads(g):

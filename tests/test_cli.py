@@ -471,21 +471,28 @@ def _edit_first(split, edit):
     return apply
 
 
-def _flip_last_byte(path):
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF
-    path.write_bytes(bytes(blob))
+def _flip_last_byte(name):
+    """Flip the last byte of the dataset's volume ``name``."""
+    def apply(volumes):
+        blob = bytearray((volumes / name).read_bytes())
+        blob[-1] ^= 0xFF
+        (volumes / name).write_bytes(bytes(blob))
+    return apply
+
+
+def _delete(name):
+    return lambda volumes: (volumes / name).unlink()
 
 
 def _replace_volume(name, arr):
     """Rewrite the dataset's volume ``name`` as ``arr``, with its manifest
     digest updated, so that only the volume's content is at fault."""
-    def apply(image):
-        volume = image.with_name(name)
-        write_array(volume, arr, (1.0,) * arr.ndim)
-        manifest = image.parents[1] / "manifest.json"
+    def apply(volumes):
+        write_array(volumes / name, arr, (1.0,) * arr.ndim)
+        manifest = volumes.parent / "manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["digests"][name] = hashlib.sha256(volume.read_bytes()).hexdigest()
+        doc["digests"][name] = hashlib.sha256(
+            (volumes / name).read_bytes()).hexdigest()
         manifest.write_text(json.dumps(doc))
     return apply
 
@@ -497,31 +504,45 @@ def _with_nan(shape):
 
 
 ALL_COMMANDS = ("train", "eval", "ablate", "sweep-rho")
+TRAINING_COMMANDS = ("train", "ablate", "sweep-rho")
 # (id, manifest edit, volume damage, category, commands the defect stops);
-# a command left out does not use the pool the defect empties
+# a command left out does not use the pool the defect empties or damages:
+# eval reads the test records' volumes alone.  case_0000 is labeled and
+# case_0004 the test case; the dataset's volumes are 16x16
 DATASET_DEFECTS = [
     ("unknown-split-tag", _edit_first("test", lambda r: {**r, "split": "val"}),
      None, "io", ALL_COMMANDS),
     ("no-test-records", _drop_split("test"), None, "data",
      ("eval", "ablate", "sweep-rho")),
     ("empty-unlabeled-pool", _drop_split("unlabeled-train"), None, "data",
-     ("train", "ablate", "sweep-rho")),
+     TRAINING_COMMANDS),
     ("no-labeled-records", _drop_split("labeled-train"), None, "data",
-     ("train", "ablate", "sweep-rho")),
+     TRAINING_COMMANDS),
     ("test-record-without-mask", _edit_first("test", lambda r: {**r, "mask": None}),
      None, "io", ALL_COMMANDS),
     ("unlabeled-record-with-mask",
      _edit_first("unlabeled-train",
                  lambda r: {**r, "mask": "case_0000.mask.vol"}),
      None, "io", ALL_COMMANDS),
-    ("digest-mismatch", None, _flip_last_byte, "data", ALL_COMMANDS),
-    ("missing-volume", None, lambda path: path.unlink(), "data", ALL_COMMANDS),
-    # case_0000 is labeled; the dataset's volumes are 16x16
+    ("digest-mismatch", None, _flip_last_byte("case_0000.image.vol"), "data",
+     TRAINING_COMMANDS),
+    ("missing-volume", None, _delete("case_0000.image.vol"), "data",
+     TRAINING_COMMANDS),
     ("mask-not-the-image-shape", None,
      _replace_volume("case_0000.mask.vol", np.zeros((8, 8), np.uint8)), "data",
-     ALL_COMMANDS),
+     TRAINING_COMMANDS),
     ("image-not-finite", None,
      _replace_volume("case_0000.image.vol", _with_nan((16, 16))), "data",
+     TRAINING_COMMANDS),
+    ("test-digest-mismatch", None, _flip_last_byte("case_0004.image.vol"),
+     "data", ALL_COMMANDS),
+    ("test-volume-missing", None, _delete("case_0004.mask.vol"), "data",
+     ALL_COMMANDS),
+    ("test-mask-not-the-image-shape", None,
+     _replace_volume("case_0004.mask.vol", np.zeros((8, 8), np.uint8)), "data",
+     ALL_COMMANDS),
+    ("test-image-not-finite", None,
+     _replace_volume("case_0004.image.vol", _with_nan((16, 16))), "data",
      ALL_COMMANDS),
 ]
 DEFECT_CASES = [(f"{defect}-{command}", command, *case)
@@ -541,7 +562,7 @@ def test_dataset_defect_stops_the_command_before_out(
         manifest = data / "manifest.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
     if damage is not None:
-        damage(data / "volumes" / "case_0000.image.vol")
+        damage(data / "volumes")
     out = tmp_path / "out"
     flags = {"train": TINY, "ablate": TINY + ["--seeds", "0"],
              "sweep-rho": TINY + ["--values", "2", "--seeds", "0"],
@@ -555,6 +576,27 @@ def test_dataset_defect_stops_the_command_before_out(
     assert err.startswith(f"error category={category} message=")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_eval_reads_only_the_test_volumes(dataset, four_step_run, tmp_path):
+    # every training volume gone, the manifest intact: eval writes the
+    # metrics of the whole dataset
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    for record in doc["records"]:
+        if record["split"] != "test":
+            for name in (record["image"], record["mask"]):
+                if name is not None:
+                    (data / "volumes" / name).unlink()
+    checkpoint = ["--checkpoint",
+                  str(four_step_run / "checkpoints" / "final.ckpt")]
+    for source, out in ((dataset, "whole"), (data, "test-only")):
+        assert run(["eval", "--manifest", str(source),
+                    "--out", str(tmp_path / out)] + checkpoint) == 0
+    for name in ("metrics.csv", "metrics.json"):
+        assert (tmp_path / "test-only" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
 
 
 # (id, flags that override TINY's, config file, error text); the

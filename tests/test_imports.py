@@ -1,8 +1,9 @@
 """Every imported name is used in the module that imports it, ``geoseg``
 loads scipy only inside the functions that call it, ``tensor`` is the one
-module that imports thread synchronisation, ``network`` the one that names
-a checkpoint's tensors, and the worker thread starts only when training or
-a multi-batch inference needs it."""
+module that imports thread synchronisation and the one that binds a
+tensor's ``data``, ``network`` the one that names a checkpoint's tensors,
+and the worker thread starts only when training or a multi-batch inference
+needs it."""
 
 import ast
 import json
@@ -144,6 +145,37 @@ def test_only_network_names_checkpoint_tensors():
     # network.state_tensors and load_state own a checkpoint's tensor names
     assert [p.name for p in SRC if string_prefixes(
         p.read_text(), ("param/", "momentum/"))] == ["network.py"]
+
+
+def data_bindings(source):
+    """Line of each place in ``source`` that binds a ``data`` attribute: a
+    ``.data`` assignment, augmented, annotated or unpacked target, or a
+    ``setattr`` call that names "data"."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "data"
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "data"))
+
+
+def test_scanner_sees_data_bindings():
+    # writes into a data array, reads and other attributes are not bindings
+    source = ("t.data = 1\nt.data += 1\na, t.data = 1, 2\n"
+              "for u.data in x: pass\nsetattr(t, 'data', 1)\n"
+              "t.data[0] = 1\ny = t.data\nd[t.data] = 1\nt.other = 1\n"
+              "setattr(t, name, 1)\nt.x.data: int = 3\n")
+    assert data_bindings(source) == [1, 2, 3, 4, 5, 11]
+
+
+def test_only_tensor_binds_a_tensors_data():
+    # a padded copy adopting its source is the one rebinding of a node's
+    # data (tensor.py's "Release"); a checkpoint is copied into each
+    # parameter's own array
+    assert [p.name for p in SRC if data_bindings(p.read_text())] \
+        == ["tensor.py"]
 
 
 def test_cli_import_loads_scipy_only_for_the_first_phantom():

@@ -2,7 +2,8 @@
 backward, with gradients bit-identical to one thread's walk, the second
 tile batch of each pair of an eval case runs there too, a failure in
 either lane ends both and reaches the caller.  The backward releases each
-node as it goes, so a training step keeps no node once it returns."""
+node as it goes, so a training step keeps no node once it returns, and a
+padded copy adopts the array it copies, so a step holds each once."""
 
 import gc
 import os
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import geoseg
-from geoseg import inference, network, tensor, training
+from geoseg import inference, kernels, network, tensor, training
 from geoseg.cli import main
 from geoseg.data import VolumeRecord
 from geoseg.errors import GeoSegError, TrainingAbort
@@ -223,15 +224,11 @@ def test_a_step_keeps_no_node_once_it_returns(monkeypatch):
     assert breakdown.total is None
 
 
-def test_a_default_step_frees_its_graph_as_its_backward_runs():
-    # a default 2+2, 64x64 step, after one warm-up step: with its whole graph
-    # alive until the walk ended and the next step began, it peaked at
-    # 77.1 MiB of arrays and held 75.8 MiB after it returned; released node
-    # by node it peaked at 45.3-45.5 MiB, and at 36.8 MiB once the norm
-    # nodes saved no normalized copy
-    cfg = TrainConfig()
+def _step_memory(cfg, extent):
+    """(held, peak) bytes of live arrays over a default 2+2 step of
+    ``cfg``, after one warm-up step."""
     net = DualDecoderNet(cfg.network)
-    opt, batch = SGD(net.parameters()), make_batch(2, 64)
+    opt, batch = SGD(net.parameters()), make_batch(cfg.network.rank, extent)
     train_step(net, opt, batch, 0, cfg)
     tracemalloc.start()
     try:
@@ -240,8 +237,118 @@ def test_a_default_step_frees_its_graph_as_its_backward_runs():
     finally:
         tracemalloc.stop()
     assert breakdown.total is None
+    return held, peak
+
+
+def test_a_default_step_frees_its_graph_as_its_backward_runs():
+    # a default 2+2, 64x64 step, after one warm-up step: with its whole graph
+    # alive until the walk ended and the next step began, it peaked at
+    # 77.1 MiB of arrays and held 75.8 MiB after it returned; released node
+    # by node it peaked at 45.3-45.5 MiB, at 36.8-37.1 MiB once the norm
+    # nodes saved no normalized copy, and at 32.5-32.8 MiB once padded
+    # copies adopted their sources; the bound leaves about 10%
+    held, peak = _step_memory(TrainConfig(), 64)
     assert held < 2**20
-    assert peak <= 41 * 2**20
+    assert peak <= 36 * 2**20
+
+
+def test_a_default_3d_step_holds_each_activation_once():
+    # a 2+2, 16^3 wgc step at the default width and depth peaked at
+    # 33.6 MiB of arrays while each block input and up-path norm output
+    # lived next to its padded copy, and at 30.7 MiB once the copies
+    # adopted them; the bound leaves about 7%
+    cfg = TrainConfig(crop=(16,) * 3, network=NetworkConfig(rank=3))
+    held, peak = _step_memory(cfg, 16)
+    assert held < 2**20
+    assert peak <= 33 * 2**20
+
+
+def _traced(monkeypatch, net, run):
+    """``run()``, a pass of ``net``, with every conv layer's operands
+    recorded as {layer: [(operand, its data at the call), ...]} (a merge
+    conv's are its concat's operands) and the array that each ``conv_nd``
+    kernel read as {layer: array}."""
+    operands, reads, concats = {}, {}, {}
+    layer = {id(p.data): name.removesuffix(".kernel")
+             for name, p in net.params.items()}
+    conv_nd, concat_padded = network.conv_nd, network.concat_padded
+    conv_fwd = kernels.conv_fwd
+
+    def traced_conv_nd(t, kernel, *args, **kwargs):
+        operands[kernel.name.removesuffix(".kernel")] = concats.pop(
+            id(t), [(t, t.data)])
+        return conv_nd(t, kernel, *args, **kwargs)
+
+    def traced_concat_padded(tensors):
+        datas = [(t, t.data) for t in tensors]
+        out = concat_padded(tensors)
+        concats[id(out)] = datas
+        return out
+
+    def traced_conv_fwd(xp, kd, stride):
+        reads[layer[id(kd)]] = xp
+        return conv_fwd(xp, kd, stride)
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "conv_nd", traced_conv_nd)
+        m.setattr(network, "concat_padded", traced_concat_padded)
+        m.setattr(kernels, "conv_fwd", traced_conv_fwd)
+        return run(), operands, reads
+
+
+@pytest.mark.parametrize("rank,extent", [(2, 64), (3, 16)], ids=["2d", "3d"])
+def test_a_padded_copy_adopts_the_block_input_or_up_path_output_it_copies(
+        monkeypatch, rank, extent):
+    # a default forward: each block conv's padded input and each merge's
+    # concat hold the one copy of the array they were built from
+    net = DualDecoderNet(NetworkConfig(rank=rank))
+    x = Tensor(rng.standard_normal((4, 1) + (extent,) * rank))
+    _, operands, reads = _traced(monkeypatch, net, lambda: net.forward(x))
+    levels = range(1, net.config.depth + 1)
+    adopters = [f"enc.block{level}" for level in levels] + [
+        f"{dec}.merge{level}" for dec in ("dec1", "dec2") for level in levels]
+    for name in adopters:
+        source, before = operands[name][0]
+        assert np.shares_memory(source.data, reads[name]), name
+        assert source.data.shape == before.shape, name
+    # no other operand is rebound
+    assert {(name, i) for name, ops in operands.items()
+            for i, (t, before) in enumerate(ops) if t.data is not before} \
+        == {(name, 0) for name in adopters}
+
+
+def test_leaves_skips_and_no_grad_tensors_keep_their_arrays(monkeypatch):
+    net = DualDecoderNet(NetworkConfig())
+    params = {name: p.data for name, p in net.params.items()}
+    x = Tensor(rng.standard_normal((4, 1, 64, 64)))
+    image = x.data
+    _, operands, _ = _traced(monkeypatch, net, lambda: net.forward(x))
+    [(stem_input, before)] = operands["enc.stem"]
+    assert stem_input is x and before is image and x.data is image
+    for dec in ("dec1", "dec2"):
+        for level in range(1, net.config.depth + 1):
+            skip, before = operands[f"{dec}.merge{level}"][1]
+            assert skip.data is before, (dec, level)
+    with tensor.no_grad():
+        _, operands, _ = _traced(monkeypatch, net, lambda: net.predict(x))
+    # the stem, 3 downs, 3 blocks, decoder 1's 3 merges and 2 heads
+    assert len(operands) == 12
+    assert [name for name, ops in operands.items()
+            for t, before in ops if t.data is not before] == []
+    assert all(p.data is params[name] for name, p in net.params.items())
+
+
+def test_a_node_is_adopted_only_by_its_own_lane_while_recording():
+    kernel = Parameter(rng.standard_normal((2, 2, 3, 3)))
+    h = Tensor(rng.standard_normal((1, 2, 8, 8)), requires_grad=True) * 1.0
+    before = h.data
+    fork(lambda: None, lambda: tensor.conv_nd(h, kernel, padding=1))
+    with tensor.no_grad():
+        tensor.conv_nd(h, kernel, padding=1)
+        tensor.concat_padded([h, h])
+    assert h.data is before
+    tensor.conv_nd(h, kernel, padding=1)
+    assert h.data is not before and np.array_equal(h.data, before)
 
 
 def test_a_backward_that_reaches_a_released_node_changes_no_gradient():

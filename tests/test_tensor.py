@@ -231,6 +231,20 @@ def test_a_norm_node_keeps_no_second_full_size_array(shape):
     assert held <= 1.1 * t.data.nbytes
 
 
+def test_a_norm_forward_squares_one_item_at_a_time():
+    # the variance's square of one item, not of the batch, lives next to
+    # the output: a peak of 1.253x the operand's bytes, 2.002x with the
+    # batch's square
+    t = Tensor(rng.standard_normal((4, 8, 64, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        instance_norm_relu(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * t.data.nbytes
+
+
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_grad_conv2d(stride, padding):
     x = rng.standard_normal((2, 2, 6, 5))
