@@ -112,16 +112,15 @@ def _resolve_train_config(args, seed=None):
     return config_from_dict(doc)
 
 
-def _load_dataset(path, cfg=None, needs_test=False):
-    """The dataset at ``path`` as (shape, split); its pools must fill
-    ``cfg``'s batches and, with ``needs_test``, it must have test records.
-    Without ``cfg`` nothing trains on it, so only its test volumes are
-    read."""
-    manifest = load_manifest(path, SPLITS if cfg is not None else ("test",))
+def _load_dataset(path, splits, cfg=None):
+    """The dataset at ``path`` as (shape, split), with only the volumes of
+    ``splits`` read; its pools must fill ``cfg``'s batches, and it must
+    have test records if ``splits`` holds the test split."""
+    manifest = load_manifest(path, splits)
     split = load_split(manifest)
     if cfg is not None:
         check_pools(split, cfg)
-    if needs_test and not split.test:
+    if "test" in splits and not split.test:
         raise DataError(f"{path}: the dataset has no test records")
     return manifest.shape, split
 
@@ -177,7 +176,7 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
         raise ConfigError(f"experiment grid repeats run dir(s) {repeated}: "
                           "seeds and members must be distinct")
     # every run shares the base config's batch sizes
-    shape, split = _load_dataset(args.manifest, base, needs_test=True)
+    shape, split = _load_dataset(args.manifest, SPLITS, base)
     out = _check_out(args.out, args.force)
     results = [(label, [_train_and_eval(split, cfg, out / "runs" / run, shape)
                         for run, cfg in member_runs])
@@ -211,7 +210,8 @@ def cmd_build_data(args):
 
 def cmd_train(args):
     cfg = _resolve_train_config(args, args.seed)
-    _, split = _load_dataset(args.manifest, cfg)
+    _, split = _load_dataset(args.manifest,
+                             ("labeled-train", "unlabeled-train"), cfg)
     out = _check_out(args.out, args.force)
     result = train_loop(split, cfg, out_dir=out,
                         resume_from=args.resume_from)
@@ -221,7 +221,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    shape, split = _load_dataset(args.manifest, needs_test=True)
+    shape, split = _load_dataset(args.manifest, ("test",))
     net, _, _ = net_from_checkpoint(args.checkpoint)
     window, stride = _eval_window(args, shape, net)
     out = _check_out(args.out, args.force)

@@ -9,14 +9,15 @@ Volumes and checkpoints share one bit-exact container file: an 8-byte
 little-endian header length, a JSON header (format tag, version, the
 format's own fields, then per-tensor shape/dtype/offset/nbytes), then the
 concatenated little-endian payload.  A volume is a container of one tensor
-with its voxel spacing in the header.  Every artifact but a run's
-``loss.csv`` stream is written through ``_write_atomic``, so a crash
-mid-write leaves the previous file in place.
+with its voxel spacing in the header.  Every artifact is written whole
+through ``_write_atomic``, a run's ``loss.csv`` at each checkpoint and when
+its loop ends, so a crash mid-write leaves the previous file in place.
 A dataset is a directory with a manifest: labeled-train and test records
 reference their masks, unlabeled-train masks are written to a sealed
 ``audit/`` directory that the manifest never mentions.  Loading a dataset
 checks the whole manifest, then reads and digest-checks once every volume
-of the splits asked for (``eval`` asks for the test split alone); each
+of the splits asked for (``train`` asks for the training splits, ``eval``
+for the test split), and checks that each mask holds only 0 and 1; each
 loaded record carries its arrays, and ``load_split`` only groups the
 records by split.  scipy is imported on the first phantom, so
 the commands that build none do not load it.
@@ -422,7 +423,7 @@ def load_manifest(path, splits=SPLITS):
     manifest is checked whole, then each volume of the records of
     ``splits`` is read once, and only those records are loaded; a volume
     must exist, its bytes must match the manifest's digest and its shape
-    must be the manifest's."""
+    must be the manifest's, and a mask must hold only 0 and 1."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -433,7 +434,7 @@ def load_manifest(path, splits=SPLITS):
     _check_manifest(path, doc)
     shape = tuple(doc["shape"])
 
-    def read(name):
+    def read(name, mask=False):
         file = path.parent / "volumes" / name
         if not file.exists():
             raise DataError(f"manifest references missing file {file}")
@@ -442,10 +443,12 @@ def load_manifest(path, splits=SPLITS):
         arr = read_array(file, doc["digests"][name])[0]
         if arr.shape != shape:
             raise DataError(f"{file} has shape {arr.shape}, not {shape}")
+        if mask and not ((arr == 0) | (arr == 1)).all():
+            raise DataError(f"{file}: a mask must hold only 0 and 1")
         return arr
 
     records = [VolumeRecord(r["case_id"], r["split"], read(r["image"]),
-                            None if r["mask"] is None else read(r["mask"]))
+                            None if r["mask"] is None else read(r["mask"], True))
                for r in doc["records"] if r["split"] in splits]
     return Manifest(shape=shape, records=records)
 

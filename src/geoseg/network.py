@@ -30,14 +30,12 @@ run, and released, every layer that reads it (``Tensor.backward``).  A
 merge's concatenation is zero-padded as it is built
 (``tensor.concat_padded``), so its 3x3 convolution makes no padded copy of
 it, and without a graph it is freed before the merge's norm.  One 3-tile
-64x64 ``predict`` at the default config peaks at about 3.5 MiB of arrays,
-against 6.3 MiB when it kept every skip and copied each merge input.  In
-training the concatenation adopts the up path's norm output that it
+64x64 ``predict`` at the default config peaks at about 3.5 MiB of arrays.
+In training the concatenation adopts the up path's norm output that it
 copies, and an encoder block's padded input the down layer's output, so
 each is held once (``tensor``, "Release").  A skip keeps its own array:
 the next down layer and the other decoder read it too.  A default 2+2,
-64x64 training step peaks at about 32.5 MiB of arrays, against 36.8 MiB
-when each lived next to its copy.
+64x64 training step peaks at about 32.5 MiB of arrays.
 
 A checkpoint is one container file of ``data.encode_container`` whose
 header carries the network config and free-form metadata next to every

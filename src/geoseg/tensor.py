@@ -82,7 +82,7 @@ _MALLOPT = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
 
 
 class _Lane(threading.local):
-    # lane of the nodes this thread records: 1 inside fork's side function
+    # lane of the nodes this thread records: 1 on the worker thread
     index = 0
 
 
@@ -106,16 +106,10 @@ def _worker_pool():
             for param, value in _MALLOPT:
                 mallopt(param, value)
         _worker = ThreadPoolExecutor(max_workers=1,
-                                     thread_name_prefix="geoseg-lane1")
+                                     thread_name_prefix="geoseg-lane1",
+                                     initializer=setattr,
+                                     initargs=(_lane, "index", 1))
     return _worker
-
-
-def _in_lane1(fn):
-    _lane.index = 1
-    try:
-        return fn()
-    finally:
-        _lane.index = 0
 
 
 def fork(main_fn, side_fn):
@@ -125,7 +119,7 @@ def fork(main_fn, side_fn):
     for the side function, the call raises once both have ended: the main
     function's error if it raised, else the side function's or the
     interrupt."""
-    future = _worker_pool().submit(_in_lane1, side_fn)
+    future = _worker_pool().submit(side_fn)
     try:
         return main_fn(), future.result()
     except BaseException:

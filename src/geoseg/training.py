@@ -11,16 +11,15 @@ resumed run continues bit-for-bit like an unbroken one.
 
 Every run writes its directory, laid out as:
     config.json      resolved config snapshot, written before any compute
-    loss.csv         one row per step (see LOSS_CSV_HEADER)
+    loss.csv         one row per step (see LOSS_CSV_HEADER), replaced whole
+                     before each checkpoint and when the loop ends
     checkpoints/     step-tagged checkpoints plus final.ckpt
     summary.json     final losses, wall time, seed, config hash
 """
 
-import csv
 import hashlib
 import json
 import numbers
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import _write_atomic
+from .data import _write_atomic, _write_csv
 from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
 from .losses import LossConfig, coerce_float_fields, total_loss
@@ -300,7 +299,7 @@ def resume_state(path, cfg, rng):
 
 
 def _kept_loss_csv(path, t_start):
-    """The length of the header and rows 0..t_start-1 of a loss.csv."""
+    """The header and rows 0..t_start-1 of a loss.csv, as lists of cells."""
     try:
         lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
     except FileNotFoundError:
@@ -317,31 +316,19 @@ def _kept_loss_csv(path, t_start):
             not all(line.endswith("\n") for line in kept):
         raise FileFormatError(f"cannot resume at step {t_start}: {path} does "
                               f"not log steps 0..{t_start - 1} in order")
-    return sum(len(line) for line in lines[:1 + t_start])
-
-
-def _open_loss_csv(path, kept):
-    """Open a run's loss.csv, the one file not written whole through
-    ``_write_atomic``, as an append stream: a new log with its header, or a
-    resumed one cut to its first ``kept`` bytes (``_kept_loss_csv``)."""
-    if kept is None:
-        csv_file = open(path, "w", newline="")
-        csv.writer(csv_file).writerow(LOSS_CSV_HEADER)
-        return csv_file
-    csv_file = open(path, "a", newline="")
-    csv_file.truncate(kept)
-    return csv_file
+    return [line.rstrip("\r\n").split(",") for line in lines[:1 + t_start]]
 
 
 def train_loop(split, cfg, out_dir, resume_from=None):
     """Run cfg.t_max optimization steps into the run directory ``out_dir``;
     returns the trained network and its loss rows.
 
-    Writes the config snapshot first, then the per-step loss CSV, cadenced
-    checkpoints, and the final checkpoint and summary.  With
-    ``resume_from``, ``out_dir`` must be the run's own directory: its loss
-    CSV keeps the rows before the checkpoint's step and continues.  Both
-    are checked before ``out_dir`` is made or written.
+    Writes the config snapshot first, then cadenced checkpoints, each
+    after the loss CSV of every step before it, the loss CSV once more
+    when the loop ends or raises, and the final checkpoint and summary.
+    With ``resume_from``, ``out_dir`` must be the run's own directory: its
+    loss CSV keeps the rows before the checkpoint's step and continues.
+    Both are checked before ``out_dir`` is made or written.
     """
     check_pools(split, cfg)
     cfg_hash = config_hash(cfg)
@@ -354,8 +341,8 @@ def train_loop(split, cfg, out_dir, resume_from=None):
     opt = SGD(net.parameters())
 
     out_dir = Path(out_dir)
-    kept = (None if resume_from is None
-            else _kept_loss_csv(out_dir / "loss.csv", t_start))
+    log = ([LOSS_CSV_HEADER] if resume_from is None
+           else _kept_loss_csv(out_dir / "loss.csv", t_start))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic({out_dir / "config.json":
                    json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n"})
@@ -364,19 +351,20 @@ def train_loop(split, cfg, out_dir, resume_from=None):
 
     rows = []
     started = time.perf_counter()
-    with _open_loss_csv(out_dir / "loss.csv", kept) as csv_file:
-        writer = csv.writer(csv_file)
+    try:
         for t in range(t_start, cfg.t_max):
             batch = sample_batch(split, cfg, rng)
             breakdown = train_step(net, opt, batch, t, cfg)
             rows.append((t,) + breakdown.csv_values())
-            writer.writerow(_format_row(t, breakdown))
+            log.append(_format_row(t, breakdown))
             if (t + 1) % cfg.checkpoint_every == 0:
                 # a resume from this checkpoint needs every earlier row on disk
-                csv_file.flush()
-                os.fsync(csv_file.fileno())
+                _write_csv(out_dir / "loss.csv", log)
                 _save_training_checkpoint(ckpt_dir / f"step_{t + 1:06d}.ckpt",
                                           net, rng, t + 1, cfg_hash)
+    finally:
+        # a run that stops keeps the row of every step it finished
+        _write_csv(out_dir / "loss.csv", log)
 
     wall = time.perf_counter() - started
     summary = {"schema": "summary_v1", "seed": cfg.seed,

@@ -503,17 +503,25 @@ def _with_nan(shape):
     return arr
 
 
+def _square_mask(shape, value):
+    # a mask whose foreground is ``value``, not 1
+    arr = np.zeros(shape, np.uint8)
+    arr[tuple(slice(4, 12) for _ in shape)] = value
+    return arr
+
+
 ALL_COMMANDS = ("train", "eval", "ablate", "sweep-rho")
 TRAINING_COMMANDS = ("train", "ablate", "sweep-rho")
+TEST_COMMANDS = ("eval", "ablate", "sweep-rho")
 # (id, manifest edit, volume damage, category, commands the defect stops);
 # a command left out does not use the pool the defect empties or damages:
-# eval reads the test records' volumes alone.  case_0000 is labeled and
-# case_0004 the test case; the dataset's volumes are 16x16
+# train reads the training records' volumes alone, eval the test records'.
+# case_0000 is labeled and case_0004 the test case; the dataset's volumes
+# are 16x16
 DATASET_DEFECTS = [
     ("unknown-split-tag", _edit_first("test", lambda r: {**r, "split": "val"}),
      None, "io", ALL_COMMANDS),
-    ("no-test-records", _drop_split("test"), None, "data",
-     ("eval", "ablate", "sweep-rho")),
+    ("no-test-records", _drop_split("test"), None, "data", TEST_COMMANDS),
     ("empty-unlabeled-pool", _drop_split("unlabeled-train"), None, "data",
      TRAINING_COMMANDS),
     ("no-labeled-records", _drop_split("labeled-train"), None, "data",
@@ -534,16 +542,22 @@ DATASET_DEFECTS = [
     ("image-not-finite", None,
      _replace_volume("case_0000.image.vol", _with_nan((16, 16))), "data",
      TRAINING_COMMANDS),
+    ("mask-not-binary", None,
+     _replace_volume("case_0000.mask.vol", _square_mask((16, 16), 2)), "data",
+     TRAINING_COMMANDS),
     ("test-digest-mismatch", None, _flip_last_byte("case_0004.image.vol"),
-     "data", ALL_COMMANDS),
+     "data", TEST_COMMANDS),
     ("test-volume-missing", None, _delete("case_0004.mask.vol"), "data",
-     ALL_COMMANDS),
+     TEST_COMMANDS),
     ("test-mask-not-the-image-shape", None,
      _replace_volume("case_0004.mask.vol", np.zeros((8, 8), np.uint8)), "data",
-     ALL_COMMANDS),
+     TEST_COMMANDS),
     ("test-image-not-finite", None,
      _replace_volume("case_0004.image.vol", _with_nan((16, 16))), "data",
-     ALL_COMMANDS),
+     TEST_COMMANDS),
+    ("test-mask-not-binary", None,
+     _replace_volume("case_0004.mask.vol", _square_mask((16, 16), 255)),
+     "data", TEST_COMMANDS),
 ]
 DEFECT_CASES = [(f"{defect}-{command}", command, *case)
                 for defect, *case, commands in DATASET_DEFECTS
@@ -597,6 +611,23 @@ def test_eval_reads_only_the_test_volumes(dataset, four_step_run, tmp_path):
     for name in ("metrics.csv", "metrics.json"):
         assert (tmp_path / "test-only" / name).read_bytes() \
             == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_train_reads_no_test_volume(dataset, tmp_path):
+    # every test volume gone, the manifest intact: train writes the loss
+    # rows of the whole dataset
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    for record in doc["records"]:
+        if record["split"] == "test":
+            for name in (record["image"], record["mask"]):
+                (data / "volumes" / name).unlink()
+    for source, out in ((dataset, "whole"), (data, "no-test")):
+        assert run(["train", "--manifest", str(source),
+                    "--out", str(tmp_path / out)] + TINY) == 0
+    assert (tmp_path / "no-test" / "loss.csv").read_bytes() \
+        == (tmp_path / "whole" / "loss.csv").read_bytes()
 
 
 # (id, flags that override TINY's, config file, error text); the

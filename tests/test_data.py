@@ -260,9 +260,8 @@ def test_write_guard_sees_every_kind_of_write():
     assert _file_writes(source) == [("f", n) for n in range(2, 8)]
 
 
-# the only places that may write a file: the atomic writer and the
-# loss.csv append stream
-_WRITERS = {("data.py", "_write_atomic"), ("training.py", "_open_loss_csv")}
+# the only place that may write a file: the atomic writer
+_WRITERS = {("data.py", "_write_atomic")}
 
 
 def test_every_file_write_goes_through_the_atomic_writer():

@@ -8,7 +8,7 @@ import pytest
 
 from geoseg import training
 from geoseg.data import build_dataset, load_split
-from geoseg.errors import ConfigError, DataError
+from geoseg.errors import ConfigError, DataError, TrainingAbort
 from geoseg.losses import LossConfig, ramp_up, total_loss
 from geoseg.network import NetworkConfig
 from geoseg.tensor import SGD, Tensor
@@ -269,19 +269,51 @@ def test_resume_matches_unbroken_run(split, tmp_path):
             (tmp_path / "full" / name).read_bytes()
 
 
+def _unbroken_log(split, cfg, out_dir):
+    """The lines of the loss.csv bytes of an unbroken run of ``cfg``,
+    header first."""
+    train_loop(split, cfg, out_dir)
+    return (out_dir / "loss.csv").read_bytes().splitlines(keepends=True)
+
+
 def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
                                                               monkeypatch):
-    # a crash after any checkpoint must leave the rows a resume from it needs
+    # a crash after any checkpoint must leave the rows a resume from it
+    # needs, as the unbroken run wrote them, and no later row
+    cfg = tiny_config(t_max=4, checkpoint_every=2)
+    unbroken = _unbroken_log(split, cfg, tmp_path / "unbroken")
     on_disk = {}
 
     def save(path, net, meta=None):
-        lines = (tmp_path / "run" / "loss.csv").read_text().splitlines()
-        on_disk[meta["step"]] = [line.split(",", 1)[0] for line in lines[1:]]
+        on_disk[path.name] = (tmp_path / "run" / "loss.csv").read_bytes()
 
     monkeypatch.setattr(training, "save_checkpoint", save)
-    train_loop(split, tiny_config(t_max=4, checkpoint_every=2),
-               out_dir=tmp_path / "run")
-    assert on_disk == {step: [str(t) for t in range(step)] for step in (2, 4)}
+    train_loop(split, cfg, out_dir=tmp_path / "run")
+    assert on_disk == {"step_000002.ckpt": b"".join(unbroken[:3]),
+                       "step_000004.ckpt": b"".join(unbroken),
+                       "final.ckpt": b"".join(unbroken)}
+
+
+@pytest.mark.parametrize("stop", [TrainingAbort, KeyboardInterrupt])
+def test_stopped_run_keeps_the_rows_of_its_finished_steps(split, tmp_path,
+                                                         monkeypatch, stop):
+    # a run stopped in step 3, after its step-2 checkpoint, logs steps 0..2
+    # as the unbroken run did, and leaves no temp file
+    cfg = tiny_config(t_max=4, checkpoint_every=2)
+    unbroken = _unbroken_log(split, cfg, tmp_path / "unbroken")
+    step = training.train_step
+
+    def stop_in_step_3(net, opt, batch, t, cfg):
+        if t == 3:
+            raise stop("stopped in step 3")
+        return step(net, opt, batch, t, cfg)
+
+    monkeypatch.setattr(training, "train_step", stop_in_step_3)
+    with pytest.raises(stop):
+        train_loop(split, cfg, out_dir=tmp_path / "run")
+    assert (tmp_path / "run" / "loss.csv").read_bytes() == \
+        b"".join(unbroken[:4])
+    assert not (tmp_path / "run" / ".loss.csv.tmp").exists()
 
 
 def test_supervised_overfit_sanity(split, tmp_path):
