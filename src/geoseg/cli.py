@@ -13,7 +13,6 @@ Exit status is 0 on success; failures print one machine-parsable line
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import SPLITS, PhantomParams, _write_atomic, _write_csv, \
-    build_dataset, check_build, load_manifest, load_split, read_array, \
-    write_array
+    build_dataset, check_build, load_manifest, load_split, parse_json, \
+    read_array, write_array
 from .errors import ConfigError, DataError, GeoSegError, ShapeError
 from .geometry import boundary_weights, sdm_target
 from .inference import METRICS, check_window, evaluate, mean_defined, \
@@ -98,10 +97,8 @@ def _check_out(path, force):
 def _resolve_train_config(args, seed=None):
     doc = {}
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except ValueError as e:
-            raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
+        doc = parse_json(Path(args.config).read_bytes(), ConfigError,
+                         f"config {args.config} is not valid JSON")
         check_config_keys(doc)
     flags = [(path, getattr(args, path))
              for _, _, path in COMMAND_FLAGS[args.command]]
@@ -147,11 +144,6 @@ def _train_and_eval(split, cfg, run_dir, shape):
     return evaluate(net, split.test, window, window, out_dir=run_dir).aggregate
 
 
-def _metric_cells(agg):
-    return ["" if agg[key] is None else format(agg[key], ".17g")
-            for key in METRICS]
-
-
 def _run_grid(args, column, schema, csv_name, members, mean_rows):
     """Train and evaluate one run per (member, seed); write ``csv_name``.
 
@@ -181,14 +173,13 @@ def _run_grid(args, column, schema, csv_name, members, mean_rows):
     results = [(label, [_train_and_eval(split, cfg, out / "runs" / run, shape)
                         for run, cfg in member_runs])
                for label, member_runs in grid]
-    rows = [(column, "seed") + METRICS + ("schema",)]
-    for label, aggs in results:
-        rows += [[label, str(seed)] + _metric_cells(agg) + [schema]
-                 for seed, agg in zip(seeds, aggs)]
+    table = [(label, seed, agg) for label, aggs in results
+             for seed, agg in zip(seeds, aggs)]
     if mean_rows(len(seeds)):
-        rows += [[label, "mean"] + _metric_cells(mean_defined(aggs))
-                 + [schema] for label, aggs in results]
-    _write_csv(out / csv_name, rows)
+        table += [(label, "mean", mean_defined(aggs)) for label, aggs in results]
+    _write_csv(out / csv_name, [(column, "seed") + METRICS + ("schema",)] + [
+        [label, seed] + [agg[key] for key in METRICS] + [schema]
+        for label, seed, agg in table])
     return out / csv_name, seeds
 
 

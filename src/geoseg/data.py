@@ -12,6 +12,7 @@ concatenated little-endian payload.  A volume is a container of one tensor
 with its voxel spacing in the header.  Every artifact is written whole
 through ``_write_atomic``, a run's ``loss.csv`` at each checkpoint and when
 its loop ends, so a crash mid-write leaves the previous file in place.
+Every CSV table is written by ``_write_csv``, which alone formats a cell.
 A dataset is a directory with a manifest: labeled-train and test records
 reference their masks, unlabeled-train masks are written to a sealed
 ``audit/`` directory that the manifest never mentions.  Loading a dataset
@@ -78,10 +79,25 @@ def _write_atomic(files):
 
 
 def _write_csv(path, rows):
-    """Write ``rows`` as one CSV file, with csv's CRLF line ends."""
+    """Write ``rows`` as one CSV file, with csv's CRLF line ends: a float
+    cell (numpy's float64 included) as 17 significant digits, which read
+    back as the same float, None as an empty cell, any other cell as csv
+    writes it."""
     text = io.StringIO()
-    csv.writer(text).writerows(rows)
+    csv.writer(text).writerows(
+        [format(v, ".17g") if isinstance(v, float) else v for v in row]
+        for row in rows)
     _write_atomic({path: text.getvalue()})
+
+
+def parse_json(data, error, what):
+    """The JSON document in the UTF-8 bytes ``data``; raises ``error``
+    with ``what`` and the reason if they do not decode or parse, nesting
+    too deep for the parser included."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what} ({e})") from None
 
 
 # -- container -------------------------------------------------------------
@@ -157,10 +173,8 @@ def read_container(path, tag, digest=None):
     hlen = int.from_bytes(blob[:8], "little")
     if 8 + hlen > len(blob):
         raise FileFormatError(f"{path}: header length {hlen} exceeds file size")
-    try:
-        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"{path}: unreadable header ({e})") from None
+    header = parse_json(blob[8:8 + hlen], FileFormatError,
+                        f"{path}: unreadable header")
     payload = memoryview(blob)[8 + hlen:]
     _check_header(path, header, tag, len(payload))
     tensors = {}
@@ -427,10 +441,8 @@ def load_manifest(path, splits=SPLITS):
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"{path}: unreadable manifest ({e})") from None
+    doc = parse_json(path.read_bytes(), FileFormatError,
+                     f"{path}: unreadable manifest")
     _check_manifest(path, doc)
     shape = tuple(doc["shape"])
 

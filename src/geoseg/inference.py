@@ -212,13 +212,9 @@ def write_report(report, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "metrics.csv", [METRICS_CSV_HEADER] + [
-        [c.case_id, format(c.dice, ".17g"), format(c.jaccard, ".17g"),
-         "" if c.asd is None else format(c.asd, ".17g"),
-         "" if c.hd95 is None else format(c.hd95, ".17g"),
-         int(c.degenerate), METRICS_SCHEMA] for c in report.cases])
+        [c.case_id, c.dice, c.jaccard, c.asd, c.hd95, int(c.degenerate),
+         METRICS_SCHEMA] for c in report.cases])
     doc = {"schema": METRICS_SCHEMA, "aggregate": report.aggregate,
            "n_cases": report.n_cases, "n_degenerate": report.n_degenerate,
-           "cases": [{"case_id": c.case_id, "dice": c.dice,
-                      "jaccard": c.jaccard, "asd": c.asd, "hd95": c.hd95,
-                      "degenerate": c.degenerate} for c in report.cases]}
+           "cases": [vars(c) for c in report.cases]}
     _write_atomic({out_dir / "metrics.json": json.dumps(doc, indent=1) + "\n"})

@@ -100,43 +100,46 @@ class DualDecoderOutputs:
 FINAL_DECODER = 1
 
 
+def _param_shapes(config):
+    """(name, shape, fan-in) of every parameter of a ``config`` network, in
+    the order ``DualDecoderNet`` draws them: each conv's kernel, then its
+    bias.  A transposed kernel is laid out [C_in, C_out, k...]."""
+    r, w, d = config.rank, config.width, config.depth
+    chans = [w * (1 << level) for level in range(d + 1)]
+    shapes = []
+
+    def conv(name, co, ci, k, transpose=False):
+        kernel = ((ci, co) if transpose else (co, ci)) + (k,) * r
+        shapes.extend([(f"{name}.kernel", kernel, ci * k ** r),
+                       (f"{name}.bias", (co,), ci * k ** r)])
+
+    conv("enc.stem", w, 1, 3)
+    for level in range(1, d + 1):
+        conv(f"enc.down{level}", chans[level], chans[level - 1], 2)
+        conv(f"enc.block{level}", chans[level], chans[level], 3)
+    for dec in ("dec1", "dec2"):
+        for level in range(d, 0, -1):
+            ci, co = chans[level], chans[level - 1]
+            if dec == "dec1":
+                conv(f"{dec}.up{level}", co, ci, 2, transpose=True)
+            else:
+                conv(f"{dec}.up{level}", co, ci, 1)
+            conv(f"{dec}.merge{level}", co, 2 * co, 3)
+        conv(f"{dec}.seg_head", 2, w, 1)
+        conv(f"{dec}.sdm_head", 1, w, 1)
+    return shapes
+
+
 class DualDecoderNet:
     def __init__(self, config):
+        # seeded uniform fan-in initialization of every kernel and bias
         self.config = config
         self.params = {}
         rng = np.random.default_rng(config.seed)
-        r = config.rank
-        w, d = config.width, config.depth
-        chans = [w * (1 << level) for level in range(d + 1)]
-
-        self._new_conv(rng, "enc.stem", w, 1, (3,) * r)
-        for level in range(1, d + 1):
-            self._new_conv(rng, f"enc.down{level}", chans[level],
-                           chans[level - 1], (2,) * r)
-            self._new_conv(rng, f"enc.block{level}", chans[level],
-                           chans[level], (3,) * r)
-        for dec in ("dec1", "dec2"):
-            for level in range(d, 0, -1):
-                ci, co = chans[level], chans[level - 1]
-                if dec == "dec1":
-                    # transpose kernel layout is [C_in, C_out, k...]
-                    self._new_conv(rng, f"{dec}.up{level}", co, ci, (2,) * r,
-                                   transpose=True)
-                else:
-                    self._new_conv(rng, f"{dec}.up{level}", co, ci, (1,) * r)
-                self._new_conv(rng, f"{dec}.merge{level}", co, 2 * co, (3,) * r)
-            self._new_conv(rng, f"{dec}.seg_head", 2, w, (1,) * r)
-            self._new_conv(rng, f"{dec}.sdm_head", 1, w, (1,) * r)
-
-    def _new_conv(self, rng, name, co, ci, kspatial, transpose=False):
-        # seeded uniform fan-in initialization for kernel and bias
-        shape = ((ci, co) if transpose else (co, ci)) + kspatial
-        fan_in = ci * int(np.prod(kspatial))
-        bound = 1.0 / np.sqrt(fan_in)
-        self.params[f"{name}.kernel"] = Parameter(
-            rng.uniform(-bound, bound, size=shape), name=f"{name}.kernel")
-        self.params[f"{name}.bias"] = Parameter(
-            rng.uniform(-bound, bound, size=(co,)), name=f"{name}.bias")
+        for name, shape, fan_in in _param_shapes(config):
+            bound = 1.0 / np.sqrt(fan_in)
+            self.params[name] = Parameter(
+                rng.uniform(-bound, bound, size=shape), name=name)
 
     def parameters(self):
         return list(self.params.values())
@@ -219,16 +222,11 @@ class DualDecoderNet:
 
     def load_state(self, tensors):
         """Copy every tensor ``state_tensors`` names from a checkpoint's
-        ``tensors`` into the parameter's own array; zero each grad."""
+        ``tensors``, each checked by ``net_from_checkpoint``, into the
+        parameter's own array; zero each grad."""
         for name, p in self.params.items():
             for prefix, attr in _STATE:
-                arr = tensors.get(prefix + name)
-                if arr is None or arr.shape != p.data.shape:
-                    found = "missing" if arr is None else f"shape {arr.shape}"
-                    raise FileFormatError(f"checkpoint tensor {prefix}{name} "
-                                          f"is {found}, expected shape "
-                                          f"{p.data.shape}")
-                np.copyto(getattr(p, attr), arr)
+                np.copyto(getattr(p, attr), tensors[prefix + name])
             p.grad.fill(0.0)
 
 
@@ -263,8 +261,18 @@ def load_checkpoint(path):
 
 
 def net_from_checkpoint(path):
-    """Rebuild a network from a checkpoint file."""
+    """Rebuild a network from a checkpoint file.  Every tensor that
+    ``state_tensors`` names must be there, with the shape the header's
+    config gives it, before any parameter is drawn: a header that claims a
+    network too large to allocate fails here."""
     config, tensors, meta = load_checkpoint(path)
+    for name, shape, _ in _param_shapes(config):
+        for prefix, _ in _STATE:
+            arr = tensors.get(prefix + name)
+            if arr is None or arr.shape != shape:
+                found = "missing" if arr is None else f"shape {arr.shape}"
+                raise FileFormatError(f"checkpoint tensor {prefix}{name} is "
+                                      f"{found}, expected shape {shape}")
     net = DualDecoderNet(config)
     net.load_state(tensors)
     return net, tensors, meta

@@ -13,7 +13,7 @@ Every run writes its directory, laid out as:
     config.json      resolved config snapshot, written before any compute
     loss.csv         one row per step (see LOSS_CSV_HEADER), replaced whole
                      before each checkpoint and when the loop ends
-    checkpoints/     step-tagged checkpoints plus final.ckpt
+    checkpoints/     step-tagged checkpoints before t_max, plus final.ckpt
     summary.json     final losses, wall time, seed, config hash
 """
 
@@ -247,8 +247,8 @@ def train_step(net, opt, batch, t, cfg):
         images = images[:batch.n_labeled]
     breakdown = total_loss(net.forward(Tensor(images)), batch, t, cfg.t_max,
                            cfg.loss)
-    for name in ("loss_seg", "loss_sdf", "loss_sup", "loss_cons", "loss_total"):
-        if not np.isfinite(getattr(breakdown, name)):
+    for name, value in zip(LOSS_CSV_HEADER[1:-1], breakdown.csv_values()):
+        if not np.isfinite(value):
             raise TrainingAbort(f"{name} became non-finite at step {t}")
     opt.zero_grad()
     root, breakdown.total = breakdown.total, None
@@ -261,11 +261,6 @@ def train_step(net, opt, batch, t, cfg):
 class TrainResult:
     net: DualDecoderNet
     rows: list
-
-
-def _format_row(step, breakdown):
-    return [str(step)] + [format(v, ".17g") for v in breakdown.csv_values()] \
-        + [LOSS_SCHEMA]
 
 
 def _save_training_checkpoint(path, net, rng, next_step, cfg_hash):
@@ -323,9 +318,10 @@ def train_loop(split, cfg, out_dir, resume_from=None):
     """Run cfg.t_max optimization steps into the run directory ``out_dir``;
     returns the trained network and its loss rows.
 
-    Writes the config snapshot first, then cadenced checkpoints, each
-    after the loss CSV of every step before it, the loss CSV once more
-    when the loop ends or raises, and the final checkpoint and summary.
+    Writes the config snapshot first, then cadenced checkpoints before
+    step ``t_max``, each after the loss CSV of every step before it, the
+    loss CSV once more when the loop ends or raises, and the final
+    checkpoint and summary.
     With ``resume_from``, ``out_dir`` must be the run's own directory: its
     loss CSV keeps the rows before the checkpoint's step and continues.
     Both are checked before ``out_dir`` is made or written.
@@ -356,8 +352,8 @@ def train_loop(split, cfg, out_dir, resume_from=None):
             batch = sample_batch(split, cfg, rng)
             breakdown = train_step(net, opt, batch, t, cfg)
             rows.append((t,) + breakdown.csv_values())
-            log.append(_format_row(t, breakdown))
-            if (t + 1) % cfg.checkpoint_every == 0:
+            log.append(rows[-1] + (LOSS_SCHEMA,))
+            if (t + 1) % cfg.checkpoint_every == 0 and t + 1 < cfg.t_max:
                 # a resume from this checkpoint needs every earlier row on disk
                 _write_csv(out_dir / "loss.csv", log)
                 _save_training_checkpoint(ckpt_dir / f"step_{t + 1:06d}.ckpt",

@@ -213,6 +213,9 @@ BAD_CHECKPOINT_HEADERS = [
     ("no-momentum", lambda h: _without_tensors(h, "momentum/")),
     ("momentum-flattened",
      lambda h: _flatten_entry(h, "momentum/enc.stem.kernel")),
+    # a network whose first kernel numpy refuses to allocate: the tensors
+    # must fail their shape check before any parameter is drawn
+    ("width-2**40", lambda h: {**h, "network": {**h["network"], "width": 2**40}}),
 ]
 
 
@@ -276,6 +279,8 @@ BAD_RESUME_POINTS = [
     ("momentum-missing", "step_000002",
      lambda h: _without_tensors(h, "momentum/"), "io"),
     ("removed-network-keys", "step_000002", _with_removed_network_keys, "io"),
+    ("width-2**40", "step_000002",
+     lambda h: {**h, "network": {**h["network"], "width": 2**40}}, "io"),
     ("run-already-finished", "final", lambda h: h, "config"),
 ]
 
@@ -421,6 +426,47 @@ BAD_MANIFESTS = [
 ]
 
 
+# JSON nested deeper than the parser's recursion limit: 100,000 arrays
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+def _deep_container(path):
+    path.write_bytes(len(DEEP_JSON).to_bytes(8, "little") + DEEP_JSON)
+
+
+def _deep_test_volume(data, tmp_path):
+    _deep_container(data / "volumes" / "case_0004.image.vol")
+    _redigest(data / "volumes", "case_0004.image.vol")
+
+
+# (id, damage to a copy of the dataset or to the checkpoint eval reads)
+DEEP_JSON_FILES = [
+    ("checkpoint", lambda data, tmp_path: _deep_container(tmp_path / "c.ckpt")),
+    ("test-volume", _deep_test_volume),
+    ("manifest",
+     lambda data, tmp_path: (data / "manifest.json").write_bytes(DEEP_JSON)),
+]
+
+
+@pytest.mark.parametrize("damage", [case[1] for case in DEEP_JSON_FILES],
+                         ids=[case[0] for case in DEEP_JSON_FILES])
+def test_deeply_nested_json_is_an_io_error(dataset, four_step_run, tmp_path,
+                                           capsys, damage):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    ckpt = tmp_path / "c.ckpt"
+    shutil.copy(four_step_run / "checkpoints" / "final.ckpt", ckpt)
+    damage(data, tmp_path)
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(ckpt), "--manifest", str(data),
+                "--out", str(tmp_path / "eval")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=io message=")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("edit", [case[1] for case in BAD_MANIFESTS],
                          ids=[case[0] for case in BAD_MANIFESTS])
 def test_malformed_manifest_is_an_io_error(dataset, tmp_path, capsys, edit):
@@ -484,16 +530,22 @@ def _delete(name):
     return lambda volumes: (volumes / name).unlink()
 
 
+def _redigest(volumes, name):
+    """Set the manifest digest of the dataset's volume ``name`` to that of
+    its bytes, so that only the volume's content is at fault."""
+    manifest = volumes.parent / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["digests"][name] = hashlib.sha256(
+        (volumes / name).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(doc))
+
+
 def _replace_volume(name, arr):
     """Rewrite the dataset's volume ``name`` as ``arr``, with its manifest
-    digest updated, so that only the volume's content is at fault."""
+    digest updated."""
     def apply(volumes):
         write_array(volumes / name, arr, (1.0,) * arr.ndim)
-        manifest = volumes.parent / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["digests"][name] = hashlib.sha256(
-            (volumes / name).read_bytes()).hexdigest()
-        manifest.write_text(json.dumps(doc))
+        _redigest(volumes, name)
     return apply
 
 
@@ -774,6 +826,7 @@ BAD_CONFIGS = [
      "unknown config key(s): augment"),
     ("removed-ramp-power-key", '{"loss": {"ramp_power": 1}}',
      "unknown config.loss key(s): ramp_power"),
+    ("nested-too-deep", "[" * 100_000 + "]" * 100_000, "not valid JSON"),
 ]
 
 

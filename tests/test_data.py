@@ -417,7 +417,9 @@ def test_dataset_load_reads_each_volume_once(tmp_path, monkeypatch):
     fresh = load_split(build_dataset(tmp_path / "again", 2, 2, 2, (16, 16), 5))
     assert reads == []   # a build hands back what it wrote
     split = load_split(load_manifest(tmp_path))
-    assert sorted(reads) == listed and len(reads) == 10
+    # the manifest, then each volume once
+    assert reads[0] == "manifest.json" and len(reads) == 11
+    assert sorted(reads[1:]) == listed
     for got, want in zip(split.labeled + split.unlabeled + split.test,
                          fresh.labeled + fresh.unlabeled + fresh.test):
         assert got.case_id == want.case_id and got.split == want.split

@@ -2,8 +2,8 @@
 loads scipy only inside the functions that call it, ``tensor`` is the one
 module that imports thread synchronisation and the one that binds a
 tensor's ``data``, ``network`` the one that names a checkpoint's tensors,
-and the worker thread starts only when training or a multi-batch inference
-needs it."""
+``data`` the one that formats a table cell, and the worker thread starts
+only when training or a multi-batch inference needs it."""
 
 import ast
 import json
@@ -145,6 +145,12 @@ def test_only_network_names_checkpoint_tensors():
     # network.state_tensors and load_state own a checkpoint's tensor names
     assert [p.name for p in SRC if string_prefixes(
         p.read_text(), ("param/", "momentum/"))] == ["network.py"]
+
+
+def test_only_data_formats_a_table_cell():
+    # data._write_csv writes every float cell of every CSV table
+    assert [p.name for p in SRC if string_prefixes(p.read_text(), (".17g",))] \
+        == ["data.py"]
 
 
 def data_bindings(source):

@@ -290,8 +290,33 @@ def test_each_checkpoint_finds_its_earlier_loss_rows_on_disk(split, tmp_path,
     monkeypatch.setattr(training, "save_checkpoint", save)
     train_loop(split, cfg, out_dir=tmp_path / "run")
     assert on_disk == {"step_000002.ckpt": b"".join(unbroken[:3]),
-                       "step_000004.ckpt": b"".join(unbroken),
                        "final.ckpt": b"".join(unbroken)}
+
+
+@pytest.mark.parametrize("t_max, steps", [(8, [4]), (10, [4, 8])])
+def test_finished_run_keeps_each_resume_point_before_t_max(split, tmp_path,
+                                                           t_max, steps):
+    # the state at t_max is final.ckpt alone, which no run resumes from
+    cfg = tiny_config(t_max=t_max, checkpoint_every=4)
+    train_loop(split, cfg, out_dir=tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir()) \
+        == ["final.ckpt"] + [f"step_{n:06d}.ckpt" for n in steps]
+
+
+def test_loss_csv_is_written_once_per_state(split, tmp_path, monkeypatch):
+    # a 4-step run checkpointing every 2 writes the header and 2 rows
+    # before its step-2 checkpoint, and all 4 rows once as it ends
+    written = []
+    write = training._write_csv
+
+    def spy(path, rows):
+        written.append(len(rows))
+        write(path, rows)
+
+    monkeypatch.setattr(training, "_write_csv", spy)
+    train_loop(split, tiny_config(t_max=4, checkpoint_every=2),
+               out_dir=tmp_path / "run")
+    assert written == [3, 5]
 
 
 @pytest.mark.parametrize("stop", [TrainingAbort, KeyboardInterrupt])
