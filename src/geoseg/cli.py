@@ -9,7 +9,8 @@ names each flag that sets a config field, with its parser and that field;
 that a command takes (``COMMAND_FLAGS``).
 
 Exit status is 0 on success; failures print one machine-parsable line
-``error category=<cat> message=...`` to stderr and return nonzero.
+``error category=<cat> message=...`` to stderr and return nonzero; an
+allocation numpy refuses is category ``memory``.
 """
 
 import argparse
@@ -394,8 +395,9 @@ def main(argv=None):
         # a flag's parser may raise ConfigError (--crop 8y8)
         args = build_parser().parse_args(argv)
         return args.func(args) or 0
-    except (GeoSegError, OSError) as e:
-        category = e.category if isinstance(e, GeoSegError) else "io"
+    except (GeoSegError, OSError, MemoryError) as e:
+        category = (e.category if isinstance(e, GeoSegError)
+                    else "memory" if isinstance(e, MemoryError) else "io")
         print(f"error category={category} message={e}", file=sys.stderr)
         return 1
 

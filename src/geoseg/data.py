@@ -130,11 +130,17 @@ def _is_count(value):
     return type(value) is int and value >= 0
 
 
+def _fits_an_array(shape, itemsize):
+    """Whether numpy can hold an array of ``shape``: the product of its
+    nonzero extents times ``itemsize`` bytes fits in ``np.intp``."""
+    return math.prod(n for n in shape if n) * itemsize <= np.iinfo(np.intp).max
+
+
 def _check_header(path, header, tag, payload_len):
     """Raise FileFormatError unless the header is a ``tag`` container's and
     each tensor entry spans exactly its shape's bytes inside a payload of
-    ``payload_len`` bytes, and numpy can hold an array of that shape: the
-    product of its nonzero extents, in bytes, fits in ``np.intp``."""
+    ``payload_len`` bytes, and numpy can hold an array of that shape
+    (``_fits_an_array``)."""
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: header is not a JSON object")
     if header.get("format") != tag:
@@ -154,7 +160,7 @@ def _check_header(path, header, tag, payload_len):
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise FileFormatError(f"{path}: unknown dtype {dtype!r} for {name}")
         shape, itemsize = entry["shape"], np.dtype(dtype).itemsize
-        if math.prod(n for n in shape if n) * itemsize > np.iinfo(np.intp).max:
+        if not _fits_an_array(shape, itemsize):
             raise FileFormatError(f"{path}: tensor {name!r} shape {shape} "
                                   "is too large")
         if entry["nbytes"] != math.prod(shape) * itemsize or \

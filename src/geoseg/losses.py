@@ -11,7 +11,7 @@ the consistency weight over training, as lambda_max * exp(-5 * (1 - t/t_max)).
 All means are per-voxel so the mixing coefficients stay crop-size free.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .geometry import approx_inverse, boundary_weights
 from .tensor import Tensor, logsumexp_channel, mse
 
 CONSISTENCY_MODES = ("none", "mc", "gc", "wgc")
+LOSS_TERMS = ("loss_seg", "loss_sdf", "loss_sup", "loss_cons", "lambda",
+              "loss_total")
 
 
 def coerce_float_fields(cfg):
@@ -52,23 +54,6 @@ class LossConfig:
             raise ConfigError(f"consistency must be one of {CONSISTENCY_MODES}, "
                               f"got {self.consistency!r}")
         coerce_float_fields(self)
-
-
-@dataclass
-class LossBreakdown:
-    loss_seg: float
-    loss_sdf: float
-    loss_sup: float
-    loss_cons: float
-    lam: float
-    loss_total: float
-    # the scalar graph, whose backward releases it; None once
-    # ``training.train_step`` has run that backward
-    total: Tensor | None = field(repr=False)
-
-    def csv_values(self):
-        return (self.loss_seg, self.loss_sdf, self.loss_sup, self.loss_cons,
-                self.lam, self.loss_total)
 
 
 def _constant(target, like=None):
@@ -177,8 +162,9 @@ def total_loss(outputs, batch, t, t_max, config):
     """Assemble the full training objective for one batch.
 
     The supervised part sees only the labeled slice of the batch; the
-    consistency part sees every item.  Returns the scalar graph plus the
-    logged breakdown.
+    consistency part sees every item.  Returns (total, terms): the scalar
+    graph, whose backward releases it, and a dict of plain floats keyed by
+    ``LOSS_TERMS`` in that order: the columns of training's loss.csv.
     """
     n_lab = batch.n_labeled
     if n_lab == 0:
@@ -196,6 +182,6 @@ def total_loss(outputs, batch, t, t_max, config):
     else:
         total = l_sup + l_cons * lam
         cons_value = l_cons.item()
-    return LossBreakdown(loss_seg=l_seg.item(), loss_sdf=l_sdf.item(),
-                         loss_sup=l_sup.item(), loss_cons=cons_value,
-                         lam=lam, loss_total=total.item(), total=total)
+    return total, dict(zip(LOSS_TERMS, (l_seg.item(), l_sdf.item(),
+                                        l_sup.item(), cons_value, lam,
+                                        total.item())))

@@ -46,7 +46,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import _write_atomic, encode_container, read_container
+from .data import _fits_an_array, _write_atomic, encode_container, \
+    read_container
 from .errors import ConfigError, FileFormatError, ShapeError
 from .tensor import (Parameter, Tensor, concat_padded, conv_nd,
                      conv_transpose_nd, fork, instance_norm_relu,
@@ -69,10 +70,17 @@ class NetworkConfig:
             raise ConfigError(f"rank must be 2 or 3, got {self.rank}")
         if self.width < 2:
             raise ConfigError(f"width must be >= 2, got {self.width}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        # an input extent is a positive multiple of 2^depth, and no numpy
+        # axis is longer than 2^63 - 1
+        if not 1 <= self.depth <= 62:
+            raise ConfigError(f"depth must be in [1, 62], got {self.depth}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, shape, _ in _param_shapes(self):
+            if not _fits_an_array(shape, np.dtype(np.float64).itemsize):
+                raise ConfigError(f"width {self.width} at depth {self.depth} "
+                                  f"gives {name} the shape {shape}, too large "
+                                  f"for an array")
 
 
 @dataclass

@@ -14,7 +14,7 @@ Every run writes its directory, laid out as:
     loss.csv         one row per step (see LOSS_CSV_HEADER), replaced whole
                      before each checkpoint and when the loop ends
     checkpoints/     step-tagged checkpoints before t_max, plus final.ckpt
-    summary.json     final losses, wall time, seed, config hash
+    summary.json     the last step's loss terms, wall time, seed, config hash
 """
 
 import hashlib
@@ -30,14 +30,13 @@ from . import kernels
 from .data import _write_atomic, _write_csv
 from .errors import ConfigError, DataError, FileFormatError, TrainingAbort
 from .geometry import sdm_target
-from .losses import LossConfig, coerce_float_fields, total_loss
+from .losses import LOSS_TERMS, LossConfig, coerce_float_fields, total_loss
 from .network import DualDecoderNet, NetworkConfig, net_from_checkpoint, \
     save_checkpoint
 from .tensor import SGD, Tensor
 
 LOSS_SCHEMA = "loss_v1"
-LOSS_CSV_HEADER = ("step", "loss_seg", "loss_sdf", "loss_sup", "loss_cons",
-                   "lambda", "loss_total", "schema")
+LOSS_CSV_HEADER = ("step", *LOSS_TERMS, "schema")
 _BATCH_STREAM = 7919  # batch RNG substream tag
 
 
@@ -235,8 +234,8 @@ def sample_batch(split, cfg, rng):
 
 def train_step(net, opt, batch, t, cfg):
     """Forward, loss, backward, SGD update with the scheduled rate; returns
-    the loss breakdown with ``total`` None.  With no consistency term no
-    loss reads the unlabeled items, so only the labeled ones are forwarded.
+    the step's loss terms.  With no consistency term no loss reads the
+    unlabeled items, so only the labeled ones are forwarded.
 
     The step holds its graph only through the loss root: the backward
     releases every node as it goes, so an activation is freed once the
@@ -245,16 +244,15 @@ def train_step(net, opt, batch, t, cfg):
     images = batch.images
     if cfg.loss.consistency == "none":
         images = images[:batch.n_labeled]
-    breakdown = total_loss(net.forward(Tensor(images)), batch, t, cfg.t_max,
-                           cfg.loss)
-    for name, value in zip(LOSS_CSV_HEADER[1:-1], breakdown.csv_values()):
+    root, terms = total_loss(net.forward(Tensor(images)), batch, t,
+                             cfg.t_max, cfg.loss)
+    for name, value in terms.items():
         if not np.isfinite(value):
             raise TrainingAbort(f"{name} became non-finite at step {t}")
     opt.zero_grad()
-    root, breakdown.total = breakdown.total, None
     root.backward()
     opt.step(lr_schedule(t, cfg))
-    return breakdown
+    return terms
 
 
 @dataclass
@@ -350,8 +348,8 @@ def train_loop(split, cfg, out_dir, resume_from=None):
     try:
         for t in range(t_start, cfg.t_max):
             batch = sample_batch(split, cfg, rng)
-            breakdown = train_step(net, opt, batch, t, cfg)
-            rows.append((t,) + breakdown.csv_values())
+            terms = train_step(net, opt, batch, t, cfg)
+            rows.append((t, *terms.values()))
             log.append(rows[-1] + (LOSS_SCHEMA,))
             if (t + 1) % cfg.checkpoint_every == 0 and t + 1 < cfg.t_max:
                 # a resume from this checkpoint needs every earlier row on disk
@@ -367,7 +365,7 @@ def train_loop(split, cfg, out_dir, resume_from=None):
                "config_hash": cfg_hash,
                "backend": kernels.BACKEND, "steps_run": cfg.t_max - t_start,
                "wall_seconds": wall,
-               "final": dict(zip(LOSS_CSV_HEADER[1:-1], rows[-1][1:]))}
+               "final": terms}
     _save_training_checkpoint(ckpt_dir / "final.ckpt", net, rng, cfg.t_max,
                               cfg_hash)
     _write_atomic({out_dir / "summary.json":

@@ -216,6 +216,8 @@ BAD_CHECKPOINT_HEADERS = [
     # a network whose first kernel numpy refuses to allocate: the tensors
     # must fail their shape check before any parameter is drawn
     ("width-2**40", lambda h: {**h, "network": {**h["network"], "width": 2**40}}),
+    # a depth whose parameter list alone would fill the memory
+    ("depth-10**7", lambda h: {**h, "network": {**h["network"], "depth": 10**7}}),
 ]
 
 
@@ -281,6 +283,8 @@ BAD_RESUME_POINTS = [
     ("removed-network-keys", "step_000002", _with_removed_network_keys, "io"),
     ("width-2**40", "step_000002",
      lambda h: {**h, "network": {**h["network"], "width": 2**40}}, "io"),
+    ("depth-10**7", "step_000002",
+     lambda h: {**h, "network": {**h["network"], "depth": 10**7}}, "io"),
     ("run-already-finished", "final", lambda h: h, "config"),
 ]
 
@@ -827,6 +831,13 @@ BAD_CONFIGS = [
     ("removed-ramp-power-key", '{"loss": {"ramp_power": 1}}',
      "unknown config.loss key(s): ramp_power"),
     ("nested-too-deep", "[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    ("depth-10**30", '{"network": {"depth": %d}}' % 10**30,
+     "depth must be in [1, 62]"),
+    # the test's --width 4 overrides a width in the file, so the shape check
+    # is reached through the depth: width 4 at depth 40 has a 2^83-element
+    # kernel
+    ("network-too-large", '{"network": {"depth": 40}}',
+     "too large for an array"),
 ]
 
 
@@ -853,6 +864,40 @@ def _assert_config_error_before_out(capsys, code, out):
     err = capsys.readouterr().err
     assert err.startswith("error category=config message=")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-rho"])
+@pytest.mark.parametrize("flag", ["--depth", "--width"])
+def test_network_numpy_cannot_hold_is_a_config_error(tmp_path, capsys,
+                                                     command, flag):
+    out = tmp_path / "out"
+    code = run([command, "--manifest", str(tmp_path / "absent"), "--out",
+                str(out), flag, str(10**30)])
+    _assert_config_error_before_out(capsys, code, out)
+
+
+def _assert_memory_error(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=memory message=Unable to allocate ")
+    assert err.count("\n") == 1
+
+
+def test_allocation_numpy_refuses_is_a_memory_error(dataset, four_step_run,
+                                                    tmp_path, capsys):
+    # terabyte requests, which the kernel refuses at once: a 10^12-voxel
+    # phantom, and an eval window padding the 16x16 case to 2^44 voxels
+    data = tmp_path / "data"
+    _assert_memory_error(capsys, run([
+        "build-data", "--labeled", "1", "--unlabeled", "0", "--test", "1",
+        "--shape", "1000000x1000000", "--out", str(data)]))
+    assert [p for p in data.rglob("*") if p.is_file()] == []
+    out = tmp_path / "eval"
+    _assert_memory_error(capsys, run([
+        "eval", "--checkpoint", str(four_step_run / "checkpoints" / "final.ckpt"),
+        "--manifest", str(dataset), "--out", str(out),
+        "--window", "4194304x4194304"]))
     assert not out.exists()
 
 

@@ -2,8 +2,9 @@
 loads scipy only inside the functions that call it, ``tensor`` is the one
 module that imports thread synchronisation and the one that binds a
 tensor's ``data``, ``network`` the one that names a checkpoint's tensors,
-``data`` the one that formats a table cell, and the worker thread starts
-only when training or a multi-batch inference needs it."""
+``data`` the one that formats a table cell, ``losses`` the one that names
+a loss term, and the worker thread starts only when training or a
+multi-batch inference needs it."""
 
 import ast
 import json
@@ -151,6 +152,14 @@ def test_only_data_formats_a_table_cell():
     # data._write_csv writes every float cell of every CSV table
     assert [p.name for p in SRC if string_prefixes(p.read_text(), (".17g",))] \
         == ["data.py"]
+
+
+def test_only_losses_names_a_loss_term():
+    # losses.LOSS_TERMS names the step's terms: loss.csv's columns and
+    # summary.json's "final" keys ("loss_v1", the schema, is no term)
+    assert [p.name for p in SRC if string_prefixes(
+        p.read_text(), ("loss_seg", "loss_sdf", "loss_sup", "loss_cons",
+                        "loss_total"))] == ["losses.py"]
 
 
 def data_bindings(source):

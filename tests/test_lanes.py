@@ -60,7 +60,7 @@ def test_backward_equals_the_serial_walk_bitwise(rank, extent, mode):
     def loss():
         out = net.forward(Tensor(images))
         assert (out.seg1._lane, out.seg2._lane) == (0, 1)
-        return total_loss(out, batch, 60, 100, config).total
+        return total_loss(out, batch, 60, 100, config)[0]
 
     want = serial_backward(loss())
     opt = SGD(net.parameters())
@@ -178,7 +178,8 @@ def test_parameter_gradients_accumulate_in_their_own_buffer():
         opt.zero_grad()
         assert all(not p.grad.any() for p in net.parameters())
         out = net.forward(Tensor(batch.images))
-        total_loss(out, batch, 60, 100, LossConfig()).total.backward()
+        root, _ = total_loss(out, batch, 60, 100, LossConfig())
+        root.backward()
         assert all(p.grad is buffers[name] for name, p in net.params.items())
         assert all(p.grad.any() for p in net.parameters())
 
@@ -206,22 +207,22 @@ def test_a_step_keeps_no_node_once_it_returns(monkeypatch):
         return out
 
     def kept_loss(*args):
-        breakdown = loss(*args)
-        refs["root"] = weakref.ref(breakdown.total)
-        return breakdown
+        root, terms = loss(*args)
+        refs["root"] = weakref.ref(root)
+        return root, terms
 
     monkeypatch.setattr(net, "encode", kept_encode)
     monkeypatch.setattr(network, "conv_nd", kept_conv_nd)
     monkeypatch.setattr(training, "total_loss", kept_loss)
     gc.disable()
     try:
-        breakdown = train_step(net, SGD(net.parameters()), make_batch(2, 16),
-                               0, TrainConfig(crop=(16, 16)))
+        terms = train_step(net, SGD(net.parameters()), make_batch(2, 16),
+                           0, TrainConfig(crop=(16, 16)))
         assert sorted(refs) == ["merge", "root", "skip"]
         assert [name for name, ref in refs.items() if ref() is not None] == []
     finally:
         gc.enable()
-    assert breakdown.total is None
+    assert all(type(v) is float for v in terms.values())
 
 
 def _step_memory(cfg, extent):
@@ -232,11 +233,11 @@ def _step_memory(cfg, extent):
     train_step(net, opt, batch, 0, cfg)
     tracemalloc.start()
     try:
-        breakdown = train_step(net, opt, batch, 1, cfg)
+        terms = train_step(net, opt, batch, 1, cfg)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert breakdown.total is None
+    assert all(type(v) is float for v in terms.values())
     return held, peak
 
 
@@ -355,7 +356,7 @@ def test_a_backward_that_reaches_a_released_node_changes_no_gradient():
     net = DualDecoderNet(NetworkConfig(width=4, depth=2, seed=3))
     batch = make_batch(2, 16)
     out = net.forward(Tensor(batch.images))
-    root = total_loss(out, batch, 60, 100, LossConfig(k=20.0)).total
+    root, _ = total_loss(out, batch, 60, 100, LossConfig(k=20.0))
     root.backward()
     want = {name: p.grad.copy() for name, p in net.params.items()}
     bias = net.params["dec2.seg_head.bias"]

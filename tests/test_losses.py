@@ -5,13 +5,14 @@ import pytest
 
 from geoseg.errors import ConfigError
 from geoseg.geometry import boundary_weights
-from geoseg.losses import (LossConfig, cross_entropy_loss, dice_loss,
-                           geometry_consistency_loss, mutual_consistency_loss,
-                           ramp_up, sdf_supervised_loss, seg_supervised_loss,
+from geoseg.losses import (LOSS_TERMS, LossConfig, cross_entropy_loss,
+                           dice_loss, geometry_consistency_loss,
+                           mutual_consistency_loss, ramp_up,
+                           sdf_supervised_loss, seg_supervised_loss,
                            total_loss)
 from geoseg.network import DualDecoderOutputs
 from geoseg.tensor import Parameter, Tensor, softmax_channel
-from geoseg.training import Batch
+from geoseg.training import LOSS_CSV_HEADER, Batch
 from helpers import assert_grads_match, fd_gradient
 
 rng = np.random.default_rng(23)
@@ -285,22 +286,35 @@ def _toy_batch(n_lab=2, n_unlab=2, spatial=(8, 8)):
     return Batch(images=images, masks=masks, sdm_targets=targets)
 
 
+@pytest.mark.parametrize("mode", ["none", "wgc"])
+def test_total_loss_returns_the_graph_and_terms_named_by_loss_terms(mode):
+    # loss.csv's columns are the terms' names, in order, between step and
+    # schema
+    out = random_outputs(n=4, spatial=(8, 8))
+    root, terms = total_loss(out, _toy_batch(), 5, 100,
+                             LossConfig(consistency=mode))
+    assert type(root) is Tensor and root.shape == ()
+    assert type(terms) is dict and tuple(terms) == LOSS_TERMS
+    assert all(type(v) is float for v in terms.values())
+    assert LOSS_CSV_HEADER == ("step", *LOSS_TERMS, "schema")
+
+
 def test_total_loss_supervised_only_mode():
     batch = _toy_batch()
     out = random_outputs(n=4, spatial=(8, 8))
-    bd = total_loss(out, batch, 5, 100, LossConfig(consistency="none"))
-    assert bd.loss_cons == 0.0
-    assert abs(bd.loss_total - bd.loss_sup) < 1e-12
+    _, terms = total_loss(out, batch, 5, 100, LossConfig(consistency="none"))
+    assert terms["loss_cons"] == 0.0
+    assert abs(terms["loss_total"] - terms["loss_sup"]) < 1e-12
 
 
 def test_total_loss_at_t_max_uses_point_one():
     batch = _toy_batch()
     out = random_outputs(n=4, spatial=(8, 8))
     cfg = LossConfig(k=9.0)
-    bd = total_loss(out, batch, 100, 100, cfg)
+    _, terms = total_loss(out, batch, 100, 100, cfg)
     wgc = _wgc(out, cfg.rho, cfg.k).item()
-    assert abs(bd.lam - 0.1) < 1e-12
-    assert abs(bd.loss_total - (bd.loss_sup + 0.1 * wgc)) < 1e-9
+    assert abs(terms["lambda"] - 0.1) < 1e-12
+    assert abs(terms["loss_total"] - (terms["loss_sup"] + 0.1 * wgc)) < 1e-9
 
 
 def test_total_loss_breakdown_identity():
@@ -308,10 +322,12 @@ def test_total_loss_breakdown_identity():
     for mode in ("mc", "gc", "wgc"):
         out = random_outputs(n=4, spatial=(8, 8))
         cfg = LossConfig(consistency=mode, k=9.0)
-        bd = total_loss(out, batch, 37, 200, cfg)
-        assert abs(bd.loss_sup - (bd.loss_seg + cfg.beta * bd.loss_sdf)) < 1e-12
-        assert abs(bd.loss_total - (bd.loss_sup + bd.lam * bd.loss_cons)) < 1e-9
-        assert bd.loss_total >= 0.0
+        _, terms = total_loss(out, batch, 37, 200, cfg)
+        assert abs(terms["loss_sup"] - (terms["loss_seg"]
+                                        + cfg.beta * terms["loss_sdf"])) < 1e-12
+        assert abs(terms["loss_total"] - (terms["loss_sup"] + terms["lambda"]
+                                          * terms["loss_cons"])) < 1e-9
+        assert terms["loss_total"] >= 0.0
 
 
 def test_total_loss_rejects_unlabeled_only_batch():

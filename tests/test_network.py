@@ -106,9 +106,9 @@ def test_gradient_step_touches_every_branch():
                   masks=masks, sdm_targets=targets)
     before = {name: p.data.copy() for name, p in net.params.items()}
     out = net.forward(Tensor(batch.images))
-    bd = total_loss(out, batch, 50, 100, LossConfig(k=9.0))
+    root, _ = total_loss(out, batch, 50, 100, LossConfig(k=9.0))
     opt.zero_grad()
-    bd.total.backward()
+    root.backward()
     opt.step(0.05)
     for prefix in ("enc.", "dec1.", "dec2."):
         changed = any(not np.array_equal(before[n], p.data)
@@ -191,8 +191,8 @@ def test_default_train_step_records_125_graph_nodes():
     batch = Batch(images=rng.standard_normal((n, 1) + cfg.crop), masks=masks,
                   sdm_targets=np.stack([sdm_target(m) for m in masks]))
     out = net.forward(Tensor(batch.images))
-    total = total_loss(out, batch, 0, cfg.t_max, cfg.loss).total
-    assert _backward_nodes(total) == 125
+    root, _ = total_loss(out, batch, 0, cfg.t_max, cfg.loss)
+    assert _backward_nodes(root) == 125
 
 
 # -- checkpoint container ------------------------------------------------------
