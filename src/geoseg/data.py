@@ -346,8 +346,6 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
     out_dir = Path(out_dir)
     volumes_dir = out_dir / "volumes"
     audit = out_dir / "audit"
-    volumes_dir.mkdir(parents=True, exist_ok=True)
-    audit.mkdir(parents=True, exist_ok=True)
     spacing = [1.0] * len(shape)
 
     plan = ([("labeled-train", True)] * n_labeled
@@ -383,6 +381,9 @@ def build_dataset(out_dir, n_labeled, n_unlabeled, n_test, shape, seed,
                             if p.parent == volumes_dir}}
     # renamed last, the manifest commits the build
     files[out_dir / "manifest.json"] = json.dumps(manifest, indent=1) + "\n"
+    # made only now, so that a build that fails leaves nothing behind
+    volumes_dir.mkdir(parents=True, exist_ok=True)
+    audit.mkdir(exist_ok=True)
     _write_atomic(files)
     return Manifest(shape=tuple(shape), records=records)
 

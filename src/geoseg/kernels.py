@@ -1,9 +1,11 @@
 """Hot numeric kernels: N-D cross-correlation and the exact distance transform.
 
 One numpy backend serves both spatial ranks.  The interface is contiguous
-float64 in NC+spatial layout: inputs ``[N, Ci, S...]``, kernels
+float32 or float64 in NC+spatial layout: inputs ``[N, Ci, S...]``, kernels
 ``[Co, Ci, K...]``, outputs ``[N, Co, O...]``, with ``stride`` a
-per-spatial-axis tuple.  The caller applies any zero padding.
+per-spatial-axis tuple.  Every buffer and result takes the dtype of the
+operands, which the caller gives one dtype.  The caller applies any zero
+padding.
 
 The conv kernels stay in that layout.  They lower to accumulating BLAS
 matrix products over shifted views of the input, one product per kernel

@@ -30,18 +30,20 @@ run, and released, every layer that reads it (``Tensor.backward``).  A
 merge's concatenation is zero-padded as it is built
 (``tensor.concat_padded``), so its 3x3 convolution makes no padded copy of
 it, and without a graph it is freed before the merge's norm.  One 3-tile
-64x64 ``predict`` at the default config peaks at about 3.5 MiB of arrays.
-In training the concatenation adopts the up path's norm output that it
-copies, and an encoder block's padded input the down layer's output, so
-each is held once (``tensor``, "Release").  A skip keeps its own array:
-the next down layer and the other decoder read it too.  A default 2+2,
-64x64 training step peaks at about 32.5 MiB of arrays.
+64x64 ``predict`` at the default config peaks at about 1.8 MiB of arrays
+in float32, the dtype inference runs it in (``astype``), and 3.5 MiB in
+float64.  In training the concatenation adopts the up path's norm output
+that it copies, and an encoder block's padded input the down layer's
+output, so each is held once (``tensor``, "Release").  A skip keeps its
+own array: the next down layer and the other decoder read it too.  A
+default 2+2, 64x64 training step peaks at about 32.5 MiB of arrays.
 
 A checkpoint is one container file of ``data.encode_container`` whose
 header carries the network config and free-form metadata next to every
 parameter and its momentum buffer (``state_tensors``).
 """
 
+import copy
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -151,6 +153,16 @@ class DualDecoderNet:
 
     def parameters(self):
         return list(self.params.values())
+
+    def astype(self, dtype):
+        """A copy of this network whose parameters hold ``dtype`` arrays,
+        each a ``Parameter`` under its own name; this network is left
+        alone.  Test-time prediction runs a float32 copy
+        (``inference.sliding_window_infer``)."""
+        net = copy.copy(self)
+        net.params = {name: Parameter(p.data.astype(dtype), name=name)
+                      for name, p in self.params.items()}
+        return net
 
     def _conv(self, t, name, stride=1, padding=0):
         return conv_nd(t, self.params[f"{name}.kernel"],

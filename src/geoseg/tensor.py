@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over dense float64 numpy arrays.
+"""Minimal reverse-mode autodiff over dense numpy arrays.
 
 Just enough machinery for a small encoder / dual-decoder convolutional
 network and its loss pipeline: elementwise arithmetic, full reductions,
@@ -14,6 +14,17 @@ Deliberate restrictions:
     fused ops that need them,
   * the recorded graph belongs to one training step; ``backward`` walks it
     once in topological order and releases it as it goes.
+
+Dtypes.  A tensor keeps a float array in its own dtype, float32 as float32
+and float64 as float64; anything else (ints, bools, lists, python
+scalars, floats wider than float64) becomes float64.  Every op computes,
+and allocates its buffers, in its operands' dtype, and a python scalar
+does not widen it, so a graph runs in the dtype of its leaves.  Training
+is float64: its batches, parameters and checkpoints are.  Test-time
+prediction runs a float32 copy of the network on float32 tiles
+(``inference.sliding_window_infer``).  Operands of two dtypes compute in
+the wider one, numpy's rule, so one float64 array in a float32 graph
+widens everything downstream of it.
 
 Release.  Right after an operation node's backward has run, the walk drops
 the node's backward closure, with the arrays it saved, and its links to
@@ -146,6 +157,15 @@ def _adopt(t, copy):
         t.data = copy
 
 
+def _as_float(data):
+    # the dtype rule (see the module docstring): a float array no wider than
+    # float64 keeps its dtype
+    data = np.asarray(data)
+    if data.dtype.kind == "f" and data.dtype.itemsize <= 8:
+        return data
+    return data.astype(np.float64)
+
+
 def _scalar(x):
     return isinstance(x, (int, float, np.integer, np.floating))
 
@@ -157,7 +177,7 @@ class Tensor:
                  "_lane", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_float(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -226,7 +246,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         order.reverse()
-        self._accumulate(np.ones((), dtype=np.float64))
+        self._accumulate(np.ones((), dtype=self.data.dtype))
         walk = _Walk(order)
         del order  # the walk alone holds the nodes, and drops each when done
         if walk.lanes[1]:
@@ -299,15 +319,15 @@ class Tensor:
     # -- reductions ------------------------------------------------------------
 
     def sum(self):
-        shape = self.shape
+        shape, dtype = self.shape, self.data.dtype
         return Tensor._make(self.data.sum(), (self,),
-                            lambda g: (np.full(shape, g, dtype=np.float64),))
+                            lambda g: (np.full(shape, g, dtype=dtype),))
 
     def mean(self):
-        shape = self.shape
+        shape, dtype = self.shape, self.data.dtype
         n = self.data.size
         return Tensor._make(self.data.mean(), (self,),
-                            lambda g: (np.full(shape, g / n, dtype=np.float64),))
+                            lambda g: (np.full(shape, g / n, dtype=dtype),))
 
     # -- shape surgery ------------------------------------------------------------
 
@@ -319,10 +339,10 @@ class Tensor:
                 f"of shape {self.shape}")
         index = tuple(slice(None) if d != axis else slice(start, start + length)
                       for d in range(self.ndim))
-        shape = self.shape
+        shape, dtype = self.shape, self.data.dtype
 
         def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
+            full = np.zeros(shape, dtype=dtype)
             full[index] = g
             return (full,)
 
@@ -454,7 +474,8 @@ def concat_padded(tensors):
     sizes = [d.shape[1] for d in datas]
     splits = np.cumsum(sizes)[:-1]
     inner = (slice(None),) * 2 + tuple(slice(1, n + 1) for n in base[2:])
-    out = np.zeros([base[0], sum(sizes)] + [n + 2 for n in base[2:]])
+    out = np.zeros([base[0], sum(sizes)] + [n + 2 for n in base[2:]],
+                   dtype=np.result_type(*datas))
     np.concatenate(datas, axis=1, out=out[inner])
     _adopt(tensors[0], out[(slice(None), slice(0, sizes[0])) + inner[2:]])
 
@@ -518,8 +539,8 @@ def instance_norm_relu(t):
     # the variance one item at a time, so that the square of one item, not
     # of the batch, lives next to y; each row's sum, then its division by
     # the row's length, are np.mean's own steps
-    var = np.empty(shape[:2] + (1,))
-    square = np.empty(y.shape[1:])
+    var = np.empty(shape[:2] + (1,), dtype=y.dtype)
+    square = np.empty(y.shape[1:], dtype=y.dtype)
     for yi, vi in zip(y, var):
         np.add.reduce(np.multiply(yi, yi, out=square), axis=1, keepdims=True,
                       out=vi)
@@ -602,7 +623,7 @@ def conv_nd(x, kernel, bias=None, stride=1, padding=0):
                   + [slice(p, sp - p) for p, sp in zip(padding, padded_spatial)])
     xp = x.data
     if any(padding):
-        xp = np.zeros(x.shape[:2] + padded_spatial)
+        xp = np.zeros(x.shape[:2] + padded_spatial, dtype=x.data.dtype)
         xp[inner] = x.data
         _adopt(x, xp[inner])
     kd = kernel.data
@@ -647,7 +668,8 @@ def _upsample_axis(x, axis):
     # is 0.25*x[m-1] + 0.75*x[m] and output 2m+1 is 0.75*x[m] + 0.25*x[m+1],
     # clamped at the edges, where the first and last outputs copy x[0] and
     # x[n-1]
-    out = np.empty(x.shape[:axis] + (2 * x.shape[axis],) + x.shape[axis + 1:])
+    out = np.empty(x.shape[:axis] + (2 * x.shape[axis],) + x.shape[axis + 1:],
+                   dtype=x.dtype)
     even, odd = out[_on_axis(axis, 0, None, 2)], out[_on_axis(axis, 1, None, 2)]
     near, far = 0.75 * x, 0.25 * x
     head, tail = _on_axis(axis, None, -1), _on_axis(axis, 1, None)
@@ -663,7 +685,7 @@ def _upsample_axis_backward(g, axis):
     # read it, in a fixed order that sets the rounding
     even, odd = g[_on_axis(axis, 0, None, 2)], g[_on_axis(axis, 1, None, 2)]
     head, tail = _on_axis(axis, None, -1), _on_axis(axis, 1, None)
-    gx = np.zeros(even.shape)
+    gx = np.zeros(even.shape, dtype=g.dtype)
     gx[_on_axis(axis, 0, 1)] += even[_on_axis(axis, 0, 1)]
     gx[tail] += 0.75 * even[tail]
     gx[head] += 0.25 * even[tail]
@@ -704,7 +726,7 @@ class Parameter(Tensor):
     __slots__ = ("momentum", "name")
 
     def __init__(self, data, name=""):
-        super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
+        super().__init__(np.array(data), requires_grad=True)
         self.grad = np.zeros_like(self.data)
         self.momentum = np.zeros_like(self.data)
         self.name = name

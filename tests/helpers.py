@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 from scipy.ndimage import binary_erosion, generate_binary_structure
 
+from geoseg import kernels
 from geoseg.tensor import Parameter, Tensor
 
 
@@ -190,12 +191,49 @@ def serial_backward(root):
 
 
 def assert_bitwise_equal(got, want):
-    """Same shape and the same float64 bit patterns, signed zeros included."""
+    """Same shape, the same dtype, float32 or float64, and the same bit
+    patterns, signed zeros included."""
     got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
-    same = got.view(np.uint64) == want.view(np.uint64)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.dtype in (np.float32, np.float64)
+    bits = f"u{got.itemsize}"
+    same = got.view(bits) == want.view(bits)
     assert same.all(), (f"{(~same).sum()} of {same.size} entries differ; "
                         f"first got={got[~same][0]!r} want={want[~same][0]!r}")
+
+
+def record_arrays(monkeypatch):
+    """A list that collects, from now on, every array that ``np.zeros``,
+    ``np.empty``, ``np.full`` or ``np.ones`` makes, every operation node's
+    data and the gradients its backward returns, and every argument and
+    result of the conv kernels, from any thread."""
+    made = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.extend(a for a in (*args, out) if isinstance(a, np.ndarray))
+            return out
+        return wrapper
+
+    for name in ("zeros", "empty", "full", "ones"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    for name in ("conv_fwd", "conv_bwd_input", "conv_bwd_kernel"):
+        monkeypatch.setattr(kernels, name, spy(getattr(kernels, name)))
+    make = Tensor._make
+
+    def node(data, parents, backward):
+        def recorded(g):
+            grads = backward(g)
+            made.extend(a for a in grads if isinstance(a, np.ndarray))
+            return grads
+
+        out = make(data, parents, recorded)
+        made.append(out.data)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(node))
+    return made
 
 
 def brute_force_edt_sq(mask):
@@ -248,12 +286,13 @@ def brute_force_surface_distances(a, b, percentile=95.0):
 def sliding_tiles(volume, window, stride):
     """(padded volume, its window slices in corner order).
 
-    The volume is zero-padded at its trailing edges up to the window; tiles
-    start at every multiple of the stride, plus one clamped to each axis's
-    end.
+    The volume is zero-padded, in its own dtype, at its trailing edges up
+    to the window; tiles start at every multiple of the stride, plus one
+    clamped to each axis's end.
     """
     shape = np.shape(volume)
-    padded = np.zeros([max(n, w) for n, w in zip(shape, window)])
+    padded = np.zeros([max(n, w) for n, w in zip(shape, window)],
+                      dtype=np.asarray(volume).dtype)
     padded[tuple(slice(0, n) for n in shape)] = volume
     axes = []
     for n, w, s in zip(padded.shape, window, stride):
@@ -267,8 +306,8 @@ def sliding_tiles(volume, window, stride):
 
 def per_tile_sliding_window(net, volume, window, stride, head="seg"):
     """Sliding-window inference with one ``net.predict`` call per tile of
-    ``sliding_tiles``; the maps are summed in corner order and divided by
-    visit counts."""
+    ``sliding_tiles``, in the dtypes of ``net`` and ``volume``; the maps are
+    summed in float64, in corner order, and divided by visit counts."""
     padded, tiles = sliding_tiles(volume, window, stride)
     total, count = np.zeros(padded.shape), np.zeros(padded.shape)
     for sl in tiles:

@@ -889,10 +889,13 @@ def test_allocation_numpy_refuses_is_a_memory_error(dataset, four_step_run,
     # terabyte requests, which the kernel refuses at once: a 10^12-voxel
     # phantom, and an eval window padding the 16x16 case to 2^44 voxels
     data = tmp_path / "data"
-    _assert_memory_error(capsys, run([
-        "build-data", "--labeled", "1", "--unlabeled", "0", "--test", "1",
-        "--shape", "1000000x1000000", "--out", str(data)]))
-    assert [p for p in data.rglob("*") if p.is_file()] == []
+    build = ["build-data", "--labeled", "1", "--unlabeled", "0", "--test",
+             "1", "--out", str(data), "--shape"]
+    _assert_memory_error(capsys, run(build + ["1000000x1000000"]))
+    assert not data.exists() or list(data.iterdir()) == []
+    # so the same command at a valid shape needs no --force
+    assert run(build + ["16x16"]) == 0
+    assert (data / "manifest.json").is_file()
     out = tmp_path / "eval"
     _assert_memory_error(capsys, run([
         "eval", "--checkpoint", str(four_step_run / "checkpoints" / "final.ckpt"),
@@ -1265,9 +1268,11 @@ def test_export_maps_from_checkpoint_is_decoder_one_sdm(dataset, tmp_path):
     assert run(["export-maps", "--checkpoint", str(ckpt), "--image",
                 str(tmp_path / "image.vol"), "--rho", "2", "--out",
                 str(out)]) == 0
+    # the float32 forward's map, which the average over one window keeps
     net, _, _ = net_from_checkpoint(ckpt)
-    padded = np.zeros((1, 1, 20, 24))
+    padded = np.zeros((1, 1, 20, 24), dtype=np.float32)
     padded[0, 0, :18, :21] = image
     with no_grad():
-        sdm1 = net.forward(Tensor(padded)).sdm1.data[0, 0, :18, :21]
+        sdm1 = net.astype(np.float32).forward(
+            Tensor(padded)).sdm1.data[0, 0, :18, :21]
     assert read_array(out / "sdm.vol")[0].tobytes() == sdm1.astype("<f4").tobytes()

@@ -3,8 +3,9 @@ loads scipy only inside the functions that call it, ``tensor`` is the one
 module that imports thread synchronisation and the one that binds a
 tensor's ``data``, ``network`` the one that names a checkpoint's tensors,
 ``data`` the one that formats a table cell, ``losses`` the one that names
-a loss term, and the worker thread starts only when training or a
-multi-batch inference needs it."""
+a loss term, only ``inference``, ``data`` and ``cli`` name float32, and
+the worker thread starts only when training or a multi-batch inference
+needs it."""
 
 import ast
 import json
@@ -152,6 +153,46 @@ def test_only_data_formats_a_table_cell():
     # data._write_csv writes every float cell of every CSV table
     assert [p.name for p in SRC if string_prefixes(p.read_text(), (".17g",))] \
         == ["data.py"]
+
+
+def float32_names(source):
+    """(line, text) of each place in ``source`` that names the float32
+    dtype: a name or attribute ``float32`` or ``single``, or a string
+    literal that is one of its dtype strings.  A docstring or comment that
+    mentions it is no such place."""
+    spellings = {"float32", "single", "f4", "<f4", ">f4", "=f4", "|f4"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text in spellings and (isinstance(node, ast.Constant)
+                                  or text in ("float32", "single")):
+            found.append((node.lineno, text))
+    return sorted(found)
+
+
+def test_scanner_sees_float32_names():
+    source = ('"""A float32 docstring."""\nimport numpy as np\n'
+              'a = np.float32\nb = "float32"\nc = np.dtype("<f4")\n'
+              'd = np.single\nfrom numpy import float32\nf = float32\n'
+              'g = np.float64\nh = "a float32 map"\nt.dtype.kind == "f"\n')
+    assert float32_names(source) == [(3, "float32"), (4, "float32"),
+                                     (5, "<f4"), (6, "single"),
+                                     (8, "float32")]
+
+
+def test_only_inference_data_and_cli_name_float32():
+    # the engine (tensor, kernels, network) follows its operands' dtype:
+    # inference runs the test-time net and volume in float32, data stores
+    # volumes in it and cli exports maps in it
+    assert [p.name for p in SRC if float32_names(p.read_text())] \
+        == ["cli.py", "data.py", "inference.py"]
 
 
 def test_only_losses_names_a_loss_term():

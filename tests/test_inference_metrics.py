@@ -20,7 +20,7 @@ from geoseg.tensor import SGD, Tensor
 from geoseg.training import Batch, TrainConfig, train_step
 from helpers import (assert_bitwise_equal, brute_force_surface_distances,
                      per_tile_sliding_window, random_blob_mask,
-                     sliding_tiles)
+                     record_arrays, sliding_tiles)
 
 rng = np.random.default_rng(61)
 
@@ -192,6 +192,9 @@ class _ConstantNet:
         self.config = NetworkConfig(rank=2, width=2, depth=depth, seed=0)
         self.value = value
 
+    def astype(self, dtype):
+        return self  # no parameters
+
     def predict(self, x):
         const = Tensor(np.full((x.shape[0], 1) + x.shape[2:], self.value))
         return {"seg": const, "sdm": const}
@@ -202,6 +205,9 @@ class _ImageNet:
 
     def __init__(self, depth=2):
         self.config = NetworkConfig(rank=2, width=2, depth=depth, seed=0)
+
+    def astype(self, dtype):
+        return self  # no parameters
 
     def predict(self, x):
         prob = Tensor(np.clip(x.data, 0.0, 1.0))
@@ -232,14 +238,15 @@ def test_window_larger_than_volume_pads_and_unpads():
 
 def test_non_overlapping_tiles_predicted_once():
     net = real_net()
-    vol = rng.standard_normal((32, 32))
+    vol = rng.standard_normal((32, 32)).astype(np.float32)
     got = sliding_window_infer(net, vol, (16, 16), (16, 16))
+    net32 = net.astype(np.float32)
     for i in (0, 16):
         for j in (0, 16):
             tile = vol[i:i + 16, j:j + 16]
-            want = net.forward(Tensor(tile[None, None])).seg1.data[0, 0]
-            np.testing.assert_allclose(got[i:i + 16, j:j + 16], want,
-                                       atol=1e-12)
+            want = net32.forward(Tensor(tile[None, None])).seg1.data[0, 0]
+            assert_bitwise_equal(got[i:i + 16, j:j + 16],
+                                 want.astype(np.float64))
 
 
 # (id, rank, volume, window, stride, the tile corners that stride gives:
@@ -255,19 +262,13 @@ TILINGS = [
 FULL_NET_HEADS = {"seg": lambda out: out.seg1, "sdm": lambda out: out.sdm1}
 
 
-@pytest.mark.parametrize("head", sorted(FULL_NET_HEADS))
-@pytest.mark.parametrize("rank, shape, window, stride, corners",
-                         [case[1:] for case in TILINGS],
-                         ids=[case[0] for case in TILINGS])
-def test_sliding_window_is_the_tile_average_of_the_full_forward(
-        head, rank, shape, window, stride, corners):
-    # inference runs the encoder and decoder 1 only; its maps are the
-    # full network's decoder-1 maps bit for bit
-    net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2, seed=9))
-    vol = rng.standard_normal(shape)
-    got = sliding_window_infer(net, vol, window, stride, head=head)
-    padded = np.zeros([max(n, w) for n, w in zip(shape, window)])
-    padded[tuple(slice(0, n) for n in shape)] = vol
+def _tile_average(net, vol, window, corners, head):
+    """The full network's decoder-1 ``head`` map of each tile at
+    ``corners``, in the dtype of ``net`` and ``vol``, averaged in float64
+    over the zero-padded volume."""
+    padded = np.zeros([max(n, w) for n, w in zip(vol.shape, window)],
+                      dtype=vol.dtype)
+    padded[tuple(slice(0, n) for n in vol.shape)] = vol
     total, count = np.zeros(padded.shape), np.zeros(padded.shape)
     for corner in corners:
         sl = tuple(slice(o, o + w) for o, w in zip(corner, window))
@@ -276,7 +277,76 @@ def test_sliding_window_is_the_tile_average_of_the_full_forward(
         count[sl] += 1.0
     assert count.min() == 1.0
     total /= count
-    assert_bitwise_equal(got, total[tuple(slice(0, n) for n in shape)])
+    return total[tuple(slice(0, n) for n in vol.shape)]
+
+
+@pytest.mark.parametrize("head", sorted(FULL_NET_HEADS))
+@pytest.mark.parametrize("rank, shape, window, stride, corners",
+                         [case[1:] for case in TILINGS],
+                         ids=[case[0] for case in TILINGS])
+def test_sliding_window_is_the_tile_average_of_the_full_forward(
+        head, rank, shape, window, stride, corners):
+    # inference runs the encoder and decoder 1 only, in float32; its maps
+    # are the float32 full network's decoder-1 maps bit for bit
+    net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2, seed=9))
+    vol = rng.standard_normal(shape).astype(np.float32)
+    got = sliding_window_infer(net, vol, window, stride, head=head)
+    assert_bitwise_equal(got, _tile_average(net.astype(np.float32), vol,
+                                            window, corners, head))
+
+
+# bound on |float32 inference - float64 tile average|, absolute, as both
+# heads lie in [-1, 1] (softmax, tanh): 1e-5, a margin of 9 over the
+# largest difference measured on these tilings, 1.1e-6 (sdm, 3D, net
+# seeds 0-5; the seg maps 2.8e-7).  Default nets trained 40 steps (2D)
+# or 8 (3D) measured at most 9.0e-7 on 128x128 cases and 2.7e-7 on 24^3
+# ones.  1.1e-6 is 18 float32 unit roundoffs (2^-24), from rounding the
+# volume and every layer's output.
+FLOAT32_MAP_BOUND = 1e-5
+
+
+@pytest.mark.parametrize("head", sorted(FULL_NET_HEADS))
+@pytest.mark.parametrize("rank, shape, window, stride, corners",
+                         [case[1:] for case in TILINGS],
+                         ids=[case[0] for case in TILINGS])
+def test_float32_inference_is_near_the_float64_tile_average(
+        head, rank, shape, window, stride, corners):
+    net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2, seed=9))
+    vol = rng.standard_normal(shape)
+    got = sliding_window_infer(net, vol, window, stride, head=head)
+    want = _tile_average(net, vol, window, corners, head)
+    assert want.dtype == np.float64
+    assert np.abs(got - want).max() <= FLOAT32_MAP_BOUND
+
+
+def test_the_float32_copy_is_named_and_leaves_the_net_alone():
+    net = real_net()
+    before = {name: p.data.copy() for name, p in net.params.items()}
+    net32 = net.astype(np.float32)
+    assert net32.config == net.config and list(net32.params) == list(net.params)
+    for name, p in net32.params.items():
+        assert p.name == name and p.data.dtype == np.float32
+        assert p.data.tobytes() == before[name].astype(np.float32).tobytes()
+        assert net.params[name].data.dtype == np.float64
+        assert_bitwise_equal(net.params[name].data, before[name])
+
+
+@pytest.mark.parametrize("rank, shape, window, stride",
+                         [case[1:5] for case in TILINGS],
+                         ids=[case[0] for case in TILINGS])
+def test_float32_inference_makes_no_float64_array_but_its_average(
+        monkeypatch, rank, shape, window, stride):
+    # the one float64 arrays are the sum of the maps and the visit count,
+    # at the padded volume's shape
+    net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2, seed=9))
+    vol = rng.standard_normal(shape)
+    made = record_arrays(monkeypatch)
+    sliding_window_infer(net, vol, window, stride)
+    padded = tuple(max(n, w) for n, w in zip(shape, window))
+    floats = [a for a in made if a.dtype.kind == "f"]
+    assert len(floats) > 50
+    assert [(a.dtype, a.shape) for a in floats if a.dtype != np.float32] \
+        == [(np.dtype(np.float64), padded)] * 2
 
 
 class _CountingNet:
@@ -285,6 +355,12 @@ class _CountingNet:
 
     def __init__(self, net):
         self.net, self.config, self.calls = net, net.config, []
+
+    def astype(self, dtype):
+        # the copy logs into this stub's calls
+        copy = _CountingNet(self.net.astype(dtype))
+        copy.calls = self.calls
+        return copy
 
     def predict(self, x):
         self.calls.append((threading.get_ident(), x.data.copy()))
@@ -331,24 +407,24 @@ def test_batched_tiles_match_per_tile_inference(head, rank, shape, window,
                                                 stride, batches):
     net = _CountingNet(DualDecoderNet(NetworkConfig(rank=rank, width=2,
                                                     depth=2, seed=5)))
-    vol = rng.standard_normal(shape)
+    vol = rng.standard_normal(shape).astype(np.float32)
     got = sliding_window_infer(net, vol, window, stride, head=head)
     assert_lanes_took_turns(net.calls, vol, window, stride, batches)
     tile = math.prod(window)
     assert max(batches) * tile <= max(tile, TILE_BATCH_VOXELS)
-    assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, window,
-                                                      stride, head))
+    assert_bitwise_equal(got, per_tile_sliding_window(
+        net.net.astype(np.float32), vol, window, stride, head))
 
 
 def test_tiles_split_into_the_fewest_near_equal_batches(monkeypatch):
     # ten 16x16 tiles under a budget of three and a bit: 3+3+2+2, not 3+3+3+1
     monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 4 * 256 - 1)
     net = _CountingNet(real_net())
-    vol = rng.standard_normal((16, 88))
+    vol = rng.standard_normal((16, 88)).astype(np.float32)
     got = sliding_window_infer(net, vol, (16, 16), (16, 8))
     assert_lanes_took_turns(net.calls, vol, (16, 16), (16, 8), [3, 3, 2, 2])
-    assert_bitwise_equal(got, per_tile_sliding_window(net.net, vol, (16, 16),
-                                                      (16, 8)))
+    assert_bitwise_equal(got, per_tile_sliding_window(
+        net.net.astype(np.float32), vol, (16, 16), (16, 8)))
 
 
 def test_unknown_head_is_a_config_error():

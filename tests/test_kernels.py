@@ -1,5 +1,7 @@
 """Kernel-level checks against nested-loop and brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,45 @@ def test_conv_kernels_match_nested_loop_oracles(x_shape, k_shape, stride):
         np.testing.assert_array_equal(after, before)
     for result in (y, gx, gk):
         assert not any(np.may_share_memory(result, a) for a in (x, k, gy))
+
+
+# float32 bound, derived before it was first checked: every
+# output of conv_fwd, and every input gradient of conv_bwd_input (the
+# transposed conv's forward), is a sum of at most R products, R the
+# reduction length: Ci x kernel taps, or Co x kernel taps.  Summed in any
+# order with each product and partial sum rounded, its error is at most
+# gamma_R * sum(|a| |b|), gamma_R = R u / (1 - R u) with the unit roundoff
+# u = 2^-24 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+# The test allows 2 R u * sum(|a| |b|): a margin of 2 over R u, which
+# covers gamma_R's denominator (under 1.01 for R u < 0.01) and the float64
+# oracle's own rounding, 2^29 times smaller.
+FLOAT32_U = 2.0 ** -24
+FLOAT32_MARGIN = 2.0
+
+
+@pytest.mark.parametrize("x_shape, k_shape, stride",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_float32_conv_fwd_and_transposed_forward_match_the_oracles(
+        x_shape, k_shape, stride):
+    x, k, gy = (a.astype(np.float32) for a in _case_arrays(x_shape, k_shape,
+                                                            stride))
+    y = kernels.conv_fwd(x, k, stride)
+    assert y.dtype == np.float32 and y.flags.c_contiguous
+    # the oracles run in float64 on the same float32 values
+    x64, k64, gy64 = (a.astype(np.float64) for a in (x, k, gy))
+    reduction = k_shape[1] * math.prod(k_shape[2:])
+    bound = (FLOAT32_MARGIN * reduction * FLOAT32_U
+             * conv_oracle(np.abs(x64), np.abs(k64), stride, 0))
+    assert np.all(np.abs(y - conv_oracle(x64, k64, stride, 0)) <= bound)
+
+    gx = kernels.conv_bwd_input(gy, k, stride, x_shape[2:])
+    assert gx.dtype == np.float32 and gx.flags.c_contiguous
+    reduction = k_shape[0] * math.prod(k_shape[2:])
+    bound = (FLOAT32_MARGIN * reduction * FLOAT32_U * conv_bwd_input_oracle(
+        np.abs(gy64), np.abs(k64), stride, x_shape[2:]))
+    assert np.all(np.abs(gx - conv_bwd_input_oracle(gy64, k64, stride,
+                                                    x_shape[2:])) <= bound)
 
 
 @pytest.mark.parametrize("x_shape, k_shape, stride",

@@ -17,7 +17,8 @@ from geoseg.tensor import (SGD, Parameter, Tensor, concat_padded,
                            interp_upsample, logsumexp_channel, mse, no_grad,
                            softmax_channel)
 from helpers import (assert_bitwise_equal, assert_grads_match, fd_gradient,
-                     instance_norm_relu_reference, upsample_reference)
+                     instance_norm_relu_reference, record_arrays,
+                     upsample_reference)
 
 rng = np.random.default_rng(7)
 
@@ -473,3 +474,49 @@ def test_mse_helper():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.zeros((2, 2)))
     assert mse(a, b).item() == 1.0
+
+
+# -- dtypes ------------------------------------------------------------------
+
+
+def test_a_float_array_keeps_its_dtype_and_anything_else_is_float64():
+    for dtype in (np.float32, np.float64):
+        a = rng.standard_normal((2, 3)).astype(dtype)
+        assert Tensor(a).data is a
+        p = Parameter(a, name="w")
+        assert p.data is not a and p.name == "w"
+        assert p.data.dtype == p.grad.dtype == p.momentum.dtype == dtype
+    for data in ([1, 2], np.arange(3), np.ones(2, bool), 1.5, 2,
+                 np.ones(2, np.longdouble)):
+        assert Tensor(data).data.dtype == np.float64
+        assert Parameter(data).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_a_float32_graph_runs_and_differentiates_in_float32(monkeypatch,
+                                                            rank):
+    # every op, forward and backward, on float32 operands and python
+    # scalars: no buffer, node or gradient is float64
+    def param(*shape):
+        return Parameter(rng.standard_normal(shape).astype(np.float32))
+
+    k1, k2, k3 = (1,) * rank, (2,) * rank, (3,) * rank
+    x = Tensor(rng.standard_normal((2, 1) + (4,) * rank).astype(np.float32))
+    stem, stem_bias = param(4, 1, *k3), param(4)
+    down, up, up_bias = param(4, 4, *k2), param(4, 2, *k2), param(2)
+    width1, merge = param(2, 4, *k1), param(2, 6, *k3)
+    params = [stem, stem_bias, down, up, up_bias, width1, merge]
+    made = record_arrays(monkeypatch)
+    h = instance_norm_relu(conv_nd(x, stem, stem_bias, padding=1))
+    low = conv_nd(h, down, stride=2)
+    dec1 = conv_transpose_nd(low, up, up_bias, stride=2)
+    dec2 = interp_upsample(conv_nd(low, width1))
+    y = conv_nd(concat_padded([dec1, h]), merge) - dec2 * 0.5
+    seg = softmax_channel(y).narrow(1, 1, 1)
+    lse = logsumexp_channel(y)
+    loss = (mse(seg, lse.sigmoid()) + (seg.tanh() * 2.0 - 1.0).square().sum()
+            / 3.0 + (1.0 - lse).mean() + (seg / (seg + 1.0)).mean())
+    loss.backward()
+    assert made and {a.dtype for a in made} == {np.dtype(np.float32)}
+    assert loss.data.dtype == np.float32
+    assert all(p.grad.dtype == np.float32 for p in params)
