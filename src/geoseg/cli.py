@@ -132,10 +132,16 @@ def _eval_window(args, shape, net):
     if net.config.rank != len(shape):
         raise ConfigError(f"checkpoint is a rank-{net.config.rank} network, "
                           f"the dataset's volumes are {shape}")
-    window = (_parse_extents(args.window) if args.window
-              else _default_window(shape, net.config.depth))
+    whole = _default_window(shape, net.config.depth)
+    window = _parse_extents(args.window) if args.window else whole
     stride = _parse_extents(args.stride) if args.stride else window
-    return check_window(window, stride, len(shape), net.config.depth)
+    window, stride = check_window(window, stride, len(shape),
+                                  net.config.depth)
+    # a larger window would only pad every case with zeros
+    if any(w > n for w, n in zip(window, whole)):
+        raise ConfigError(f"window {window} is larger than the volumes "
+                          f"{shape} rounded up to {whole}")
+    return window, stride
 
 
 def _train_and_eval(split, cfg, run_dir, shape):

@@ -28,22 +28,11 @@ forward's activations grow with its batch.  With float64 activations,
 twice the size of float32 ones, one batch of all nine 64x64 tiles of a
 128x128 case raised peak RSS by about a quarter.  Every sample of a
 batch is computed on its own, so each map is byte-identical to a one-tile
-forward, and tiles are summed in the same corner order.
-
-The batches run in pairs, the two batches of a pair in two lanes
-(``tensor.fork``): batch 2k on the caller's thread and batch 2k+1 on the
-worker.  Once both have ended, the caller sums the pair's maps, in corner
-order, so the maps stay byte-identical to one lane's; the next pair
-starts after that.  A failure in either batch ends the case once the
-other batch has ended.  An odd case's last batch joins the last pair on
-the caller's thread, right after the caller's batch of that pair: the
-worker's batch tends to end last, and waiting for it before the last
-batch made the benchmark's three-batch 128x128 cases 17% slower on two
-vCPUs.  A one-batch case, such as a window that covers the whole volume,
-never starts the worker.  A case holds two forwards' activations at once
-instead of one, or at most three batches' maps; ``DualDecoderNet.predict``
-pays for part of that: it frees each skip once decoder 1 has merged it
-and each merge's input before its norm.
+forward.  The batches run in corner order on the caller's thread, and
+each batch's maps are summed into the average before the next batch
+starts, so a case holds one forward's activations and one batch's maps
+at a time; ``DualDecoderNet.predict`` frees each skip once decoder 1 has
+merged it and each merge's input before its norm.
 """
 
 import itertools
@@ -57,7 +46,7 @@ import numpy as np
 from .data import _write_atomic, _write_csv
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import dice_jaccard, surface_distances
-from .tensor import Tensor, fork, no_grad
+from .tensor import Tensor, no_grad
 
 METRICS_SCHEMA = "metrics_v1"
 METRICS = ("dice", "jaccard", "asd", "hd95")
@@ -102,7 +91,8 @@ def check_window(window, stride, rank, depth):
 HEADS = ("seg", "sdm")
 
 # the most voxels one batched tile forward holds, unless a single window is
-# larger: four 64x64 windows, as many voxels as a default training batch
+# larger: four 64x64 windows, as many voxels as a default training batch.
+# The batches run one at a time, so this bounds a case's activations.
 TILE_BATCH_VOXELS = 1 << 14
 
 
@@ -132,29 +122,16 @@ def sliding_window_infer(net, volume, window, stride, head="seg"):
     batches = np.array_split(np.arange(len(tiles)),
                              -(-len(tiles) // per_batch))
 
-    def run(batch):
+    def add(batch):
+        # the batch's input and maps die on return, before the next batch
         x = Tensor(np.stack([volume[tiles[i]] for i in batch])[:, None])
-        return net.predict(x)[head].data
+        for i, tile_out in zip(batch, net.predict(x)[head].data):
+            prob[tiles[i]] += tile_out[0]
+            count[tiles[i]] += 1.0
 
-    def run_group(group):
-        # group[0] and group[2], if any, on this thread and group[1] on the
-        # worker; the group's maps die on return
-        if len(group) == 1:
-            outs = [run(group[0])]
-        else:
-            mine, theirs = fork(lambda: [run(b) for b in group[::2]],
-                                lambda: run(group[1]))
-            outs = [mine[0], theirs] + mine[1:]
-        for batch, out in zip(group, outs):
-            for i, tile_out in zip(batch, out):
-                prob[tiles[i]] += tile_out[0]
-                count[tiles[i]] += 1.0
-
-    # pairs of batches, the last group taking what is left: one to three
-    starts = list(range(0, max(len(batches) - 1, 1), 2))
     with no_grad():
-        for a, b in zip(starts, starts[1:] + [len(batches)]):
-            run_group(batches[a:b])
+        for batch in batches:
+            add(batch)
     prob /= count
     return prob[tuple(slice(0, n) for n in original)]
 

@@ -18,9 +18,9 @@ decoders read the same encoder features and never each other, so decoder
 (``tensor.fork``); its nodes are lane 1, so ``Tensor.backward`` runs it
 concurrently too.  Decoder 1 (``FINAL_DECODER``) makes the test-time
 prediction; ``predict`` runs the encoder and that decoder alone, since
-nothing reads decoder 2 there.  It runs on whichever thread calls it:
-sliding-window inference runs a pair of tile batches through it at once,
-one in each lane (``inference.sliding_window_infer``).
+nothing reads decoder 2 there.  Sliding-window inference runs its tile
+batches through it one after another, on the caller's thread
+(``inference.sliding_window_infer``).
 
 ``decode`` consumes the skip list it is handed, popping each skip once it
 is merged, so without a graph (``predict`` under ``no_grad``) each skip is

@@ -50,8 +50,7 @@ Two lanes.  ``fork`` runs one function on a second thread, the worker,
 while another runs on the caller's thread, and returns once both have
 ended; it is the one way the two threads join.  Every node recorded on
 the worker is in lane 1 and every other node in lane 0.  The network's
-decoder 2 is lane 1 in training (``DualDecoderNet.forward``), as is the
-second tile batch of each pair in sliding-window inference.  ``backward``
+decoder 2 is lane 1 in training (``DualDecoderNet.forward``).  ``backward``
 walks each lane on its own thread: the serial walk's reverse postorder,
 restricted to the lane.  A node waits only for the gradients that the
 other lane delivers to it; a lane that raises ends the other at its next

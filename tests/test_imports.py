@@ -3,9 +3,9 @@ loads scipy only inside the functions that call it, ``tensor`` is the one
 module that imports thread synchronisation and the one that binds a
 tensor's ``data``, ``network`` the one that names a checkpoint's tensors,
 ``data`` the one that formats a table cell, ``losses`` the one that names
-a loss term, only ``inference``, ``data`` and ``cli`` name float32, and
-the worker thread starts only when training or a multi-batch inference
-needs it."""
+a loss term, only ``inference``, ``data`` and ``cli`` name float32, only
+``tensor`` and ``network`` call ``fork``, and only training starts the
+worker thread."""
 
 import ast
 import json
@@ -123,6 +123,30 @@ def test_only_tensor_synchronises_threads():
     # the lanes join through tensor.fork alone
     assert [p.name for p in SRC if imported_packages(p.read_text())
             & {"threading", "concurrent"}] == ["tensor.py"]
+
+
+def calls_to(source, name):
+    """Line of each call in ``source`` to ``name``, by name or as an
+    attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id == name
+                       or isinstance(node.func, ast.Attribute)
+                       and node.func.attr == name))
+
+
+def test_scanner_sees_calls_to_a_name():
+    # a call by name or as an attribute; a reference that is no call, or a
+    # call of another name, is none
+    source = ("fork(a, b)\ntensor.fork(a, b)\nf = fork\nforked(a)\n"
+              "x.fork\ny = [tensor.fork(c, d) for _ in z]\n")
+    assert calls_to(source, "fork") == [1, 2, 6]
+
+
+def test_only_tensor_and_network_call_fork():
+    # the worker serves the two-decoder forward and its backward alone
+    assert [p.name for p in SRC if calls_to(p.read_text(), "fork")] \
+        == ["network.py", "tensor.py"]
 
 
 def string_prefixes(source, prefixes):
@@ -280,9 +304,9 @@ def test_cli_import_starts_no_thread_and_only_training_starts_the_worker():
     assert json.loads(done.stdout) == [[1, False], [1, False], [2, True]]
 
 
-def test_multi_batch_inference_starts_the_worker():
-    # 25 windows of 32x32 make two batches within the tile budget, the
-    # second on the worker
+def test_multi_batch_inference_starts_no_thread():
+    # 25 windows of 32x32 make two batches within the tile budget; both run
+    # on the caller's thread, and concurrent.futures stays unloaded
     code = ("import json, sys, threading\n"
             "import numpy as np\n"
             "from geoseg.inference import sliding_window_infer\n"
@@ -298,4 +322,4 @@ def test_multi_batch_inference_starts_the_worker():
     env = {**os.environ, "PYTHONPATH": str(Path(geoseg.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [[1, False], [2, True]]
+    assert json.loads(done.stdout) == [[1, False], [1, False]]

@@ -1,7 +1,6 @@
 """The two lanes: decoder 2 runs on the worker thread in forward and in
-backward, with gradients bit-identical to one thread's walk, the second
-tile batch of each pair of an eval case runs there too, a failure in
-either lane ends both and reaches the caller.  The backward releases each
+backward, with gradients bit-identical to one thread's walk, and a failure
+in either lane ends both and reaches the caller.  The backward releases each
 node as it goes, so a training step keeps no node once it returns, and a
 padded copy adopts the array it copies, so a step holds each once."""
 
@@ -21,10 +20,9 @@ import pytest
 import geoseg
 from geoseg import inference, kernels, network, tensor, training
 from geoseg.cli import main
-from geoseg.data import VolumeRecord
 from geoseg.errors import GeoSegError, TrainingAbort
 from geoseg.geometry import sdm_target
-from geoseg.inference import evaluate, sliding_window_infer
+from geoseg.inference import sliding_window_infer
 from geoseg.losses import CONSISTENCY_MODES, LossConfig, total_loss
 from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD, Parameter, Tensor, fork
@@ -558,89 +556,12 @@ except KeyboardInterrupt:
 # -- sliding-window inference ---------------------------------------------------
 
 
-class _HookedNet:
-    """A real network (2D unless ``rank`` says otherwise) whose ``predict``
-    first calls ``hook(lane)``: lane 0 on the thread named ``caller``, 1 on
-    any other.  It logs each call's lane and counts the calls still
-    running."""
-
-    def __init__(self, hook, rank=2):
-        self.net = DualDecoderNet(NetworkConfig(rank=rank, width=2, depth=2,
-                                                seed=5))
-        self.config = self.net.config
-        self.hook, self.caller, self.lanes, self.running = hook, None, [], 0
-        self.lock = threading.Lock()
-
-    def astype(self, dtype):
-        # the hook, the logs and a patched ``predict`` stay with this stub,
-        # which runs the copy from now on
-        self.net = self.net.astype(dtype)
-        return self
-
-    def predict(self, x):
-        lane = int(threading.get_ident() != self.caller)
-        with self.lock:
-            self.lanes.append(lane)
-            self.running += 1
-        try:
-            self.hook(lane)
-            return self.net.predict(x)
-        finally:
-            with self.lock:
-                self.running -= 1
-
-
-def _evaluate_five_batches(net):
-    """``evaluate`` on one 16x80 case, one 16x16 tile per batch: lane 0
-    runs batches 0, 2, 4 and lane 1 batches 1, 3.  Returns what it
-    raised, if anything, and the calls still running when it ended."""
-    record = VolumeRecord("c0", "test", rng.standard_normal((16, 80)),
-                          (rng.random((16, 80)) < 0.5).astype(np.uint8))
-
-    def run():
-        net.caller = threading.get_ident()
-        try:
-            evaluate(net, [record], (16, 16), (16, 16))
-        finally:
-            running.append(net.running)
-
-    running = []
-    return run_bounded(run), running[0]
-
-
-@pytest.mark.parametrize("lane", [0, 1])
-@pytest.mark.parametrize("error_type", [Boom, KeyboardInterrupt],
-                         ids=["error", "interrupt"])
-def test_a_failing_eval_lane_ends_evaluate_once_both_lanes_stopped(
-        monkeypatch, lane, error_type):
-    # the failing lane raises in its first batch while the other lane's
-    # first batch is still running; the other lane runs no further batch
-    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 256)
-    error = error_type(f"eval lane {lane} failed")
-    other_started = threading.Event()
-
-    def hook(this_lane):
-        if this_lane == lane:
-            other_started.wait(TIMEOUT_S)
-            raise error
-        other_started.set()
-        time.sleep(0.2)
-
-    net = _HookedNet(hook)
-    raised, running = _evaluate_five_batches(net)
-    assert raised is error
-    assert running == 0
-    assert sorted(net.lanes) == [0, 1]
-    # the worker is free again: the next case runs all five batches
-    net.hook, net.lanes = lambda lane: None, []
-    assert _evaluate_five_batches(net) == (None, 0)
-    assert sorted(net.lanes) == [0, 0, 0, 1, 1]
-
-
-def test_cli_eval_reports_a_worker_abort_in_one_line(tmp_path, monkeypatch,
-                                                     capsys):
-    # 25 windows of 32x32 on a 64x64 case make two batches, the second on
-    # the worker, whose first transposed conv turns non-finite
+def test_cli_eval_reports_a_non_finite_forward_in_one_line(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    # 25 windows of 32x32 on a 64x64 case make two batches, both on this
+    # thread, whose first transposed conv turns non-finite here and only
+    # here
     assert main(["build-data", "--labeled", "2", "--unlabeled", "2", "--test",
                  "1", "--shape", "64x64", "--seed", "3", "--out",
                  str(tmp_path / "data")]) == 0
@@ -650,11 +571,11 @@ def test_cli_eval_reports_a_worker_abort_in_one_line(tmp_path, monkeypatch,
     caller = threading.get_ident()
     upsample = network.conv_transpose_nd
 
-    def nan_on_the_worker(*args, **kwargs):
+    def nan_on_the_caller(*args, **kwargs):
         out = upsample(*args, **kwargs)
-        return out if threading.get_ident() == caller else out * np.nan
+        return out * np.nan if threading.get_ident() == caller else out
 
-    monkeypatch.setattr(network, "conv_transpose_nd", nan_on_the_worker)
+    monkeypatch.setattr(network, "conv_transpose_nd", nan_on_the_caller)
     monkeypatch.setattr(tensor, "_CHECK_FINITE", True)
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(checkpoint), "--manifest",
@@ -666,82 +587,10 @@ def test_cli_eval_reports_a_worker_abort_in_one_line(tmp_path, monkeypatch,
         "forward operation"]
 
 
-def test_a_pair_of_batches_ends_before_the_next_pair_starts(monkeypatch):
-    # 64 one-tile 3D batches, the worker's each 10 ms slower: the caller
-    # runs batches 0, 2, ... and the worker 1, 3, ..., and batch k + 2
-    # starts only once batches k and k + 1 have both finished (64 is even;
-    # an odd case's last batch joins the last pair), so the caller never
-    # runs ahead of the slow worker and keeps its maps
-    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 12 ** 3)
-    finished = [0, 0]  # batches finished by each lane
-    slow = []  # not empty once the worker's batches are slowed down
-
-    def hook(lane):
-        # this call runs the lane's j-th batch, batch 2j + lane, whose pair
-        # is the j-th: the j pairs before it have finished
-        j = net.lanes.count(lane) - 1
-        assert min(finished) >= j
-        if lane and slow:
-            time.sleep(0.01)
-
-    net = _HookedNet(hook, rank=3)
-    predict = net.predict
-
-    def logged(x):
-        out = predict(x)
-        finished[int(threading.get_ident() != net.caller)] += 1
-        return out
-
-    net.predict = logged
-    net.caller = threading.get_ident()
-    vol = rng.standard_normal((24, 24, 24))
-    sliding_window_infer(net, vol, (12,) * 3, (4,) * 3)
-    finished[:] = [0, 0]
-    net.lanes.clear()
-    slow.append(True)
-    tracemalloc.start()
-    try:
-        sliding_window_infer(net, vol, (12,) * 3, (4,) * 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert finished == [32, 32]
-    # against the case's 64 maps as float64 arrays: 0.70-0.72 of them in
-    # pairs of float32 predictions, which the bound exceeds by 25%, and
-    # 1.59-1.68 when both lanes keep every map until the case ends.  With
-    # float64 predictions pairs gave 0.79-0.82, a two-batch lead bound
-    # 0.91-0.94, and 1.23-1.39 when the caller's lane ran ahead unchecked.
-    assert peak < 0.9 * 64 * 12 ** 3 * 8
-
-
-def test_an_odd_case_runs_its_last_batch_beside_the_last_pair(monkeypatch):
-    # three one-tile batches, the worker's slowed down: the caller starts
-    # batch 2 while the worker still runs batch 1
-    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 256)
-    worker_started = threading.Event()
-    running = []  # calls running when the caller starts batch 2
-
-    def hook(lane):
-        if lane:
-            worker_started.set()
-            time.sleep(0.2)
-        elif net.lanes.count(0) == 1:
-            worker_started.wait(TIMEOUT_S)
-        else:
-            running.append(net.running)
-
-    net = _HookedNet(hook)
-    net.caller = threading.get_ident()
-    sliding_window_infer(net, rng.standard_normal((16, 48)), (16, 16),
-                         (16, 16))
-    assert sorted(net.lanes) == [0, 0, 1]
-    assert running == [2]
-
-
 def test_one_tile_batches_match_per_tile_inference_under_frequent_switches(
         monkeypatch):
-    # 64 one-tile batches, both lanes summing into one average while the
-    # interpreter switches threads every microsecond
+    # 64 one-tile batches summed into one average while the interpreter
+    # switches threads every microsecond
     monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 16 * 16)
     net = DualDecoderNet(NetworkConfig(width=2, depth=2, seed=5))
     vol = rng.standard_normal((72, 72)).astype(np.float32)
