@@ -9,9 +9,10 @@ serves the training losses and no prediction reads it.  The averaged map
 is that decoder's foreground probability, or its SDM with ``head="sdm"``;
 thresholding at exactly 0.5 assigns background.
 
-The maps are computed in float32 and averaged in float64.  Once per call
-the tiles run through a float32 copy of the network
-(``DualDecoderNet.astype``; the caller's network is left alone) on the
+The maps are computed in float32 and averaged in float64.  The tiles run
+through a float32 copy of the network (``DualDecoderNet.astype``, which
+leaves the caller's network alone and returns a float32 one as it is),
+made once per ``evaluate`` or per call for any other caller, on the
 volume cast to float32, which is exact for every volume ``build-data``
 writes, so each forward is float32 throughout (``tensor``, "Dtypes").
 The sum of the maps and the visit count are float64.  Against the float64
@@ -160,10 +161,12 @@ class MetricReport:
 def evaluate(net, records, window, stride, out_dir=None):
     """Per-case metrics and their mean for every test record with a mask.
 
-    Cases where a surface metric is undefined (empty prediction or truth)
-    carry a None sentinel and the degenerate flag; aggregates average over
-    the defined cases only.
+    The network is cast to float32 once, before the first case, and every
+    case runs through that copy.  Cases where a surface metric is undefined
+    (empty prediction or truth) carry a None sentinel and the degenerate
+    flag; aggregates average over the defined cases only.
     """
+    net = net.astype(np.float32)
     cases = []
     for record in records:
         if record.mask is None:

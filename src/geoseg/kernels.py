@@ -39,6 +39,10 @@ product span whole rows of the grid, which makes every add one contiguous
 pass (numpy runs a strided 2-D add about 2.5x slower), and the batch runs
 in blocks of samples that keep both in cache across the taps.
 
+A call's plan (its taps, where each tap's columns lie, the span ``L``)
+depends on shape tuples alone and is memoised by shape as immutable tuples,
+which both training lanes share; the tap matrices are gathered in one copy.
+
 ``tensor.conv_nd`` and ``conv_transpose_nd`` look these functions up at
 call time.  The benchmark (``benchmarks/README.md``) wraps them there,
 checks every conv layer against NC einsum references
@@ -51,6 +55,7 @@ voxel's nearest seed, and the squared integer offsets to it are summed in
 int64, so every value is exact.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -73,6 +78,7 @@ def _flat_offsets(spatial, indices):
     return [sum(i * s for i, s in zip(index, strides)) for index in indices]
 
 
+@functools.lru_cache(maxsize=256)
 def _span(grid, out_spatial):
     # columns L of the flat grid up to and including the last valid output
     return _flat_offsets(grid, [[o - 1 for o in out_spatial]])[0] + 1
@@ -93,14 +99,15 @@ def _window(tap, stride, out_spatial):
         slice(t, t + s * o, s) for t, s, o in zip(tap, stride, out_spatial))
 
 
+@functools.lru_cache(maxsize=256)
 def _tap_sources(spatial, kernel_spatial, stride, out_spatial):
     """Kernel taps in C order, and where each one's columns lie in an array
     of extent ``spatial``: at unit stride the flat offset of its shifted
     view (an int), otherwise its strided window."""
-    taps = list(np.ndindex(*kernel_spatial))
+    taps = tuple(np.ndindex(*kernel_spatial))
     if all(s == 1 for s in stride):
-        return taps, _flat_offsets(spatial, taps)
-    return taps, [_window(t, stride, out_spatial) for t in taps]
+        return taps, tuple(_flat_offsets(spatial, taps))
+    return taps, tuple(_window(t, stride, out_spatial) for t in taps)
 
 
 def _tap_columns(a, sources, length):
@@ -152,9 +159,9 @@ def conv_fwd(xp, k, stride):
     step = _block_size(n, xp[:1].nbytes + 2 * y[:1].nbytes)
     tmp = np.zeros((step,) + y.shape[1:], dtype=y.dtype)
     y_cols, tmp_cols = _columns(y, length), _columns(tmp, length)
-    taps, sources = _tap_sources(xp.shape[2:], kernel_spatial, stride, out_spatial)
-    # contiguous tap matrices, so that numpy hands every product to BLAS
-    mats = [np.ascontiguousarray(k[(...,) + t]) for t in taps]
+    _, sources = _tap_sources(xp.shape[2:], kernel_spatial, stride, out_spatial)
+    # [T, Co, Ci]: contiguous tap matrices, so numpy hands BLAS each product
+    mats = np.ascontiguousarray(np.moveaxis(_columns(k), 2, 0))
     for lo in range(0, n, step):
         yb = y[lo:lo + step]
         tb = tmp[:len(yb)]
@@ -175,8 +182,8 @@ def conv_bwd_input(gy, k, stride, padded_spatial):
     step = _block_size(n, 2 * gx[:1].nbytes + g[:1].nbytes)
     tmp = np.zeros((step, ci) + grid, dtype=gy.dtype)
     tmp_cols = _columns(tmp, g.shape[2])
-    taps, sources = _tap_sources(padded_spatial, k.shape[2:], stride, out_spatial)
-    mats = [np.ascontiguousarray(k[(...,) + t].T) for t in taps]
+    _, sources = _tap_sources(padded_spatial, k.shape[2:], stride, out_spatial)
+    mats = np.ascontiguousarray(_columns(k).T)  # [T, Ci, Co]
     for lo in range(0, n, step):
         gxb = gx[lo:lo + step]
         tb = tmp[:len(gxb)]

@@ -155,10 +155,12 @@ class DualDecoderNet:
         return list(self.params.values())
 
     def astype(self, dtype):
-        """A copy of this network whose parameters hold ``dtype`` arrays,
-        each a ``Parameter`` under its own name; this network is left
-        alone.  Test-time prediction runs a float32 copy
-        (``inference.sliding_window_infer``)."""
+        """This network if every parameter holds ``dtype``; else a copy
+        whose parameters are ``dtype`` ``Parameter``s under their own names,
+        leaving this network alone.  Test-time prediction runs a float32
+        copy, made once per ``inference.evaluate``."""
+        if all(p.data.dtype == dtype for p in self.params.values()):
+            return self
         net = copy.copy(self)
         net.params = {name: Parameter(p.data.astype(dtype), name=name)
                       for name, p in self.params.items()}

@@ -518,6 +518,19 @@ def logsumexp_channel(t):
 _NORM_EPS = 1e-5
 
 
+def _item_mean(a, b):
+    # mean(a * b) over axis 2 of [N, C, L] arrays, one item at a time, so
+    # that one item's product, not the batch's, is allocated; each row's
+    # sum, then its division by the row's length, are np.mean's own steps
+    out = np.empty(a.shape[:2] + (1,), dtype=a.dtype)
+    prod = np.empty(a.shape[1:], dtype=a.dtype)
+    for ai, bi, oi in zip(a, b, out):
+        np.add.reduce(np.multiply(ai, bi, out=prod), axis=1, keepdims=True,
+                      out=oi)
+    out /= a.shape[2]
+    return out
+
+
 def instance_norm_relu(t):
     """ReLU of the instance normalization of [N, C, spatial...]: each
     (item, channel) slice is normalized over its spatial extent.
@@ -535,16 +548,7 @@ def instance_norm_relu(t):
     x = t.data.reshape(shape[:2] + (-1,))
     mu = x.mean(axis=2, keepdims=True)
     y = x - mu
-    # the variance one item at a time, so that the square of one item, not
-    # of the batch, lives next to y; each row's sum, then its division by
-    # the row's length, are np.mean's own steps
-    var = np.empty(shape[:2] + (1,), dtype=y.dtype)
-    square = np.empty(y.shape[1:], dtype=y.dtype)
-    for yi, vi in zip(y, var):
-        np.add.reduce(np.multiply(yi, yi, out=square), axis=1, keepdims=True,
-                      out=vi)
-    del square  # gone before `y *= inv` allocates its broadcast buffer
-    var /= y.shape[2]
+    var = _item_mean(y, y)
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     y *= inv
 
@@ -552,10 +556,9 @@ def instance_norm_relu(t):
         y = x - mu
         y *= inv
         gr = g.reshape(y.shape) * (y > 0.0)
-        tmp = gr * y
-        gym = tmp.mean(axis=2, keepdims=True)
+        gym = _item_mean(gr, y)
         gr -= gr.mean(axis=2, keepdims=True)
-        gr -= np.multiply(y, gym, out=tmp)
+        gr -= np.multiply(y, gym, out=y)  # y is dead: two block-sized arrays
         gr *= inv
         return (gr.reshape(shape),)
 

@@ -332,6 +332,25 @@ def test_the_float32_copy_is_named_and_leaves_the_net_alone():
         assert_bitwise_equal(net.params[name].data, before[name])
 
 
+def test_astype_to_the_dtype_held_is_the_net_itself():
+    net = real_net()
+    before = {name: p.data.copy() for name, p in net.params.items()}
+    assert net.astype(np.float64) is net
+    net32 = net.astype(np.float32)
+    assert net32 is not net and net32.astype(np.float32) is net32
+    # back to float64: again a copy, under the same names, of the float32
+    # values, and the float32 net keeps its own arrays
+    net64 = net32.astype(np.float64)
+    assert net64 is not net32 and list(net64.params) == list(net.params)
+    for name, p in net64.params.items():
+        assert p.name == name and p.data.dtype == np.float64
+        assert p.data is not net32.params[name].data
+        assert_bitwise_equal(p.data, before[name].astype(np.float32)
+                             .astype(np.float64))
+        assert net32.params[name].data.dtype == np.float32
+        assert_bitwise_equal(net.params[name].data, before[name])
+
+
 @pytest.mark.parametrize("rank, shape, window, stride",
                          [case[1:5] for case in TILINGS],
                          ids=[case[0] for case in TILINGS])
@@ -564,6 +583,41 @@ def test_evaluate_flags_degenerate_surface_cases(tmp_path):
     with open(tmp_path / "metrics.csv") as f:
         row = list(csv.reader(f))[1]
     assert row[3] == "" and row[4] == "" and row[5] == "1"
+
+
+def test_evaluate_makes_one_float32_copy_for_all_its_cases(monkeypatch,
+                                                          tmp_path):
+    # one copy for four multi-tile cases, and the maps and metrics files
+    # of a copy per case, byte for byte
+    net = real_net(seed=4)
+    records = _records(4, shape=(24, 20))
+    copies, maps = [], []
+    astype, infer = DualDecoderNet.astype, inference.sliding_window_infer
+
+    def counting_astype(self, dtype):
+        copy = astype(self, dtype)
+        if copy is not self:
+            copies.append(copy)
+        return copy
+
+    monkeypatch.setattr(DualDecoderNet, "astype", counting_astype)
+    monkeypatch.setattr(inference, "sliding_window_infer",
+                        lambda *args: maps.append(infer(*args)) or maps[-1])
+    report = evaluate(net, records, (16, 16), (8, 8), out_dir=tmp_path / "one")
+    assert len(copies) == 1 and len(maps) == len(records)
+    assert {p.data.dtype for p in copies[0].parameters()} == {np.dtype("f4")}
+    assert 0 < report.aggregate["dice"] < 1 and report.n_degenerate == 0
+
+    # the float64 net handed to each case, which casts it again
+    monkeypatch.setattr(inference, "sliding_window_infer",
+                        lambda _, *args: infer(net, *args))
+    evaluate(net, records, (16, 16), (8, 8), out_dir=tmp_path / "per-case")
+    assert len(copies) == 2 + len(records)
+    for record, got in zip(records, maps):
+        assert_bitwise_equal(got, infer(net, record.image, (16, 16), (8, 8)))
+    for name in ("metrics.csv", "metrics.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "per-case" / name).read_bytes()
 
 
 def test_evaluate_requires_masks():

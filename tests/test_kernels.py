@@ -78,6 +78,18 @@ def _run_kernels(x, k, gy, stride):
             kernels.conv_bwd_kernel(x, gy, stride, k.shape[2:]))
 
 
+def _assert_match_oracles(x, k, gy, stride, y, gx, gk):
+    # float64 results of the three kernels against the nested-loop oracles
+    np.testing.assert_allclose(y, conv_oracle(x, k, stride, 0),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        gx, conv_bwd_input_oracle(gy, k, stride, x.shape[2:]),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        gk, conv_bwd_kernel_oracle(x, gy, stride, k.shape[2:]),
+        rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("x_shape, k_shape, stride",
                          [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
@@ -86,17 +98,8 @@ def test_conv_kernels_match_nested_loop_oracles(x_shape, k_shape, stride):
     inputs = [a.copy() for a in (x, k, gy)]
 
     y, gx, gk = _run_kernels(x, k, gy, stride)
-    np.testing.assert_allclose(_nc_result(y, gy.shape),
-                               conv_oracle(x, k, stride, 0),
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(
-        _nc_result(gx, x_shape),
-        conv_bwd_input_oracle(gy, k, stride, x_shape[2:]),
-        rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(
-        _nc_result(gk, k_shape),
-        conv_bwd_kernel_oracle(x, gy, stride, k_shape[2:]),
-        rtol=1e-12, atol=1e-12)
+    _assert_match_oracles(x, k, gy, stride, _nc_result(y, gy.shape),
+                          _nc_result(gx, x_shape), _nc_result(gk, k_shape))
     # no kernel writes into its arguments or hands back a view of one
     for before, after in zip(inputs, (x, k, gy)):
         np.testing.assert_array_equal(after, before)
@@ -126,21 +129,25 @@ def test_float32_conv_fwd_and_transposed_forward_match_the_oracles(
     x, k, gy = (a.astype(np.float32) for a in _case_arrays(x_shape, k_shape,
                                                             stride))
     y = kernels.conv_fwd(x, k, stride)
-    assert y.dtype == np.float32 and y.flags.c_contiguous
+    gx = kernels.conv_bwd_input(gy, k, stride, x_shape[2:])
+    for got in (y, gx):
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+    _assert_float32_within_bound(x, k, gy, stride, y, gx)
+
+
+def _assert_float32_within_bound(x, k, gy, stride, y, gx):
     # the oracles run in float64 on the same float32 values
     x64, k64, gy64 = (a.astype(np.float64) for a in (x, k, gy))
-    reduction = k_shape[1] * math.prod(k_shape[2:])
+    reduction = k.shape[1] * math.prod(k.shape[2:])
     bound = (FLOAT32_MARGIN * reduction * FLOAT32_U
              * conv_oracle(np.abs(x64), np.abs(k64), stride, 0))
     assert np.all(np.abs(y - conv_oracle(x64, k64, stride, 0)) <= bound)
 
-    gx = kernels.conv_bwd_input(gy, k, stride, x_shape[2:])
-    assert gx.dtype == np.float32 and gx.flags.c_contiguous
-    reduction = k_shape[0] * math.prod(k_shape[2:])
+    reduction = k.shape[0] * math.prod(k.shape[2:])
     bound = (FLOAT32_MARGIN * reduction * FLOAT32_U * conv_bwd_input_oracle(
-        np.abs(gy64), np.abs(k64), stride, x_shape[2:]))
+        np.abs(gy64), np.abs(k64), stride, x.shape[2:]))
     assert np.all(np.abs(gx - conv_bwd_input_oracle(gy64, k64, stride,
-                                                    x_shape[2:])) <= bound)
+                                                    x.shape[2:])) <= bound)
 
 
 @pytest.mark.parametrize("x_shape, k_shape, stride",
@@ -156,6 +163,48 @@ def test_sample_blocking_does_not_change_results(monkeypatch, x_shape,
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
         for got, want in zip(_run_kernels(x, k, gy, stride), whole):
             np.testing.assert_array_equal(got, want)
+
+
+# shapes that share a memo key but for one field: the same input and
+# kernel at stride 1 and 2, a 1x1 kernel at both, and 2D next to 3D
+INTERLEAVED = ["2d-stride1", "2d-stride2", "2d-1x1-one-output-channel",
+               "2d-1x1-stride2", "3d-3x3x3-stride1", "3d-stride2", "3d-1x1x1"]
+
+
+def test_memoised_plans_give_each_shape_its_first_calls_bytes():
+    cases = {case[0]: case[1:] for case in CASES}
+    arrays, first = {}, {}
+    for name in INTERLEAVED:
+        for dtype in (np.float32, np.float64):
+            arrays[name, dtype] = tuple(a.astype(dtype)
+                                        for a in _case_arrays(*cases[name]))
+    # a first call at each shape plans it afresh
+    for (name, dtype), (x, k, gy) in arrays.items():
+        kernels._tap_sources.cache_clear()
+        kernels._span.cache_clear()
+        first[name, dtype] = _run_kernels(x, k, gy, cases[name][2])
+    # each shape in both dtypes, in turn, forward and back
+    for order in (list(arrays), list(arrays)[::-1]):
+        for key in order:
+            x, k, gy = arrays[key]
+            for got, want in zip(_run_kernels(x, k, gy, cases[key[0]][2]),
+                                 first[key]):
+                assert got.dtype == key[1]
+                assert got.tobytes() == want.tobytes()
+    assert kernels._tap_sources.cache_info().hits > 0
+    assert kernels._span.cache_info().hits > 0
+    # each cached plan is immutable, all the way down to its taps
+    taps, sources = kernels._tap_sources((9, 8), (3, 3), (2, 2), (4, 3))
+    assert isinstance(taps, tuple) and isinstance(sources, tuple)
+    assert all(isinstance(t, tuple) for t in taps + sources)
+
+    # and they meet the oracles at the tolerances of the tests above
+    for name in INTERLEAVED:
+        stride = cases[name][2]
+        _assert_match_oracles(*arrays[name, np.float64], stride,
+                              *first[name, np.float64])
+        _assert_float32_within_bound(*arrays[name, np.float32], stride,
+                                     *first[name, np.float32][:2])
 
 
 def test_edt_pass_single_row_values():

@@ -18,17 +18,15 @@ import numpy as np
 import pytest
 
 import geoseg
-from geoseg import inference, kernels, network, tensor, training
+from geoseg import kernels, network, tensor, training
 from geoseg.cli import main
 from geoseg.errors import GeoSegError, TrainingAbort
 from geoseg.geometry import sdm_target
-from geoseg.inference import sliding_window_infer
 from geoseg.losses import CONSISTENCY_MODES, LossConfig, total_loss
 from geoseg.network import DualDecoderNet, NetworkConfig
 from geoseg.tensor import SGD, Parameter, Tensor, fork
 from geoseg.training import Batch, TrainConfig, train_step
-from helpers import (assert_bitwise_equal, per_tile_sliding_window,
-                     serial_backward)
+from helpers import assert_bitwise_equal, serial_backward
 
 rng = np.random.default_rng(53)
 
@@ -585,22 +583,3 @@ def test_cli_eval_reports_a_non_finite_forward_in_one_line(tmp_path,
     assert capsys.readouterr().err.splitlines() == [
         "error category=training message=non-finite values produced by a "
         "forward operation"]
-
-
-def test_one_tile_batches_match_per_tile_inference_under_frequent_switches(
-        monkeypatch):
-    # 64 one-tile batches summed into one average while the interpreter
-    # switches threads every microsecond
-    monkeypatch.setattr(inference, "TILE_BATCH_VOXELS", 16 * 16)
-    net = DualDecoderNet(NetworkConfig(width=2, depth=2, seed=5))
-    vol = rng.standard_normal((72, 72)).astype(np.float32)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run_bounded(lambda: got.append(sliding_window_infer(
-            net, vol, (16, 16), (8, 8)))) is None
-    finally:
-        sys.setswitchinterval(interval)
-    assert_bitwise_equal(got[0], per_tile_sliding_window(
-        net.astype(np.float32), vol, (16, 16), (8, 8)))
